@@ -67,14 +67,13 @@ class ConditionReport:
 class Contig:
     """Reads assigned to one reconstructed genome plus its consensus.
 
-    consensus[s] == UNSET marks SNPs no assigned read has determined.
+    consensus[s] == UNSET marks SNPs no assigned read has determined. Built
+    from reads in start order, the determined SNPs inside any later read's
+    window form a prefix of that window (see greedy_assemble).
     """
 
     read_indices: list[int] = field(default_factory=list)
     consensus: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
-
-    def consensus_map(self) -> dict[int, int]:
-        return {int(s): int(a) for s, a in enumerate(self.consensus) if a != UNSET}
 
 
 def check_coverage(pop: Population, rs: ReadSet) -> CoverageReport:
@@ -127,56 +126,77 @@ def check_conditions(pop: Population, rs: ReadSet) -> ConditionReport:
                            bridging_ok=br.ok, bridging_violations=br.violations)
 
 
-def greedy_assemble(rs: ReadSet, stream: RandomStream,
-                    M: int | None = None) -> list[Contig]:
+def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     """One left-to-right pass merging each read into its best contig.
 
     A contig is consistent with a read when their shared determined SNPs
     all agree; among consistent contigs the read joins the one sharing the
     most SNPs, ties broken uniformly with the stream. A read consistent
     with no contig (impossible in noiseless runs when the success
-    conditions hold) joins the contig agreeing on the most SNPs.
+    conditions hold) joins the contig agreeing on the most SNPs. A read
+    with no SNPs joins a uniformly drawn contig.
+
+    Reads must arrive in start order, as generate_reads sorts them, so
+    cover_lo and cover_hi are both non-decreasing. Then the SNPs contig m
+    has determined inside a new read's window [lo, hi) are exactly the
+    prefix [lo, f_m), where the frontier f_m is the largest cover_hi among
+    the SNP-carrying reads already assigned to m. Consistency is one prefix
+    compare, the overlap is max(0, f_m - lo), and a merge writes only the
+    suffix [max(f_m, lo), hi).
     """
-    if M is None:
-        M = rs.config.M
+    M = rs.config.M
     S = rs.population.S
     offsets, values = rs.observations()
-    consensus = np.full((M, S), UNSET, dtype=np.int8)
+    off = offsets.tolist()
+    los = rs.cover_lo.tolist()
+    his = rs.cover_hi.tolist()
+    obs = values.tobytes()
+    consensus = [bytearray(UNSET.tobytes() * S) for _ in range(M)]
+    frontier = [0] * M
     assigned: list[list[int]] = [[] for _ in range(M)]
     gen = stream.gen
     for r in range(rs.n_reads):
-        lo, hi = int(rs.cover_lo[r]), int(rs.cover_hi[r])
-        v = values[offsets[r]:offsets[r + 1]]
+        lo, hi = los[r], his[r]
         if hi == lo:
             # no SNP content: assign anywhere without touching consensus
             assigned[int(gen.integers(M))].append(r)
             continue
+        v = obs[off[r]:off[r + 1]]
         best_overlap = -1
         candidates: list[int] = []
-        fallback_best = -1
-        fallback: list[int] = []
         for m in range(M):
-            seg = consensus[m, lo:hi]
-            known = seg != UNSET
-            agree = int(((seg == v) & known).sum())
-            overlap = int(known.sum())
-            if agree == overlap:  # consistent
-                if overlap > best_overlap:
-                    best_overlap, candidates = overlap, [m]
-                elif overlap == best_overlap:
-                    candidates.append(m)
-            if agree > fallback_best:
-                fallback_best, fallback = agree, [m]
-            elif agree == fallback_best:
-                fallback.append(m)
-        pool = candidates if candidates else fallback
+            f = frontier[m]
+            if f > lo:
+                if not consensus[m].startswith(v[:f - lo], lo):
+                    continue
+                overlap = f - lo
+            else:
+                overlap = 0
+            if overlap > best_overlap:
+                best_overlap, candidates = overlap, [m]
+            elif overlap == best_overlap:
+                candidates.append(m)
+        pool = candidates or _most_agreeing(consensus, frontier, lo, v)
         m = pool[0] if len(pool) == 1 else pool[int(gen.integers(len(pool)))]
-        seg = consensus[m, lo:hi]
-        unknown = seg == UNSET
-        seg[unknown] = v[unknown]
+        f = frontier[m]
+        if f > lo:
+            consensus[m][f:hi] = v[f - lo:]
+        else:
+            consensus[m][lo:hi] = v
+        frontier[m] = hi
         assigned[m].append(r)
-    return [Contig(read_indices=assigned[m], consensus=consensus[m])
+    return [Contig(read_indices=assigned[m],
+                   consensus=np.frombuffer(consensus[m], dtype=np.int8))
             for m in range(M)]
+
+
+def _most_agreeing(consensus: list[bytearray], frontier: list[int], lo: int,
+                   v: bytes) -> list[int]:
+    """Contigs agreeing with read values v on the most determined SNPs."""
+    agree = [sum(a == b for a, b in zip(c[lo:max(f, lo)], v))
+             for c, f in zip(consensus, frontier)]
+    best = max(agree)
+    return [m for m, a in enumerate(agree) if a == best]
 
 
 def _match_contigs(rows: list[np.ndarray], truth: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 malformed configuration, 3 capacity refusal,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -385,7 +386,8 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     """Bisect for the smallest read length meeting a target error rate."""
     try:
         params = _load_params(config_path, overrides)
-        f = _bound_at_length(bound, params)
+        # cached so that bisection reuses the endpoint values checked here
+        f = functools.cache(_bound_at_length(bound, params))
         if f(l_min) < f(l_max):
             raise ConfigError("bound is not non-increasing on the bracket")
         value, iters = bisect_decreasing(f, target, l_min, l_max)

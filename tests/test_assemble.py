@@ -1,12 +1,14 @@
 import numpy as np
 
-from poolseq_limits.assemble import (UNSET, check_bridging, check_conditions,
-                                     check_coverage, enumerate_assemblies,
-                                     greedy_assemble, score_assembly,
-                                     unique_and_correct)
-from poolseq_limits.core import FixedBiallelic, ModelConfig, RandomStream
-from poolseq_limits.simulate import (Population, ReadSet, generate_population,
-                                     generate_reads)
+from poolseq_limits import assemble
+from poolseq_limits.assemble import (UNSET, Contig, check_bridging,
+                                     check_conditions, check_coverage,
+                                     enumerate_assemblies, greedy_assemble,
+                                     score_assembly, unique_and_correct)
+from poolseq_limits.core import (Empirical, FixedBiallelic, ModelConfig,
+                                 RandomStream)
+from poolseq_limits.simulate import (Population, ReadSet, apply_noise,
+                                     generate_population, generate_reads)
 
 LAW = FixedBiallelic(0.3)
 
@@ -180,3 +182,110 @@ def test_equivalence_on_random_instances():
             assert unique_and_correct(pop, rs)
         if not cond.coverage_ok:
             assert not greedy_ok
+
+
+def _reference_greedy(rs: ReadSet, stream: RandomStream,
+                      M: int | None = None) -> list[Contig]:
+    """Masked-array greedy pass that greedy_assemble must reproduce exactly:
+    every read is compared against each contig's full window with UNSET
+    masks, and the fallback agree-count is kept for every read."""
+    if M is None:
+        M = rs.config.M
+    S = rs.population.S
+    offsets, values = rs.observations()
+    consensus = np.full((M, S), UNSET, dtype=np.int8)
+    assigned: list[list[int]] = [[] for _ in range(M)]
+    gen = stream.gen
+    for r in range(rs.n_reads):
+        lo, hi = int(rs.cover_lo[r]), int(rs.cover_hi[r])
+        v = values[offsets[r]:offsets[r + 1]]
+        if hi == lo:
+            # no SNP content: assign anywhere without touching consensus
+            assigned[int(gen.integers(M))].append(r)
+            continue
+        best_overlap = -1
+        candidates: list[int] = []
+        fallback_best = -1
+        fallback: list[int] = []
+        for m in range(M):
+            seg = consensus[m, lo:hi]
+            known = seg != UNSET
+            agree = int(((seg == v) & known).sum())
+            overlap = int(known.sum())
+            if agree == overlap:  # consistent
+                if overlap > best_overlap:
+                    best_overlap, candidates = overlap, [m]
+                elif overlap == best_overlap:
+                    candidates.append(m)
+            if agree > fallback_best:
+                fallback_best, fallback = agree, [m]
+            elif agree == fallback_best:
+                fallback.append(m)
+        pool = candidates if candidates else fallback
+        m = pool[0] if len(pool) == 1 else pool[int(gen.integers(len(pool)))]
+        seg = consensus[m, lo:hi]
+        unknown = seg == UNSET
+        seg[unknown] = v[unknown]
+        assigned[m].append(r)
+    return [Contig(read_indices=assigned[m], consensus=consensus[m])
+            for m in range(M)]
+
+
+EMPIRICAL = Empirical(((0.4, 0.3, 0.2, 0.1), (0.25, 0.25, 0.25, 0.25),
+                       (0.7, 0.1, 0.1, 0.1)))
+
+
+def _differential_instance(rng, root, t):
+    M = 2 + t % 3
+    G = int(rng.integers(200, 3000))
+    p = 0.0 if t % 23 == 0 else float(rng.uniform(0.005, 0.08))
+    lam = 0.0 if t % 29 == 0 else float(rng.uniform(0.002, 0.05))
+    L = float(rng.uniform(5.0, 0.3 * G))
+    four_ary = t % 4 == 0
+    law = EMPIRICAL if four_ary else FixedBiallelic(float(rng.uniform(0.05, 0.5)))
+    eps = 0.0 if four_ary or t % 2 else float(rng.uniform(0.0, 0.2))
+    config = ModelConfig(G=G, M=M, p=p, L=L, lam=lam, law=law, eps=eps)
+    st = root.child(t)
+    pop = generate_population(config, st.child("pop"))
+    rs = generate_reads(pop, config, st.child("reads"))
+    if eps > 0.0:
+        rs = apply_noise(rs, eps, st.child("noise"))
+    return config, rs, st
+
+
+def test_frontier_greedy_matches_reference(monkeypatch):
+    """greedy_assemble makes the reference loop's decisions with the same
+    random draws: equal read assignments, equal consensus bytes and equal
+    generator state afterwards, over M 2-4, both allele laws, noisy reads,
+    SNP-free reads, p = 0 and lambda = 0."""
+    fallbacks = 0
+    most_agreeing = assemble._most_agreeing
+
+    def counting(*args):
+        nonlocal fallbacks
+        fallbacks += 1
+        return most_agreeing(*args)
+
+    monkeypatch.setattr(assemble, "_most_agreeing", counting)
+    rng = np.random.default_rng(41)
+    root = RandomStream(43)
+    seen = {"empty_read": 0, "p0": 0, "lam0": 0, "four_ary": 0, "noisy": 0}
+    for t in range(300):
+        config, rs, st = _differential_instance(rng, root, t)
+        got_stream, want_stream = st.child("greedy"), st.child("greedy")
+        got = greedy_assemble(rs, got_stream)
+        want = _reference_greedy(rs, want_stream)
+        assert len(got) == len(want) == config.M
+        for g, w in zip(got, want):
+            assert g.read_indices == w.read_indices, t
+            assert g.consensus.tobytes() == w.consensus.tobytes(), t
+        np.testing.assert_equal(got_stream.gen.bit_generator.state,
+                                want_stream.gen.bit_generator.state, err_msg=t)
+        seen["empty_read"] += bool((rs.cover_hi == rs.cover_lo).any()
+                                   and rs.population.S > 0)
+        seen["p0"] += config.p == 0.0
+        seen["lam0"] += config.lam == 0.0
+        seen["four_ary"] += isinstance(config.law, Empirical)
+        seen["noisy"] += rs.noisy
+    assert all(seen.values()), seen
+    assert fallbacks > 0

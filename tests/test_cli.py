@@ -122,6 +122,25 @@ def test_critical_l_ml_upper_default_bracket():
     assert 1.0 < out["critical_L"] < 1e7
 
 
+def test_critical_l_evaluates_each_length_once(monkeypatch):
+    """The monotonicity check and the bisection share the endpoint values:
+    one bound evaluation per reported iteration."""
+    from poolseq_limits import cli
+    lengths = []
+    assembly_bounds = cli.assembly_bounds
+
+    def counting(config, *args):
+        lengths.append(config.L)
+        return assembly_bounds(config, *args)
+
+    monkeypatch.setattr(cli, "assembly_bounds", counting)
+    res = run(["critical-l", *BASE, "--target", "1e-3",
+               "--bound", "assembly-upper", "--l-min", "1000",
+               "--l-max", "1000000", "--json"])
+    assert res.exit_code == 0, res.output
+    assert len(lengths) == len(set(lengths)) == json.loads(res.output)["iterations"]
+
+
 def test_exponent_table_output():
     res = run(["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1,0.3"])
     assert res.exit_code == 0
