@@ -1,7 +1,7 @@
 """Pooled-DNA sequencing: simulation, assembly, denoising, and error bounds."""
 
-from .core import (AlleleLaw, CapacityError, Empirical, EtaValue,
-                   FixedBiallelic, FixedEta, ModelConfig, RandomStream,
+from .core import (AlleleLaw, CapacityError, Empirical, FixedBiallelic,
+                   FixedEta, ModelConfig, RandomStream,
                    UnsupportedModelError, ValidationError, eta_from_law,
                    sample_poisson_positions)
 from .simulate import (Population, ReadSet, apply_noise,
@@ -21,7 +21,6 @@ from .noisy_bounds import (ExponentTable, SegmentationPlan,
                            exponent_numeric, exponent_table, den_ml_upper,
                            noisy_upper_ml, noisy_upper_spectral,
                            spectral_noise_ceiling, spectral_quantities)
-from .exact_bridging import (BridgingEstimate, ChainState, Terminated,
-                             estimate_bridging, p_fail_step, sample_transition)
+from .exact_bridging import BridgingEstimate, estimate_bridging
 
 __version__ = "0.1.0"

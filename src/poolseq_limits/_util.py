@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +70,15 @@ def integral_u_exp(alpha: float, upper: float) -> float:
     if abs(a) < 1e-6:
         return upper * upper * (0.5 - a / 3.0 + a * a / 8.0 - a ** 3 / 30.0)
     return (1.0 - (1.0 + a) * math.exp(-a)) / (alpha * alpha)
+
+
+@lru_cache(maxsize=32)
+def popcount_table(bits: int) -> np.ndarray:
+    """Read-only table of the set-bit count of every integer below 2^bits."""
+    table = np.array([bin(i).count("1") for i in range(1 << bits)],
+                     dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def trunc_exp(gen: np.random.Generator, rate: float, bound: float) -> float:

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -171,12 +170,21 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
             fh.close()
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Main(click.Group):
+    """Command group mapping library errors to exit codes for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, ValidationError) as e:
+            code, message = EXIT_CONFIG, str(e)
+        except CapacityError as e:
+            code, message = EXIT_CAPACITY, str(e)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Pooled-sequencing assembly bounds and Monte Carlo validation."""
 
@@ -207,6 +215,68 @@ def _echo_params(params: dict) -> dict:
     return row
 
 
+def _plan(params: dict) -> SegmentationPlan | None:
+    if "D" in params and "d" in params:
+        return SegmentationPlan(D=params["D"], d=params["d"])
+    return None
+
+
+def _coverage(config: ModelConfig, params: dict) -> dict:
+    cov = coverage_bounds(config.G, config.p, config.lam, config.L, config.M)
+    return {"esc_lower": cov.lower, "esc_upper": cov.upper}
+
+
+def _assembly(config: ModelConfig, params: dict) -> dict:
+    asm = assembly_bounds(config)
+    return {"e_lower": asm.lower, "e_upper": asm.upper}
+
+
+def _assembly_asym(config: ModelConfig, params: dict) -> dict:
+    asm = assembly_bounds(config, VARIANT_ASYMPTOTIC)
+    return {"e_lower_asym": asm.lower, "e_upper_asym": asm.upper}
+
+
+def _bridging(config: ModelConfig, params: dict) -> dict:
+    br = bridging_bounds(config.M, config.G, config.p, config.eta, config.lam,
+                         config.L)
+    return {"eb_lower": br.lower, "eb_upper": br.upper,
+            "eb_degenerate": int(br.degenerate)}
+
+
+def _ml(config: ModelConfig, params: dict) -> dict:
+    value, plan = noisy_upper_ml(config, _plan(params))
+    return {"en_ml_upper": value, "en_ml_D": plan.D, "en_ml_d": plan.d}
+
+
+def _spectral(config: ModelConfig, params: dict) -> dict:
+    value, plan = noisy_upper_spectral(
+        config, _plan(params), mode=params.get("nu_min_mode", "average_case"),
+        c_const=params.get("c_const", 1.0))
+    return {"en_sd_upper": value, "en_sd_D": plan.D, "en_sd_d": plan.d}
+
+
+# bound family -> (evaluate to CSV columns, whether `bounds` writes them)
+_FAMILIES = {
+    "coverage": (_coverage, lambda config: True),
+    "assembly": (_assembly, lambda config: True),
+    "assembly-asym": (_assembly_asym, lambda config: config.lam > 0),
+    "bridging": (_bridging, lambda config: config.M >= 2),
+    "ml": (_ml, lambda config: config.eps > 0.0),
+    "spectral": (_spectral, lambda config: config.eps > 0.0),
+}
+
+# critical-l --bound name -> (family, column)
+_BOUNDS = {
+    "assembly-upper": ("assembly", "e_upper"),
+    "assembly-lower": ("assembly", "e_lower"),
+    "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
+    "coverage-upper": ("coverage", "esc_upper"),
+    "bridging-upper": ("bridging", "eb_upper"),
+    "ml-upper": ("ml", "en_ml_upper"),
+    "spectral-upper": ("spectral", "en_sd_upper"),
+}
+
+
 @main.command()
 @common_options
 @click.option("--sweep", "sweeps", multiple=True,
@@ -214,52 +284,21 @@ def _echo_params(params: dict) -> dict:
 @click.option("--out", default="-", help="CSV output path or - for stdout.")
 def bounds(config_path, overrides, sweeps, out):
     """Evaluate analytic bounds at one point or over a sweep grid."""
-    try:
-        base = _load_params(config_path, overrides)
-        axes = parse_sweeps(sweeps)
-        rows = []
-        for point in _grid(axes):
-            params = dict(base)
-            params.update(point)
-            config = build_model(params)
-            row = _echo_params(params)
-            cov = coverage_bounds(config.G, config.p, config.lam, config.L,
-                                  config.M)
-            asm = assembly_bounds(config)
-            asm_a = assembly_bounds(config, VARIANT_ASYMPTOTIC) \
-                if config.lam > 0 else None
-            row.update({
-                "esc_lower": cov.lower, "esc_upper": cov.upper,
-                "e_lower": asm.lower, "e_upper": asm.upper,
-            })
-            if config.M >= 2:
-                br = bridging_bounds(config.M, config.G, config.p, config.eta,
-                                     config.lam, config.L)
-                row.update({"eb_lower": br.lower, "eb_upper": br.upper,
-                            "eb_degenerate": int(br.degenerate)})
-            if asm_a is not None:
-                row.update({"e_lower_asym": asm_a.lower,
-                            "e_upper_asym": asm_a.upper})
-            if config.eps > 0.0:
-                if "D" in params and "d" in params:
-                    plan = SegmentationPlan(D=params["D"], d=params["d"])
-                else:
-                    plan = None
-                ml_val, ml_plan = noisy_upper_ml(config, plan)
-                sd_val, sd_plan = noisy_upper_spectral(
-                    config, plan, mode=params.get("nu_min_mode", "average_case"),
-                    c_const=params.get("c_const", 1.0))
-                row.update({"en_ml_upper": ml_val, "en_ml_D": ml_plan.D,
-                            "en_ml_d": ml_plan.d, "en_sd_upper": sd_val,
-                            "en_sd_D": sd_plan.D, "en_sd_d": sd_plan.d})
-            rows.append(row)
-        fieldnames = sorted({k for r in rows for k in r},
-                            key=lambda k: (k not in _ALL_KEYS, k))
-        write_csv(out, fieldnames, rows)
-    except (ConfigError, ValidationError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, str(e))
+    base = _load_params(config_path, overrides)
+    axes = parse_sweeps(sweeps)
+    rows = []
+    for point in _grid(axes):
+        params = dict(base)
+        params.update(point)
+        config = build_model(params)
+        row = _echo_params(params)
+        for evaluate, applies in _FAMILIES.values():
+            if applies(config):
+                row.update(evaluate(config, params))
+        rows.append(row)
+    fieldnames = sorted({k for r in rows for k in r},
+                        key=lambda k: (k not in _ALL_KEYS, k))
+    write_csv(out, fieldnames, rows)
 
 
 def _simulate_one(args) -> dict:
@@ -294,159 +333,121 @@ def _simulate_one(args) -> dict:
 def simulate(config_path, overrides, trials, seed, workers, denoiser,
              mem_cap_mb, out, as_json):
     """Run Monte Carlo assembly trials and summarize failure rates."""
-    try:
-        params = _load_params(config_path, overrides)
-        if trials is None:
-            trials = int(params.get("trials", 0))
-        if seed is None:
-            seed = int(params.get("seed", 0))
-        config = build_model(params)
-        if config.eps > 0.0 and not ("D" in params and "d" in params):
-            raise ConfigError("noisy simulation needs D and d")
-        est = estimate_trial_bytes(config)
-        if est > mem_cap_mb * 1024 * 1024:
-            _fail(EXIT_CAPACITY,
-                  f"estimated {est / 1e6:.0f} MB per trial exceeds the cap; "
-                  f"reduce G, lambda, or p, or raise --mem-cap-mb")
-        jobs = [(params, seed, t, denoiser) for t in range(trials)]
-        if workers > 1 and trials > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_simulate_one, jobs,
-                                     chunksize=max(1, trials // (workers * 4))))
-        else:
-            rows = [_simulate_one(j) for j in jobs]
-        rows.sort(key=lambda r: r["trial"])
-        fieldnames = ["trial", "coverage_fail", "bridging_fail", "greedy_fail",
-                      "disc_fail", "denoise_fail", "stitch_fail", "success"]
-        echo = _echo_params(params)
-        for row in rows:
-            row.update(echo)
-        fieldnames = sorted(_ALL_KEYS) + fieldnames
-        write_csv(out, fieldnames, rows)
-        summary = {"trials": trials, "seed": seed}
-        for flag in ("coverage_fail", "bridging_fail", "greedy_fail",
-                     "disc_fail", "denoise_fail", "stitch_fail", "success"):
-            vals = [r[flag] for r in rows if r[flag] != ""]
-            if vals:
-                k = int(sum(vals))
-                lo, hi = wilson_interval(k, len(vals))
-                summary[flag] = {"count": k, "rate": k / len(vals),
-                                 "ci95": [lo, hi]}
-        if as_json:
-            click.echo(json.dumps(summary, sort_keys=True))
-        else:
-            for key, val in summary.items():
-                click.echo(f"{key}: {val}")
-    except (ConfigError, ValidationError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, str(e))
-
-
-_BOUND_CHOICES = ["assembly-upper", "assembly-lower", "assembly-upper-asym",
-                  "coverage-upper", "bridging-upper", "ml-upper",
-                  "spectral-upper"]
-
-
-def _bound_at_length(name: str, params: dict):
-    def f(L: float) -> float:
-        p2 = dict(params)
-        p2["L"] = L
-        config = build_model(p2)
-        if name == "assembly-upper":
-            return assembly_bounds(config).upper
-        if name == "assembly-lower":
-            return assembly_bounds(config).lower
-        if name == "assembly-upper-asym":
-            return assembly_bounds(config, VARIANT_ASYMPTOTIC).upper
-        if name == "coverage-upper":
-            return coverage_bounds(config.G, config.p, config.lam, L,
-                                   config.M).upper
-        if name == "bridging-upper":
-            return bridging_bounds(config.M, config.G, config.p, config.eta,
-                                   config.lam, L).upper
-        if name == "ml-upper":
-            return noisy_upper_ml(config)[0]
-        if name == "spectral-upper":
-            return noisy_upper_spectral(
-                config, mode=params.get("nu_min_mode", "average_case"),
-                c_const=params.get("c_const", 1.0))[0]
-        raise ConfigError(f"unknown bound {name!r}")
-    return f
+    params = _load_params(config_path, overrides)
+    if trials is None:
+        trials = int(params.get("trials", 0))
+    if seed is None:
+        seed = int(params.get("seed", 0))
+    config = build_model(params)
+    if config.eps > 0.0 and not ("D" in params and "d" in params):
+        raise ConfigError("noisy simulation needs D and d")
+    est = estimate_trial_bytes(config)
+    if est > mem_cap_mb * 1024 * 1024:
+        raise CapacityError(
+            f"estimated {est / 1e6:.0f} MB per trial exceeds the cap; "
+            f"reduce G, lambda, or p, or raise --mem-cap-mb")
+    jobs = [(params, seed, t, denoiser) for t in range(trials)]
+    if workers > 1 and trials > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_simulate_one, jobs,
+                                 chunksize=max(1, trials // (workers * 4))))
+    else:
+        rows = [_simulate_one(j) for j in jobs]
+    rows.sort(key=lambda r: r["trial"])
+    fieldnames = ["trial", "coverage_fail", "bridging_fail", "greedy_fail",
+                  "disc_fail", "denoise_fail", "stitch_fail", "success"]
+    echo = _echo_params(params)
+    for row in rows:
+        row.update(echo)
+    fieldnames = sorted(_ALL_KEYS) + fieldnames
+    write_csv(out, fieldnames, rows)
+    summary = {"trials": trials, "seed": seed}
+    for flag in ("coverage_fail", "bridging_fail", "greedy_fail",
+                 "disc_fail", "denoise_fail", "stitch_fail", "success"):
+        vals = [r[flag] for r in rows if r[flag] != ""]
+        if vals:
+            k = int(sum(vals))
+            lo, hi = wilson_interval(k, len(vals))
+            summary[flag] = {"count": k, "rate": k / len(vals),
+                             "ci95": [lo, hi]}
+    if as_json:
+        click.echo(json.dumps(summary, sort_keys=True))
+    else:
+        for key, val in summary.items():
+            click.echo(f"{key}: {val}")
 
 
 @main.command("critical-l")
 @common_options
 @click.option("--target", type=float, required=True, help="Target error rate.")
-@click.option("--bound", type=click.Choice(_BOUND_CHOICES), required=True)
+@click.option("--bound", type=click.Choice(list(_BOUNDS)), required=True)
 @click.option("--l-min", type=float, default=1.0)
 @click.option("--l-max", type=float, default=1e7)
 @click.option("--json", "as_json", is_flag=True)
 def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     """Bisect for the smallest read length meeting a target error rate."""
-    try:
-        params = _load_params(config_path, overrides)
-        # cached so that bisection reuses the endpoint values checked here
-        f = functools.cache(_bound_at_length(bound, params))
-        if f(l_min) < f(l_max):
-            raise ConfigError("bound is not non-increasing on the bracket")
-        value, iters = bisect_decreasing(f, target, l_min, l_max)
-        if value is None:
-            if as_json:
-                click.echo(json.dumps({"region": "empty", "bound": bound,
-                                       "target": target,
-                                       "bracket": [l_min, l_max]}))
-            else:
-                click.echo(f"region empty: {bound} stays above {target} "
-                           f"on [{l_min}, {l_max}]")
-            sys.exit(EXIT_EMPTY_REGION)
-        result = {"bound": bound, "target": target, "critical_L": value,
-                  "bracket": [l_min, l_max], "iterations": iters}
+    # noisy bounds are always minimized over (D, d): a configured plan is
+    # ignored here
+    params = {k: v for k, v in _load_params(config_path, overrides).items()
+              if k not in ("D", "d")}
+    family, column = _BOUNDS[bound]
+    evaluate = _FAMILIES[family][0]
+
+    # cached so that bisection reuses the endpoint values checked here
+    @functools.cache
+    def f(L: float) -> float:
+        return evaluate(build_model({**params, "L": L}), params)[column]
+
+    if f(l_min) < f(l_max):
+        raise ConfigError("bound is not non-increasing on the bracket")
+    value, iters = bisect_decreasing(f, target, l_min, l_max)
+    if value is None:
         if as_json:
-            click.echo(json.dumps(result, sort_keys=True))
+            click.echo(json.dumps({"region": "empty", "bound": bound,
+                                   "target": target,
+                                   "bracket": [l_min, l_max]}))
         else:
-            for key, val in result.items():
-                click.echo(f"{key}: {val}")
-    except (ConfigError, ValidationError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, str(e))
+            click.echo(f"region empty: {bound} stays above {target} "
+                       f"on [{l_min}, {l_max}]")
+        sys.exit(EXIT_EMPTY_REGION)
+    result = {"bound": bound, "target": target, "critical_L": value,
+              "bracket": [l_min, l_max], "iterations": iters}
+    if as_json:
+        click.echo(json.dumps(result, sort_keys=True))
+    else:
+        for key, val in result.items():
+            click.echo(f"{key}: {val}")
 
 
 @main.command()
-@click.option("--m", "m_individuals", type=int, required=True)
-@click.option("--kappa", type=int, required=True)
+@click.option("--m", "m_individuals", type=click.IntRange(min=1), required=True)
+@click.option("--kappa", type=click.IntRange(min=1), required=True)
 @click.option("--eps", "eps_list", required=True,
-              help="Comma-separated flip probabilities.")
+              help="Comma-separated flip probabilities in [0, 0.5].")
 @click.option("--out", default="-")
 def exponent(m_individuals, kappa, eps_list, out):
     """Tabulate confusion exponents by hypothesis distance."""
     try:
         eps_values = [float(t) for t in eps_list.split(",") if t.strip()]
     except ValueError:
-        _fail(EXIT_CONFIG, f"cannot parse eps list {eps_list!r}")
+        raise ConfigError(f"cannot parse eps list {eps_list!r}")
     rows = []
-    try:
-        for eps in eps_values:
-            tbl = exponent_table(m_individuals, kappa, eps)
-            closed = exponent_closed(m_individuals, eps)
-            for i, d_i in enumerate(tbl.values, start=1):
-                rows.append({"M": m_individuals, "kappa": kappa, "eps": eps,
-                             "i": i, "exponent": d_i, "d1_closed": closed})
-        write_csv(out, ["M", "kappa", "eps", "i", "exponent", "d1_closed"], rows)
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, str(e))
-    except ValidationError as e:
-        _fail(EXIT_CONFIG, str(e))
+    for eps in eps_values:
+        tbl = exponent_table(m_individuals, kappa, eps)
+        closed = exponent_closed(m_individuals, eps)
+        for i, d_i in enumerate(tbl.values, start=1):
+            rows.append({"M": m_individuals, "kappa": kappa, "eps": eps,
+                         "i": i, "exponent": d_i, "d1_closed": closed})
+    write_csv(out, ["M", "kappa", "eps", "i", "exponent", "d1_closed"], rows)
 
 
 @main.command("denoise-bench")
-@click.option("--m", "m_individuals", type=int, default=2)
-@click.option("--kappa", type=int, required=True)
-@click.option("--eps", type=float, required=True)
-@click.option("--coverage", type=float, required=True,
+@click.option("--m", "m_individuals", type=click.IntRange(min=1), default=2)
+@click.option("--kappa", type=click.IntRange(min=1), required=True)
+@click.option("--eps", type=click.FloatRange(0.0, 0.5), required=True)
+@click.option("--coverage", type=click.FloatRange(min=0.0), required=True,
               help="Mean number of covering reads per block.")
-@click.option("--blocks", type=int, default=1000)
+@click.option("--blocks", type=click.IntRange(min=1), default=1000)
 @click.option("--algo", type=click.Choice(["ml", "spectral", "both"]),
               default="both")
 @click.option("--eta", type=float, default=0.5,
@@ -456,55 +457,50 @@ def exponent(m_individuals, kappa, eps_list, out):
 def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                   out):
     """Benchmark block denoisers against planted truths."""
-    try:
-        stream = RandomStream(seed)
-        minor = 0.5 * (1.0 - math.sqrt(max(2.0 * eta - 1.0, 0.0)))
-        rows = []
-        algos = ["ml", "spectral"] if algo == "both" else [algo]
-        for name in algos:
-            fails = 0
-            used = 0
-            for b in range(blocks):
-                gen = stream.child("bench", b).gen
-                truth = _plant_truth(gen, m_individuals, kappa, minor)
-                n = int(gen.poisson(coverage))
-                if n == 0 or (name == "spectral" and n < m_individuals):
-                    fails += 1
-                    used += 1
-                    continue
-                who = gen.integers(0, m_individuals, size=n)
-                obs = truth[who]
-                flips = gen.random(obs.shape) < eps
-                obs = np.where(flips, -obs, obs).astype(np.int8)
-                block = DenoiseBlock(kappa=kappa, observations=obs,
-                                     window=(0.0, 1.0), M=m_individuals,
-                                     eps=eps)
-                if name == "ml":
-                    decoded = ml_denoise(block).matrix
-                else:
-                    decoded = spectral_denoise(block, mode="average_case",
-                                               eta=eta,
-                                               stream=stream.child("sp", b)
-                                               ).sequences
-                same = {r.tobytes() for r in decoded} == \
-                    {r.tobytes() for r in truth}
-                fails += int(not same)
+    stream = RandomStream(seed)
+    minor = 0.5 * (1.0 - math.sqrt(max(2.0 * eta - 1.0, 0.0)))
+    rows = []
+    algos = ["ml", "spectral"] if algo == "both" else [algo]
+    for name in algos:
+        fails = 0
+        used = 0
+        for b in range(blocks):
+            gen = stream.child("bench", b).gen
+            truth = _plant_truth(gen, m_individuals, kappa, minor)
+            n = int(gen.poisson(coverage))
+            if n == 0 or (name == "spectral" and n < m_individuals):
+                fails += 1
                 used += 1
-            lo, hi = wilson_interval(fails, used)
-            row = {"algo": name, "M": m_individuals, "kappa": kappa,
-                   "eps": eps, "coverage": coverage, "blocks": used,
-                   "failure_rate": fails / used, "ci_low": lo, "ci_high": hi}
+                continue
+            who = gen.integers(0, m_individuals, size=n)
+            obs = truth[who]
+            flips = gen.random(obs.shape) < eps
+            obs = np.where(flips, -obs, obs).astype(np.int8)
+            block = DenoiseBlock(kappa=kappa, observations=obs,
+                                 window=(0.0, 1.0), M=m_individuals,
+                                 eps=eps)
             if name == "ml":
-                row["ml_bound"] = den_ml_upper(
-                    m_individuals, 1.0, coverage / m_individuals + 1.0, 1.0,
-                    eps, kappa=kappa)
-            rows.append(row)
-        write_csv(out, ["algo", "M", "kappa", "eps", "coverage", "blocks",
-                        "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)
-    except CapacityError as e:
-        _fail(EXIT_CAPACITY, str(e))
-    except ValidationError as e:
-        _fail(EXIT_CONFIG, str(e))
+                decoded = ml_denoise(block).matrix
+            else:
+                decoded = spectral_denoise(block, mode="average_case",
+                                           eta=eta,
+                                           stream=stream.child("sp", b)
+                                           ).sequences
+            same = {r.tobytes() for r in decoded} == \
+                {r.tobytes() for r in truth}
+            fails += int(not same)
+            used += 1
+        lo, hi = wilson_interval(fails, used)
+        row = {"algo": name, "M": m_individuals, "kappa": kappa,
+               "eps": eps, "coverage": coverage, "blocks": used,
+               "failure_rate": fails / used, "ci_low": lo, "ci_high": hi}
+        if name == "ml":
+            row["ml_bound"] = den_ml_upper(
+                m_individuals, 1.0, coverage / m_individuals + 1.0, 1.0,
+                eps, kappa=kappa)
+        rows.append(row)
+    write_csv(out, ["algo", "M", "kappa", "eps", "coverage", "blocks",
+                    "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)
 
 
 def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
@@ -522,26 +518,21 @@ def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
 @click.option("--out", default="-")
 def exact_bridging_cmd(config_path, overrides, trials, seed, out):
     """Estimate the two-individual bridging failure rate via the chain."""
-    try:
-        params = _load_params(config_path, overrides)
-        if trials is None:
-            trials = int(params.get("trials", 10000))
-        if seed is None:
-            seed = int(params.get("seed", 0))
-        config = build_model(params)
-        res = estimate_bridging(config.G, config.L, config.lam, config.p,
-                                config.eta, trials, RandomStream(seed))
-        row = _echo_params(params)
-        row.update({"estimate": res.estimate, "ci_low": res.ci_low,
-                    "ci_high": res.ci_high, "prefactor": res.prefactor,
-                    "trials": res.trials, "failures": res.failures,
-                    "mean_steps": res.mean_steps,
-                    "capped_trials": res.capped_trials})
-        write_csv(out, list(row.keys()), [row])
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    except ValidationError as e:
-        _fail(EXIT_CONFIG, str(e))
+    params = _load_params(config_path, overrides)
+    if trials is None:
+        trials = int(params.get("trials", 10000))
+    if seed is None:
+        seed = int(params.get("seed", 0))
+    config = build_model(params)
+    res = estimate_bridging(config.G, config.L, config.lam, config.p,
+                            config.eta, trials, RandomStream(seed))
+    row = _echo_params(params)
+    row.update({"estimate": res.estimate, "ci_low": res.ci_low,
+                "ci_high": res.ci_high, "prefactor": res.prefactor,
+                "trials": res.trials, "failures": res.failures,
+                "mean_steps": res.mean_steps,
+                "capped_trials": res.capped_trials})
+    write_csv(out, list(row.keys()), [row])
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ __all__ = [
     "Empirical",
     "FixedEta",
     "AlleleLaw",
-    "EtaValue",
     "ModelConfig",
     "RandomStream",
     "eta_from_law",
@@ -91,28 +90,21 @@ class FixedEta:
 AlleleLaw = Union[FixedBiallelic, Empirical, FixedEta]
 
 
-@dataclass(frozen=True)
-class EtaValue:
-    """Match probability eta: expected sum of squared allele frequencies."""
-
-    eta: float
-
-
-def eta_from_law(law: AlleleLaw) -> EtaValue:
-    """Compute the match probability eta for an allele-frequency law.
+def eta_from_law(law: AlleleLaw) -> float:
+    """Match probability eta: expected sum of squared allele frequencies.
 
     For a biallelic law with minor frequency f this is f^2 + (1-f)^2; for an
     empirical law it is the mean of sum(q^2) over the provided vectors; a
     FixedEta law passes through unchanged.
     """
     if isinstance(law, FixedEta):
-        return EtaValue(law.eta)
+        return law.eta
     if isinstance(law, FixedBiallelic):
         f = law.minor_frequency
-        return EtaValue(f * f + (1.0 - f) * (1.0 - f))
+        return f * f + (1.0 - f) * (1.0 - f)
     if isinstance(law, Empirical):
         vals = [sum(v * v for v in q) for q in law.frequencies]
-        return EtaValue(float(np.mean(vals)))
+        return float(np.mean(vals))
     raise ValidationError(f"unknown allele law {law!r}")
 
 
@@ -156,7 +148,7 @@ class ModelConfig:
 
     @property
     def eta(self) -> float:
-        return eta_from_law(self.law).eta
+        return eta_from_law(self.law)
 
     @property
     def disc_rate(self) -> float:

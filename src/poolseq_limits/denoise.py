@@ -11,13 +11,13 @@ embedding, and majority-votes per cluster.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from ._util import popcount_table
 from .core import CapacityError, RandomStream, ValidationError
 
 __all__ = [
@@ -129,16 +129,6 @@ class SpectralResult:
     degraded: bool
     reseeds: int
 
-    def hypothesis(self) -> HypothesisSet | None:
-        rows = {tuple(int(a) for a in r) for r in self.sequences}
-        if len(rows) != self.sequences.shape[0]:
-            return None
-        return HypothesisSet(tuple(sorted(rows)))
-
-
-def _popcount_table(kappa: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(1 << kappa)], dtype=np.int64)
-
 
 def mixture_distribution(hset: HypothesisSet, eps: float) -> np.ndarray:
     """Observation distribution over all 2^kappa sequences for a hypothesis.
@@ -150,7 +140,7 @@ def mixture_distribution(hset: HypothesisSet, eps: float) -> np.ndarray:
         raise ValidationError("eps must be < 1")
     kappa = hset.kappa
     x = eps / (1.0 - eps)
-    pop = _popcount_table(kappa)
+    pop = popcount_table(kappa)
     members = np.array([seq_to_int(s) for s in hset.sequences])
     phis = np.arange(1 << kappa)
     dist = pop[np.bitwise_xor.outer(phis, members)]  # (2^kappa, M)
@@ -183,7 +173,7 @@ def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
         raise CapacityError(
             f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
     x = block.eps / (1.0 - block.eps)
-    pop = _popcount_table(kappa)
+    pop = popcount_table(kappa)
     obs_ints = np.array([seq_to_int(r) for r in block.observations])
     distinct, counts = np.unique(obs_ints, return_counts=True)
     xpow = x ** pop[np.bitwise_xor.outer(distinct, np.arange(1 << kappa))].astype(float)

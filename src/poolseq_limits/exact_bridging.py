@@ -15,42 +15,19 @@ bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import exp, expm1
 
 from ._util import trunc_exp, wilson_interval
 from .core import RandomStream, ValidationError
-from .noiseless_bounds import p_m
 
 __all__ = [
-    "ChainState",
-    "Terminated",
     "BridgingEstimate",
-    "p_fail_step",
-    "sample_transition",
     "sample_region_span",
     "estimate_bridging",
 ]
 
 MAX_CHAIN_STEPS = 1_000_000
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Chain coordinates: d is the anchor's distance from the current read
-    end, ell the current read's start offset from the previous one."""
-
-    d: float
-    ell: float
-    step: int = 0
-
-
-class Terminated:
-    """Sentinel: the chain found no continuation at this step."""
-
-    def __repr__(self):
-        return "Terminated()"
 
 
 @dataclass(frozen=True)
@@ -63,40 +40,6 @@ class BridgingEstimate:
     failures: int
     mean_steps: float
     capped_trials: int
-
-
-def p_fail_step(d_prev: float, ell_prev: float, lam: float, p: float,
-                eta: float) -> float:
-    """Probability the chain dies this step given the previous state.
-
-    Identical in form to the single-region failure probability with the
-    window length d_prev + ell_prev in place of L: either no new
-    discriminating SNP arrives in the scan window, or one does and no read
-    starts in the gap left before it.
-    """
-    s = d_prev + ell_prev
-    if s < 0.0:
-        raise ValidationError("d + ell must be >= 0")
-    if s == 0.0:
-        return 1.0
-    return p_m(2, lam, p, eta, s)
-
-
-def sample_transition(state: ChainState, lam: float, p: float, eta: float,
-                      L: float, stream: RandomStream):
-    """One chain step: terminate with p_fail_step, else draw the new anchor
-    distance (truncated exponential over the scan window) and the new read
-    offset on its support."""
-    r = p * (1.0 - eta)
-    gen = stream.gen
-    window = state.d + state.ell
-    if gen.random() < p_fail_step(state.d, state.ell, lam, p, eta):
-        return Terminated()
-    d_new = trunc_exp(gen, r, window)
-    # new read start measured back from the new anchor
-    w = trunc_exp(gen, 2.0 * lam, window - d_new)
-    ell_new = (L - d_new) - w
-    return ChainState(d=d_new, ell=ell_new, step=state.step + 1)
 
 
 def _span_cdf(ell: float, G: float, r: float) -> float:

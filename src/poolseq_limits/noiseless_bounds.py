@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, log, log1p
+from math import comb, exp, expm1, log1p
 
 from ._util import clamp01, golden_max, integral_u_exp
 from .core import ModelConfig, ValidationError
@@ -30,7 +30,6 @@ __all__ = [
     "p_m",
     "delta_m",
     "lambda_lower",
-    "lambda_lower_asymptotic",
     "bridging_bounds",
     "assembly_bounds",
 ]
@@ -209,11 +208,6 @@ def lambda_lower(q: float, G: float, L: float, p: float, eta: float) -> float:
         # survival term, grouped to avoid overflow when alpha < 0
         ez = (r * r / (alpha * alpha)) * (exp(beta) - (1.0 + a) * exp(-gr))
     return clamp01(1.0 - c1 - ez)
-
-
-def lambda_lower_asymptotic(q: float, G: float, L: float) -> float:
-    """Large-genome, strong-decay approximation 1 - exp(-G q / L)."""
-    return clamp01(-expm1(-G * q / L))
 
 
 def bridging_bounds(M: int, G: float, p: float, eta: float, lam: float,

@@ -22,10 +22,10 @@ from math import comb, exp, expm1, log, sqrt
 
 import numpy as np
 
-from ._util import clamp01, golden_min, poisson_weights
+from ._util import clamp01, golden_min, poisson_weights, popcount_table
 from .core import CapacityError, ModelConfig, ValidationError
 from .denoise import (AVERAGE_CASE, WORST_CASE, HypothesisSet,
-                      int_to_seq, mixture_distribution, nu_min_for_mode)
+                      mixture_distribution, nu_min_for_mode)
 
 __all__ = [
     "SegmentationPlan",
@@ -72,7 +72,6 @@ class ExponentTable:
     M: int
     kappa: int
     eps: float
-    method: str
     values: tuple[float, ...]
 
     @property
@@ -194,7 +193,7 @@ def _member_arrays(kappa: int, M: int) -> np.ndarray:
 def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     """Pairwise set distances: minimal total bit flips over member matchings."""
     n, M = members.shape
-    pop = np.array([bin(i).count("1") for i in range(1 << kappa)], dtype=np.int64)
+    pop = popcount_table(kappa)
     dist = None
     for perm in permutations(range(M)):
         d = np.zeros((n, n), dtype=np.int64)
@@ -207,7 +206,7 @@ def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
 def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
                         eps: float) -> np.ndarray:
     x = eps / (1.0 - eps)
-    pop = np.array([bin(i).count("1") for i in range(1 << kappa)], dtype=np.int64)
+    pop = popcount_table(kappa)
     phis = np.arange(1 << kappa)
     xpow = x ** pop[np.bitwise_xor.outer(phis, phis)].astype(np.float64)
     mix = xpow[:, members].sum(axis=2).T  # (n_cand, 2^kappa), constants dropped
@@ -222,22 +221,18 @@ def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
 def min_exponent(M: int, kappa: int, eps: float, distance: int = 1) -> float:
     """Exhaustive minimum confusion exponent over all hypothesis pairs at a
     given set distance. This is the oracle the closed forms must match."""
-    members = _member_arrays(kappa, M)
-    dist = _set_distances(members, kappa)
-    exps = _pairwise_exponents(members, kappa, M, eps)
-    mask = dist == distance
-    np.fill_diagonal(mask, False)
-    if not mask.any():
-        return math.inf
-    return float(exps[mask].min())
+    values = exponent_table(M, kappa, eps).values
+    return values[distance - 1] if 1 <= distance <= len(values) else math.inf
 
 
 @lru_cache(maxsize=256)
-def exponent_table(M: int, kappa: int, eps: float,
-                   method: str = "numeric") -> ExponentTable:
+def exponent_table(M: int, kappa: int, eps: float) -> ExponentTable:
     """Worst-case exponent for every hypothesis distance 1..M*kappa."""
-    if method != "numeric":
-        raise ValidationError("only the numeric table construction is implemented")
+    if M < 1 or kappa < 1 or M > 1 << kappa:
+        raise ValidationError(f"need kappa >= 1 and 1 <= M <= 2^kappa, "
+                              f"got M={M}, kappa={kappa}")
+    if not (0.0 <= eps <= 0.5):
+        raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
     members = _member_arrays(kappa, M)
     dist = _set_distances(members, kappa)
     exps = _pairwise_exponents(members, kappa, M, eps)
@@ -246,8 +241,7 @@ def exponent_table(M: int, kappa: int, eps: float,
         mask = dist == i
         np.fill_diagonal(mask, False)
         values.append(float(exps[mask].min()) if mask.any() else math.inf)
-    return ExponentTable(M=M, kappa=kappa, eps=eps, method="numeric",
-                         values=tuple(values))
+    return ExponentTable(M=M, kappa=kappa, eps=eps, values=tuple(values))
 
 
 def den_ml_upper(M: int, lam: float, L: float, D: float, eps: float,
@@ -412,16 +406,14 @@ def spectral_noise_ceiling(kappa: int, nu_min: float) -> float:
 
 def noisy_upper_spectral(config: ModelConfig,
                          plan: SegmentationPlan | None = None,
-                         mode: str = AVERAGE_CASE, c_const: float = 1.0,
-                         asymptotic_kappa: bool = False
+                         mode: str = AVERAGE_CASE, c_const: float = 1.0
                          ) -> tuple[float, SegmentationPlan]:
     """Assembly error upper bound with spectral denoising.
 
     Three terms per segment: discrimination, majority-vote error
     M D p exp(-lam M D (1 - exp(-1 / (8 eps (1 - eps))))), and community
     detection lam M (L - D) E_kappa[e^-zeta exp(-lam M (L-D)(1 - e^-zeta))]
-    with kappa ~ Poisson(p D) (truncated at 1e-12 tail mass), or the point
-    value kappa = floor(p D) in asymptotic mode.
+    with kappa ~ Poisson(p D) (truncated at 1e-12 tail mass).
     """
     if config.M < 2:
         raise ValidationError("noisy bounds need M >= 2")
@@ -438,11 +430,7 @@ def noisy_upper_spectral(config: ModelConfig,
 
     def community_term(D: float) -> float:
         coverage = lam * M * max(L - D, 0.0)
-        if asymptotic_kappa:
-            ks = np.array([int(p * D)])
-            ws = np.array([1.0])
-        else:
-            ks, ws = poisson_weights(p * D)
+        ks, ws = poisson_weights(p * D)
         total = 0.0
         for k, w in zip(ks, ws):
             zeta = spectral_quantities(int(k), eta, eps, mode, c_const).zeta

@@ -36,7 +36,6 @@ __all__ = [
     "apply_noise",
     "discriminating_positions",
     "discriminating_indices",
-    "dump_population",
     "dump_readset",
 ]
 
@@ -199,13 +198,6 @@ def discriminating_indices(pop: Population, i: int, j: int) -> np.ndarray:
 def discriminating_positions(pop: Population, i: int, j: int) -> np.ndarray:
     """Positions of SNPs that differ between individuals i and j (ascending)."""
     return pop.snp_positions[discriminating_indices(pop, i, j)]
-
-
-def dump_population(pop: Population, fh: IO[str]) -> None:
-    """Debug text dump: one SNP line then one row line per individual."""
-    fh.write(f"SNPS {' '.join(f'{x:.6f}' for x in pop.snp_positions)}\n")
-    for m in range(pop.M):
-        fh.write(f"IND {m} {' '.join(str(int(a)) for a in pop.alleles[m])}\n")
 
 
 def dump_readset(rs: ReadSet, fh: IO[str]) -> None:

@@ -232,3 +232,65 @@ def test_simulate_noisy_spectral_deterministic_across_workers(tmp_path):
     assert out1.read_bytes() == out3.read_bytes()
     summary = json.loads(res1.output)
     assert summary["success"]["count"] >= 5
+
+
+_BENCH = ["denoise-bench", "--kappa", "3", "--eps", "0.2", "--coverage", "25",
+          "--blocks", "5"]
+
+
+@pytest.mark.parametrize("args", [
+    ["exponent", "--m", "2", "--kappa", "3", "--eps", "1.0"],
+    ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1,-0.2"],
+    ["exponent", "--m", "0", "--kappa", "3", "--eps", "0.1"],
+    ["exponent", "--m", "2", "--kappa", "0", "--eps", "0.1"],
+    ["exponent", "--m", "5", "--kappa", "2", "--eps", "0.1"],
+    [*_BENCH, "--blocks", "0"],
+    [*_BENCH, "--eps", "1.0"],
+    [*_BENCH, "--eps", "0.7", "--algo", "ml"],
+    [*_BENCH, "--m", "0"],
+    [*_BENCH, "--coverage", "-1"],
+    [*_BENCH, "--kappa", "0"],
+])
+def test_out_of_range_inputs_exit_config(args):
+    """Out-of-range inputs give exit 2, not a traceback or a silent result."""
+    res = run(args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.exit_code == 2
+
+
+# noiseless bounds at the BASE point; noisy ones at a smaller genome so the
+# spectral solve stays quick
+_NOISY = ["-O", "G=100000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
+          "-O", "lambda=0.01", "-O", "eps=0.1"]
+
+
+@pytest.mark.parametrize("bound,column,point", [
+    ("assembly-upper", "e_upper", BASE),
+    ("assembly-lower", "e_lower", BASE),
+    ("assembly-upper-asym", "e_upper_asym", BASE),
+    ("coverage-upper", "esc_upper", BASE),
+    ("bridging-upper", "eb_upper", BASE),
+    ("ml-upper", "en_ml_upper", _NOISY),
+    ("spectral-upper", "en_sd_upper", _NOISY),
+])
+def test_critical_l_agrees_with_bounds(bound, column, point):
+    """The solved length meets the target on the `bounds` column it names,
+    and a length 2 rtol shorter (rtol = 1e-3, the bisection tolerance)
+    does not."""
+    target = 1e-3
+    res = run(["critical-l", *point, "--target", str(target), "--bound", bound,
+               "--l-min", "1000", "--l-max", "1000000", "--json"])
+    assert res.exit_code == 0, res.output
+    crit = json.loads(res.output)["critical_L"]
+    assert 1000 < crit < 1e6
+    res = run(["bounds", *point, "--sweep",
+               f"L={crit * (1 - 2e-3)!r}:{crit!r}:2"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+    # the CSV echoes L to 12 significant digits
+    assert [float(r["L"]) for r in rows] == pytest.approx(
+        [crit * (1 - 2e-3), crit], rel=1e-11)
+    assert float(rows[1][column]) <= target
+    assert float(rows[0][column]) > target

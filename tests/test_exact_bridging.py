@@ -4,68 +4,35 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from poolseq_limits._util import trunc_exp
 from poolseq_limits.core import RandomStream, ValidationError
-from poolseq_limits.exact_bridging import (ChainState, Terminated,
-                                           estimate_bridging, p_fail_step,
-                                           sample_region_span,
-                                           sample_transition)
-from poolseq_limits.noiseless_bounds import bridging_bounds, p_m
+from poolseq_limits.exact_bridging import estimate_bridging, sample_region_span
+from poolseq_limits.noiseless_bounds import bridging_bounds
 
 ETA = 0.82
 P = 1e-3
 R = P * (1 - ETA)
 
 
-def test_p_fail_step_edges_and_identity():
-    assert p_fail_step(0.0, 0.0, 1e-2, P, ETA) == 1.0
-    # lam -> infinity limit: exp(-r (d + ell))
-    assert p_fail_step(500.0, 700.0, 1e5, P, ETA) == pytest.approx(
-        math.exp(-R * 1200.0), rel=1e-4)
-    # same functional form as the pairwise region-failure probability
-    assert p_fail_step(800.0, 400.0, 1e-2, P, ETA) == pytest.approx(
-        p_m(2, 1e-2, P, ETA, 1200.0))
-
-
-def test_sample_transition_supports():
-    root = RandomStream(3)
-    state = ChainState(d=900.0, ell=1800.0, step=4)
-    L = 3e4
-    seen = 0
-    for t in range(20000):
-        out = sample_transition(state, 1e-2, P, ETA, L, root.child(t))
-        if isinstance(out, Terminated):
-            continue
-        seen += 1
-        assert 0.0 <= out.d <= state.d + state.ell
-        assert L - state.ell - state.d <= out.ell <= L - out.d + 1e-9
-        assert out.step == 5
-    assert seen > 0
-
-
-def test_sample_transition_anchor_distribution():
-    """Accepted anchor distances follow the truncated exponential."""
-    root = RandomStream(5)
-    state = ChainState(d=2000.0, ell=6000.0)
-    window = state.d + state.ell
-    draws = []
-    for t in range(30000):
-        out = sample_transition(state, 1e-2, P, ETA, 3e4, root.child(t))
-        if not isinstance(out, Terminated):
-            draws.append(out.d)
-    draws = np.asarray(draws)
-    cdf = lambda x: (-np.expm1(-R * x)) / (-np.expm1(-R * window))
+def test_trunc_exp_distribution():
+    """Draws follow Exp(rate) truncated to [0, bound] (the chain's anchor and
+    read-start draws)."""
+    bound = 8000.0
+    gen = RandomStream(5).gen
+    draws = np.array([trunc_exp(gen, R, bound) for _ in range(20000)])
+    assert draws.min() >= 0.0 and draws.max() <= bound
+    cdf = lambda x: (-np.expm1(-R * x)) / (-np.expm1(-R * bound))
     assert stats.kstest(draws, cdf).pvalue > 0.01
 
 
-def test_termination_rate_matches_p_fail():
-    root = RandomStream(7)
-    state = ChainState(d=1500.0, ell=2500.0)
-    expect = p_fail_step(state.d, state.ell, 1e-2, P, ETA)
-    hits = sum(isinstance(sample_transition(state, 1e-2, P, ETA, 3e4,
-                                            root.child(t)), Terminated)
-               for t in range(40000))
-    sigma = (expect * (1 - expect) / 40000) ** 0.5
-    assert abs(hits / 40000 - expect) < 4 * sigma
+def test_trunc_exp_edges():
+    gen = RandomStream(7).gen
+    assert trunc_exp(gen, R, 0.0) == 0.0
+    assert trunc_exp(gen, R, -5.0) == 0.0
+    draws = np.array([trunc_exp(gen, 0.0, 300.0) for _ in range(5000)])
+    assert stats.kstest(draws, stats.uniform(0.0, 300.0).cdf).pvalue > 0.01
+    draws = np.array([trunc_exp(gen, -1.0, 300.0) for _ in range(2000)])
+    assert stats.kstest(draws, stats.uniform(0.0, 300.0).cdf).pvalue > 0.01
 
 
 def test_region_span_sampler_matches_density():

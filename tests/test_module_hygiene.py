@@ -1,0 +1,45 @@
+"""Static checks on the package source: every module-level import is used
+and every `__all__` entry resolves. No linter ships with the project, so
+these guard against dead imports and stale export lists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import poolseq_limits
+
+PACKAGE_DIR = Path(poolseq_limits.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py"))
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Names bound by top-level imports, mapped to their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_no_unused_module_imports(module):
+    """`__init__` is exempt: its imports are the package's public names."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = {name: line for name, line in _module_imports(tree).items()
+              if name not in used}
+    assert not unused, f"{module}.py: unused imports {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_entries_resolve(module):
+    name = "poolseq_limits" if module == "__init__" else f"poolseq_limits.{module}"
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ names missing objects: {missing}"

@@ -10,7 +10,6 @@ from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds
                                              coverage_lower_segmented,
                                              coverage_single, delta_m,
                                              lambda_lower,
-                                             lambda_lower_asymptotic,
                                              optimal_gap_seed, p_m)
 
 ETA = 0.82
@@ -135,14 +134,6 @@ def test_lambda_lower_near_singular_branch():
             for d in (-1e-4, -1e-8, 0.0, 1e-8, 1e-4)]
     assert max(vals) - min(vals) < 1e-4
     assert all(0 <= v <= 1 for v in vals)
-
-
-def test_lambda_lower_asymptotic_matches_exact_in_regime():
-    G, L, p, lam = 3e9, 1.1e5, 1e-3, 1e-2
-    q = p_m(2, lam, p, ETA, L)
-    exact = lambda_lower(q, G, L, p, ETA)
-    approx = lambda_lower_asymptotic(q, G, L)
-    assert approx == pytest.approx(exact, rel=0.10)
 
 
 def test_bridging_bounds_pair_reduction_and_order():

@@ -98,6 +98,8 @@ def test_exponent_table_ordering_and_positivity():
         finite = [v for v in tbl.values if math.isfinite(v)]
         assert min(finite) >= 0.99 * tbl.values[0]
         assert tbl.values[0] == min_exponent(M, kappa, 0.2, distance=1)
+        assert min_exponent(M, kappa, 0.2, distance=0) == math.inf
+        assert min_exponent(M, kappa, 0.2, distance=M * kappa + 1) == math.inf
         assert all(v > 0 for v in finite)
         tbl_half = exponent_table(M, kappa, 0.5)
         assert all(v == pytest.approx(0.0, abs=1e-12) or math.isinf(v)
