@@ -46,6 +46,10 @@ _FLOAT_KEYS = {"p", "L", "lambda", "eta", "maf", "eps", "D", "d", "c_const"}
 _STR_KEYS = {"nu_min_mode"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
+# per-trial failure flags, in CSV column order
+_TRIAL_FLAGS = ("coverage_fail", "bridging_fail", "greedy_fail", "disc_fail",
+                "denoise_fail", "stitch_fail")
+
 
 class ConfigError(Exception):
     pass
@@ -222,7 +226,7 @@ def _plan(params: dict) -> SegmentationPlan | None:
 
 
 def _coverage(config: ModelConfig, params: dict) -> dict:
-    cov = coverage_bounds(config.G, config.p, config.lam, config.L, config.M)
+    cov = coverage_bounds(config)
     return {"esc_lower": cov.lower, "esc_upper": cov.upper}
 
 
@@ -237,8 +241,7 @@ def _assembly_asym(config: ModelConfig, params: dict) -> dict:
 
 
 def _bridging(config: ModelConfig, params: dict) -> dict:
-    br = bridging_bounds(config.M, config.G, config.p, config.eta, config.lam,
-                         config.L)
+    br = bridging_bounds(config)
     return {"eb_lower": br.lower, "eb_upper": br.upper,
             "eb_degenerate": int(br.degenerate)}
 
@@ -312,8 +315,7 @@ def _simulate_one(args) -> dict:
     else:
         res = run_noiseless_trial(config, stream)
     row = {"trial": trial}
-    for name in ("coverage_fail", "bridging_fail", "greedy_fail", "disc_fail",
-                 "denoise_fail", "stitch_fail"):
+    for name in _TRIAL_FLAGS:
         v = getattr(res, name)
         row[name] = "" if v is None else int(v)
     row["success"] = int(res.success)
@@ -354,16 +356,13 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     else:
         rows = [_simulate_one(j) for j in jobs]
     rows.sort(key=lambda r: r["trial"])
-    fieldnames = ["trial", "coverage_fail", "bridging_fail", "greedy_fail",
-                  "disc_fail", "denoise_fail", "stitch_fail", "success"]
     echo = _echo_params(params)
     for row in rows:
         row.update(echo)
-    fieldnames = sorted(_ALL_KEYS) + fieldnames
+    fieldnames = sorted(_ALL_KEYS) + ["trial", *_TRIAL_FLAGS, "success"]
     write_csv(out, fieldnames, rows)
     summary = {"trials": trials, "seed": seed}
-    for flag in ("coverage_fail", "bridging_fail", "greedy_fail",
-                 "disc_fail", "denoise_fail", "stitch_fail", "success"):
+    for flag in (*_TRIAL_FLAGS, "success"):
         vals = [r[flag] for r in rows if r[flag] != ""]
         if vals:
             k = int(sum(vals))

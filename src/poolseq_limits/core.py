@@ -203,6 +203,6 @@ def sample_poisson_positions(rate: float, length: float,
     n = int(stream.gen.poisson(rate * length))
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    pos = np.sort(stream.gen.uniform(0.0, length, n))
-    # float collisions are measure-zero but would break strict ordering
-    return np.unique(pos)
+    # np.unique returns sorted output; float collisions are measure-zero
+    # but would break strict ordering
+    return np.unique(stream.gen.uniform(0.0, length, n))

@@ -12,16 +12,13 @@ are still evaluated faithfully, hence the clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, exp, expm1, log1p
 
 from ._util import clamp01, golden_max, integral_u_exp
 from .core import ModelConfig, ValidationError
 
 __all__ = [
-    "EVENT_COVERAGE",
-    "EVENT_BRIDGING",
-    "EVENT_ASSEMBLY",
     "BoundReport",
     "coverage_single",
     "optimal_gap_seed",
@@ -34,10 +31,6 @@ __all__ = [
     "assembly_bounds",
 ]
 
-EVENT_COVERAGE = "snp_coverage"
-EVENT_BRIDGING = "bridging"
-EVENT_ASSEMBLY = "assembly"
-
 VARIANT_EXACT = "exact"
 VARIANT_ASYMPTOTIC = "asymptotic"
 
@@ -46,14 +39,11 @@ VARIANT_ASYMPTOTIC = "asymptotic"
 class BoundReport:
     """Lower/upper bound pair for one error event."""
 
-    event: str
     lower: float
     upper: float
-    variant: str
     raw_lower: float
     raw_upper: float
     degenerate: bool = False
-    params: dict = field(default_factory=dict)
 
 
 def _require_positive(**kwargs) -> None:
@@ -101,7 +91,7 @@ def coverage_lower_segmented(G: float, p: float, lam: float, L: float,
     return -expm1(n_seg * log1p(-q))
 
 
-def coverage_bounds(G: float, p: float, lam: float, L: float, M: int,
+def coverage_bounds(config: ModelConfig,
                     variant: str = VARIANT_EXACT) -> BoundReport:
     """Bounds on the snp_coverage error event for M individuals.
 
@@ -110,12 +100,9 @@ def coverage_bounds(G: float, p: float, lam: float, L: float, M: int,
     the gap length (golden search around the analytic seed). Asymptotic:
     the shared-exponent sandwich valid for lam * L >> 1.
     """
-    if M < 1:
-        raise ValidationError("M must be >= 1")
+    G, p, lam, L, M = config.G, config.p, config.lam, config.L, config.M
     if p <= 0.0:
-        zero = BoundReport(EVENT_COVERAGE, 0.0, 0.0, variant, 0.0, 0.0,
-                           degenerate=True)
-        return zero
+        return BoundReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
     if variant == VARIANT_ASYMPTOTIC:
         _require_positive(lam=lam)
         base = G * M * exp(-lam * L) * p * lam / (p + lam)
@@ -123,8 +110,8 @@ def coverage_bounds(G: float, p: float, lam: float, L: float, M: int,
         alt = ratio / (lam * L + (lam / p) * log1p(p / lam))
         raw_lower = base * max(1.0 / M, alt)
         raw_upper = base
-        return BoundReport(EVENT_COVERAGE, clamp01(raw_lower), clamp01(raw_upper),
-                           variant, raw_lower, raw_upper)
+        return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
+                           raw_lower, raw_upper)
     single = coverage_single(G, p, lam, L)
     raw_upper = M * single
     if lam > 0.0:
@@ -135,8 +122,8 @@ def coverage_bounds(G: float, p: float, lam: float, L: float, M: int,
     else:
         seg = 0.0
     raw_lower = max(single, seg)
-    return BoundReport(EVENT_COVERAGE, clamp01(raw_lower), clamp01(raw_upper),
-                       VARIANT_EXACT, raw_lower, raw_upper)
+    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
+                       raw_lower, raw_upper)
 
 
 def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
@@ -210,20 +197,19 @@ def lambda_lower(q: float, G: float, L: float, p: float, eta: float) -> float:
     return clamp01(1.0 - c1 - ez)
 
 
-def bridging_bounds(M: int, G: float, p: float, eta: float, lam: float,
-                    L: float, variant: str = VARIANT_EXACT) -> BoundReport:
+def bridging_bounds(config: ModelConfig,
+                    variant: str = VARIANT_EXACT) -> BoundReport:
     """Bounds on the bridging error event for M individuals.
 
     Exact: lower = lambda_lower(delta_m), upper = C(M,2) G p (1-eta) p_2.
     Asymptotic: shared-exponent forms with decay min{m lam, p(1-eta)} per
     term; the upper decay exponent is min{2 lam, p(1-eta)}.
     """
-    if M < 1:
-        raise ValidationError("M must be >= 1")
+    M, G, p, lam, L = config.M, config.G, config.p, config.lam, config.L
+    eta = config.eta
     r = p * (1.0 - eta)
     if M < 2 or r <= 0.0:
-        return BoundReport(EVENT_BRIDGING, 0.0, 0.0, variant, 0.0, 0.0,
-                           degenerate=True)
+        return BoundReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
     if variant == VARIANT_ASYMPTOTIC:
         _require_positive(lam=lam)
         raw_lower = 0.0
@@ -239,26 +225,23 @@ def bridging_bounds(M: int, G: float, p: float, eta: float, lam: float,
             raw_upper = (G * M * M * r / (2.0 * (1.0 - lo2 / hi2))) * exp(-lo2 * L)
         else:
             raw_upper = (G * M * M * r / 2.0) * (1.0 + r * L) * exp(-r * L)
-        return BoundReport(EVENT_BRIDGING, clamp01(raw_lower), clamp01(raw_upper),
-                           variant, raw_lower, raw_upper)
+        return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
+                           raw_lower, raw_upper)
     delta = delta_m(M, lam, p, eta, L)
     raw_lower = lambda_lower(delta, G, L, p, eta)
     raw_upper = comb(M, 2) * G * r * p_m(2, lam, p, eta, L)
-    return BoundReport(EVENT_BRIDGING, clamp01(raw_lower), clamp01(raw_upper),
-                       VARIANT_EXACT, raw_lower, raw_upper)
+    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
+                       raw_lower, raw_upper)
 
 
 def assembly_bounds(config: ModelConfig,
                     variant: str = VARIANT_EXACT) -> BoundReport:
     """Bounds on total assembly error: max of the event bounds from below,
     their sum from above."""
-    eta = config.eta
-    cov = coverage_bounds(config.G, config.p, config.lam, config.L, config.M,
-                          variant)
-    br = bridging_bounds(config.M, config.G, config.p, eta, config.lam,
-                         config.L, variant)
+    cov = coverage_bounds(config, variant)
+    br = bridging_bounds(config, variant)
     raw_lower = max(cov.raw_lower, br.raw_lower)
     raw_upper = cov.raw_upper + br.raw_upper
-    return BoundReport(EVENT_ASSEMBLY, clamp01(raw_lower), clamp01(raw_upper),
-                       variant, raw_lower, raw_upper,
+    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
+                       raw_lower, raw_upper,
                        degenerate=cov.degenerate and br.degenerate)

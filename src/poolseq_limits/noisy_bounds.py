@@ -74,10 +74,6 @@ class ExponentTable:
     eps: float
     values: tuple[float, ...]
 
-    @property
-    def d1(self) -> float:
-        return self.values[0]
-
 
 @dataclass(frozen=True)
 class SpectralBoundParams:
@@ -213,7 +209,8 @@ def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
     mix *= (1.0 - eps) ** kappa / M
     sq = np.sqrt(mix)
     bc = sq @ sq.T
-    with np.errstate(invalid="ignore"):
+    # disjoint mixtures (possible at eps = 0) have bc = 0: the exponent is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
         exps = -np.log(np.minimum(bc, 1.0))
     return np.maximum(exps, 0.0)
 
@@ -245,55 +242,22 @@ def exponent_table(M: int, kappa: int, eps: float) -> ExponentTable:
 
 
 def den_ml_upper(M: int, lam: float, L: float, D: float, eps: float,
-                 kappa: int | None = None, p: float | None = None,
-                 dominant_only: bool = False) -> float:
-    """Upper bound on ML denoising failure in one segment of length D.
+                 kappa: int) -> float:
+    """Upper bound on ML denoising failure in one block of kappa SNPs.
 
-    The number of covering reads is Poisson(lam * M * (L - D)). For a fixed
-    kappa the bound is sum_i C(M kappa, i) exp(-coverage (1 - e^-D_i));
-    with kappa = None the bound is averaged over kappa ~ Poisson(p D),
-    where kappa values beyond the exponent-table enumeration limit
-    contribute their full probability mass (a conditional failure
-    probability never exceeds 1, so the capped tail keeps the bound
-    valid). The dominant-only mode keeps just the i = 1 term with the
-    closed-form exponent (then the kappa average collapses to a factor
-    M p D). Returned raw: values above 1 mean the bound is vacuous there.
+    The number of covering reads is Poisson(lam * M * (L - D)), and the
+    bound is sum_i C(M kappa, i) exp(-coverage (1 - e^-D_i)) over the
+    hypothesis distances i of the exponent table. Returned raw: values
+    above 1 mean the bound is vacuous there.
     """
-    if D >= L:
-        # no read can strictly cover the segment; the bound is vacuous
-        coverage = 0.0
-    else:
-        coverage = lam * M * (L - D)
-    if dominant_only:
-        d1 = exponent_closed(M, eps)
-        factor = exp(-coverage * -expm1(-d1))
-        if kappa is not None:
-            return M * kappa * factor
-        if p is None:
-            raise ValidationError("kappa-marginal mode needs the SNP rate p")
-        return M * p * D * factor
-    if kappa is not None:
-        tbl = exponent_table(M, kappa, eps)
-        total = 0.0
-        for i, d_i in enumerate(tbl.values, start=1):
-            if math.isinf(d_i):
-                continue
-            total += comb(M * kappa, i) * exp(-coverage * -expm1(-d_i))
-        return total
-    if p is None:
-        raise ValidationError("kappa-marginal mode needs the SNP rate p")
-    ks, ws = poisson_weights(p * D)
+    # at D >= L no read can strictly cover the segment; the bound is vacuous
+    coverage = lam * M * max(L - D, 0.0)
     total = 0.0
-    covered_mass = 0.0
-    for k, w in zip(ks, ws):
-        if k == 0:
-            covered_mass += w
+    for i, d_i in enumerate(exponent_table(M, kappa, eps).values, start=1):
+        if math.isinf(d_i):
             continue
-        if comb(1 << int(k), M) > PAIR_ENUM_CAP:
-            continue  # tail kappa counted below at full mass
-        total += w * den_ml_upper(M, lam, L, D, eps, kappa=int(k))
-        covered_mass += w
-    return total + (1.0 - covered_mass)
+        total += comb(M * kappa, i) * exp(-coverage * -expm1(-d_i))
+    return total
 
 
 def ml_plan_seed(config: ModelConfig) -> SegmentationPlan:
@@ -340,32 +304,43 @@ def _optimize_plan(objective, L: float, seed: SegmentationPlan,
     return best, SegmentationPlan(D=D, d=frac * D)
 
 
+def _bound_at_plan(objective, config: ModelConfig,
+                   plan: SegmentationPlan | None
+                   ) -> tuple[float, SegmentationPlan]:
+    """Clamped objective at the given plan, or minimized over (D, d) from the
+    stationary-point seed when no plan is given; returns it with the plan."""
+    if plan is not None:
+        if plan.D > config.L:
+            raise ValidationError("plan must satisfy D <= L")
+        return clamp01(objective(plan.D, plan.d)), plan
+    value, best_plan = _optimize_plan(objective, config.L, ml_plan_seed(config))
+    return clamp01(value), best_plan
+
+
 def noisy_upper_ml(config: ModelConfig,
                    plan: SegmentationPlan | None = None
                    ) -> tuple[float, SegmentationPlan]:
     """Assembly error upper bound with ML denoising, minimized over (D, d).
 
     Evaluates (G / d) * (discrimination bound + dominant denoising term
-    M p D exp(-lam M (L - D) (1 - e^-D1))). With a plan given, evaluates at
-    that (D, d); otherwise minimizes from the stationary-point seed by
-    coordinate descent. Returns the clamped bound and the plan used.
+    M p D exp(-lam M (L - D) (1 - e^-D1))), where the kappa ~ Poisson(p D)
+    average of the i = 1 term M kappa exp(...) gives the factor M p D. With
+    a plan given, evaluates at that (D, d); otherwise minimizes from the
+    stationary-point seed by coordinate descent. Returns the clamped bound
+    and the plan used.
     """
     if config.M < 2:
         raise ValidationError("noisy bounds need M >= 2")
-    G, L, lam, p, eps = config.G, config.L, config.lam, config.p, config.eps
+    G, L, lam, p, M = config.G, config.L, config.lam, config.p, config.M
     eta = config.eta
+    d1_rate = -expm1(-exponent_closed(M, config.eps))
 
     def objective(D: float, d: float) -> float:
-        disc = disc_upper(config.M, p, eta, D, d)
-        den = den_ml_upper(config.M, lam, L, D, eps, p=p, dominant_only=True)
+        disc = disc_upper(M, p, eta, D, d)
+        den = M * p * D * exp(-lam * M * max(L - D, 0.0) * d1_rate)
         return (G / d) * (disc + den)
 
-    if plan is not None:
-        if plan.D > L:
-            raise ValidationError("plan must satisfy D <= L")
-        return clamp01(objective(plan.D, plan.d)), plan
-    value, best_plan = _optimize_plan(objective, L, ml_plan_seed(config))
-    return clamp01(value), best_plan
+    return _bound_at_plan(objective, config, plan)
 
 
 def spectral_quantities(kappa: int, eta: float | None, eps: float,
@@ -445,9 +420,4 @@ def noisy_upper_spectral(config: ModelConfig,
         mv = M * D * p * exp(-lam * M * D * mv_rate)
         return (G / d) * (disc + mv + community_term(D))
 
-    if plan is not None:
-        if plan.D > L:
-            raise ValidationError("plan must satisfy D <= L")
-        return clamp01(objective(plan.D, plan.d)), plan
-    value, best_plan = _optimize_plan(objective, L, ml_plan_seed(config))
-    return clamp01(value), best_plan
+    return _bound_at_plan(objective, config, plan)

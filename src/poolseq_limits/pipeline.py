@@ -97,7 +97,7 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
         k += 1
     seg_out: list[np.ndarray | None] = []
     seg_cols: list[tuple[int, int]] = []
-    for lo, hi in segments:
+    for k, (lo, hi) in enumerate(segments):
         c_lo = int(np.searchsorted(pos, lo, side="left"))
         c_hi = int(np.searchsorted(pos, hi, side="left"))
         seg_cols.append((c_lo, c_hi))
@@ -115,7 +115,8 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
         else:
             decoded = spectral_denoise(block, mode=nu_min_mode,
                                        eta=config.eta,
-                                       stream=stream.child("spectral")).sequences
+                                       stream=stream.child("spectral", k)
+                                       ).sequences
         seg_out.append(decoded)
         if {r.tobytes() for r in truth} != {r.tobytes() for r in decoded}:
             res.denoise_fail = True

@@ -116,7 +116,8 @@ def test_criterion_03_bridging_sandwich():
         fails, trials = _direct_bridging_rate(cfg, 10000, 303)
         emp = fails / trials
         lo_ci, hi_ci = wilson_interval(fails, trials)
-        lower = bridging_bounds(2, G, p, ETA, lam, L).lower
+        lower = bridging_bounds(ModelConfig(G=G, M=2, p=p, L=L, lam=lam,
+                                            law=FixedEta(ETA))).lower
         upper = min(1.0, G * r * p_m(2, lam, p, ETA, L))
         sigma = binomial_sigma(max(emp, 1e-4), trials)
         in_sandwich = lower - 3 * sigma <= emp <= upper + 3 * sigma

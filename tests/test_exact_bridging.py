@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from poolseq_limits._util import trunc_exp
-from poolseq_limits.core import RandomStream, ValidationError
+from poolseq_limits.core import (FixedEta, ModelConfig, RandomStream,
+                                 ValidationError)
 from poolseq_limits.exact_bridging import estimate_bridging, sample_region_span
 from poolseq_limits.noiseless_bounds import bridging_bounds
 
@@ -64,7 +65,8 @@ def test_estimate_degenerate_cases():
 def test_estimate_within_analytic_sandwich():
     G, L, lam = 2e6, 4.5e4, 1e-2
     res = estimate_bridging(G, L, lam, P, ETA, 20000, RandomStream(13))
-    rep = bridging_bounds(2, G, P, ETA, lam, L)
+    rep = bridging_bounds(ModelConfig(G=G, M=2, p=P, L=L, lam=lam,
+                                      law=FixedEta(ETA)))
     sigma = (res.ci_high - res.ci_low) / 3.92
     assert rep.lower - 3 * sigma <= res.estimate <= rep.upper + 3 * sigma
     assert res.capped_trials == 0

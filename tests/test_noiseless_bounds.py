@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from poolseq_limits._util import golden_max
 from poolseq_limits.core import FixedEta, ModelConfig, RandomStream
-from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
+from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, VARIANT_EXACT,
+                                             assembly_bounds,
                                              bridging_bounds, coverage_bounds,
                                              coverage_lower_segmented,
                                              coverage_single, delta_m,
@@ -14,6 +16,10 @@ from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds
 
 ETA = 0.82
 LAW = FixedEta(ETA)
+
+
+def _config(G, M, p, lam, L, eta=ETA):
+    return ModelConfig(G=G, M=M, p=p, L=L, lam=lam, law=FixedEta(eta))
 
 
 def test_coverage_single_limits():
@@ -41,7 +47,7 @@ def test_gap_seed_value_and_near_optimality():
 
 
 def test_coverage_bounds_single_individual_collapse():
-    rep = coverage_bounds(1e6, 1e-3, 5e-3, 1800.0, 1)
+    rep = coverage_bounds(_config(1e6, 1, 1e-3, 5e-3, 1800.0))
     single = coverage_single(1e6, 1e-3, 5e-3, 1800.0)
     assert rep.upper == pytest.approx(single)
     assert rep.lower == pytest.approx(single)
@@ -49,8 +55,9 @@ def test_coverage_bounds_single_individual_collapse():
 
 def test_coverage_bounds_ordering_and_asymptotic_agreement():
     for M in (1, 2, 20):
-        exact = coverage_bounds(3e9, 1e-3, 4e-4, 1.2e5, M)
-        asym = coverage_bounds(3e9, 1e-3, 4e-4, 1.2e5, M, VARIANT_ASYMPTOTIC)
+        cfg = _config(3e9, M, 1e-3, 4e-4, 1.2e5)
+        exact = coverage_bounds(cfg)
+        asym = coverage_bounds(cfg, VARIANT_ASYMPTOTIC)
         assert exact.lower <= exact.upper
         assert asym.lower <= asym.upper
         # lam * L = 48 >> 1: variants agree closely
@@ -137,7 +144,7 @@ def test_lambda_lower_near_singular_branch():
 
 
 def test_bridging_bounds_pair_reduction_and_order():
-    rep = bridging_bounds(2, 2e6, 1e-3, ETA, 1e-2, 4.5e4)
+    rep = bridging_bounds(_config(2e6, 2, 1e-3, 1e-2, 4.5e4))
     r = 1e-3 * (1 - ETA)
     assert rep.upper == pytest.approx(
         min(1.0, 2e6 * r * p_m(2, 1e-2, 1e-3, ETA, 4.5e4)))
@@ -152,23 +159,38 @@ def test_bridging_upper_decay_exponent():
     r = p * (1 - ETA)
     for lam, expect in ((1e-2, r), (r / 8, 2 * (r / 8))):
         L1, L2 = 4e5, 8e5
-        u1 = bridging_bounds(2, 3e9, p, ETA, lam, L1).raw_upper
-        u2 = bridging_bounds(2, 3e9, p, ETA, lam, L2).raw_upper
+        u1 = bridging_bounds(_config(3e9, 2, p, lam, L1)).raw_upper
+        u2 = bridging_bounds(_config(3e9, 2, p, lam, L2)).raw_upper
         slope = (math.log(u2) - math.log(u1)) / (L2 - L1)
         assert slope == pytest.approx(-expect, rel=0.01)
 
 
 def test_bridging_degenerate_flagged():
-    rep = bridging_bounds(3, 1e6, 1e-3, 1.0, 1e-2, 1e4)
+    rep = bridging_bounds(_config(1e6, 3, 1e-3, 1e-2, 1e4, eta=1.0))
     assert rep.degenerate and rep.lower == rep.upper == 0.0
 
 
 def test_assembly_bounds_single_individual_is_coverage():
     cfg = ModelConfig(G=10**6, M=1, p=1e-3, L=1800.0, lam=5e-3, law=LAW)
     rep = assembly_bounds(cfg)
-    cov = coverage_bounds(1e6, 1e-3, 5e-3, 1800.0, 1)
+    cov = coverage_bounds(cfg)
     assert rep.lower == pytest.approx(cov.lower)
     assert rep.upper == pytest.approx(cov.upper)
+
+
+def test_assembly_bounds_combines_event_bounds():
+    """Assembly is the union of the coverage and bridging events: the max
+    of their raw lower bounds from below, the sum of their raw upper bounds
+    from above, and degenerate only when both are."""
+    for M, p in itertools.product((1, 2, 3), (1e-3, 0.0)):
+        cfg = _config(1e6, M, p, 5e-3, 1800.0)
+        for variant in (VARIANT_EXACT, VARIANT_ASYMPTOTIC):
+            rep = assembly_bounds(cfg, variant)
+            cov = coverage_bounds(cfg, variant)
+            br = bridging_bounds(cfg, variant)
+            assert rep.raw_lower == max(cov.raw_lower, br.raw_lower)
+            assert rep.raw_upper == cov.raw_upper + br.raw_upper
+            assert rep.degenerate == (cov.degenerate and br.degenerate)
 
 
 def test_assembly_bounds_monotone_in_L_and_lambda():
@@ -249,5 +271,5 @@ def test_delta_large_population_matches_simulation():
 
 
 def test_bridging_bounds_large_population_ordered():
-    rep = bridging_bounds(20, 3e9, 1e-3, ETA, 1e-2, 1.3e5)
+    rep = bridging_bounds(_config(3e9, 20, 1e-3, 1e-2, 1.3e5))
     assert 0.0 < rep.lower < rep.upper < 1.0

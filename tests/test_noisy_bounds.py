@@ -130,33 +130,22 @@ def test_exponent_kappa_independence():
 def test_den_ml_upper_shapes():
     # D = L: no strictly covering reads, bound is vacuous (>= 1)
     assert den_ml_upper(2, 1e-3, 1e5, 1e5, 0.2, kappa=3) >= 1.0
-    # eps = 0 dominant term: M kappa exp(-coverage (1 - (M-1)/M))
+    # eps = 0 dominant denoising term of the ML assembly bound:
+    # M p D exp(-coverage (1 - (M-1)/M))
+    cfg = ModelConfig(G=10**6, M=2, p=1e-3, L=2e5, lam=1e-3, law=LAW, eps=0.0)
+    plan = SegmentationPlan(D=1e5, d=5e3)
     cov = 1e-3 * 2 * (2e5 - 1e5)
-    expect = 2 * 3 * math.exp(-cov * 0.5)
-    got = den_ml_upper(2, 1e-3, 2e5, 1e5, 0.0, kappa=3, dominant_only=True)
+    dominant = 2 * 1e-3 * 1e5 * math.exp(-cov * 0.5)
+    expect = (1e6 / 5e3) * (disc_upper(2, 1e-3, ETA, 1e5, 5e3) + dominant)
+    got, _ = noisy_upper_ml(cfg, plan)
     assert got == pytest.approx(expect, rel=1e-12)
+    assert got == pytest.approx(7.49e-6, rel=1e-3)
 
 
 def test_den_ml_upper_monotone_in_coverage():
     vals = [den_ml_upper(2, lam, 2e5, 5e4, 0.2, kappa=3)
             for lam in (1e-4, 3e-4, 1e-3, 3e-3)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_den_ml_upper_kappa_marginal():
-    """The Poisson-kappa average recombines per-kappa values, with the
-    enumeration-infeasible tail counted at full mass."""
-    from scipy import stats
-
-    p, D = 1e-3, 1500.0  # mean kappa = 1.5
-    mu = p * D
-    val = den_ml_upper(2, 1e-3, 2e5, D, 0.2, p=p)
-    expect = 0.0
-    for k in range(1, 7):
-        expect += stats.poisson.pmf(k, mu) * den_ml_upper(
-            2, 1e-3, 2e5, D, 0.2, kappa=k)
-    expect += stats.poisson.sf(6, mu)  # infeasible tail at full mass
-    assert val == pytest.approx(expect, rel=1e-6)
 
 
 def test_noisy_upper_ml_pair_exponent_identity():
@@ -294,6 +283,15 @@ def test_noisy_upper_spectral_vacuous_without_coverage():
 def test_exponent_table_capacity_guard():
     with pytest.raises(CapacityError):
         exponent_table(2, 7, 0.2)
+
+
+def test_exponent_table_noiseless_disjoint_sets_are_infinite():
+    """At eps = 0 hypothesis sets far enough apart induce disjoint
+    observation mixtures: their exponent is inf, computed without a
+    divide-by-zero warning."""
+    values = exponent_table(2, 3, 0.0).values
+    assert values[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert all(math.isinf(v) for v in values[3:])
 
 
 def test_noisy_upper_ml_noise_transition_shifts_with_depth():

@@ -1,5 +1,6 @@
 import numpy as np
 
+from poolseq_limits import pipeline
 from poolseq_limits.core import FixedBiallelic, ModelConfig, RandomStream
 from poolseq_limits.noisy_bounds import SegmentationPlan, noisy_upper_ml
 from poolseq_limits.pipeline import run_noiseless_trial, run_noisy_trial
@@ -28,6 +29,25 @@ def test_noisy_trial_succeeds_with_generous_coverage():
     ok = sum(run_noisy_trial(cfg, plan, root.child(t), "spectral").success
              for t in range(25))
     assert ok >= 17
+
+
+def test_noisy_trial_spectral_streams_distinct_per_segment(monkeypatch):
+    """Every segment's spectral decoder draws from its own stream, so
+    reseeding segments of one trial never repeat each other's draws."""
+    cfg = ModelConfig(G=20000, M=2, p=4e-3, L=10000.0, lam=2.5e-3,
+                      law=FixedBiallelic(0.5), eps=0.05)
+    paths = []
+    original = pipeline.spectral_denoise
+
+    def recording(block, **kwargs):
+        paths.append(kwargs["stream"].path)
+        return original(block, **kwargs)
+
+    monkeypatch.setattr(pipeline, "spectral_denoise", recording)
+    run_noisy_trial(cfg, SegmentationPlan(D=4000.0, d=1500.0),
+                    RandomStream(2).child(0), "spectral")
+    assert len(paths) >= 2
+    assert len(set(paths)) == len(paths)
 
 
 def test_noisy_trial_uninformative_channel_fails():
