@@ -7,15 +7,13 @@ from .core import (AlleleLaw, CapacityError, Empirical, FixedBiallelic,
 from .simulate import (Population, ReadSet, apply_noise,
                        discriminating_positions, generate_population,
                        generate_reads)
-from .assemble import (ConditionReport, Contig, check_bridging,
-                       check_conditions, check_coverage, greedy_assemble,
-                       score_assembly, unique_and_correct)
+from .assemble import (Contig, check_bridging, check_coverage,
+                       greedy_assemble, score_assembly, unique_and_correct)
 from .noiseless_bounds import (BoundReport, assembly_bounds, bridging_bounds,
                                coverage_bounds, coverage_single, delta_m,
                                lambda_lower, p_m)
 from .denoise import (DenoiseBlock, HypothesisSet, build_correlation_graph,
-                      majority_vote, ml_denoise, observation_likelihood,
-                      spectral_denoise)
+                      majority_vote, ml_denoise, spectral_denoise)
 from .noisy_bounds import (ExponentTable, SegmentationPlan,
                            SpectralBoundParams, disc_upper, exponent_closed,
                            exponent_numeric, exponent_table, den_ml_upper,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,13 +71,34 @@ def integral_u_exp(alpha: float, upper: float) -> float:
     return (1.0 - (1.0 + a) * math.exp(-a)) / (alpha * alpha)
 
 
-@lru_cache(maxsize=32)
-def popcount_table(bits: int) -> np.ndarray:
-    """Read-only table of the set-bit count of every integer below 2^bits."""
-    table = np.array([bin(i).count("1") for i in range(1 << bits)],
-                     dtype=np.int64)
-    table.flags.writeable = False
-    return table
+# set-bit count of every integer below 2^16; hamming sums it over 16-bit chunks
+_POPCOUNT16 = sum((np.arange(1 << 16, dtype=np.int64) >> b) & 1 for b in range(16))
+_POPCOUNT16.flags.writeable = False
+
+
+def _bit_weights(kappa: int) -> np.ndarray:
+    return np.left_shift(1, np.arange(kappa - 1, -1, -1, dtype=np.int64))
+
+
+def pack_rows(rows) -> np.ndarray:
+    """Encode each row of an (n, kappa) +-1 array as an int64 code, first
+    column most significant, so code order is lexicographic row order with
+    -1 < +1."""
+    rows = np.asarray(rows)
+    return (rows > 0) @ _bit_weights(rows.shape[1])
+
+
+def unpack_rows(codes, kappa: int) -> np.ndarray:
+    """Decode int64 codes back into an (n, kappa) int8 +-1 array."""
+    bits = np.asarray(codes, dtype=np.int64)[:, None] & _bit_weights(kappa)
+    return np.where(bits != 0, 1, -1).astype(np.int8)
+
+
+def hamming(a, b, kappa: int) -> np.ndarray:
+    """Hamming distances between every code of a and every code of b."""
+    diff = np.bitwise_xor.outer(a, b)
+    return sum(_POPCOUNT16[(diff >> s) & 0xFFFF]
+               for s in range(0, max(kappa, 1), 16))
 
 
 def trunc_exp(gen: np.random.Generator, rate: float, bound: float) -> float:

@@ -24,11 +24,9 @@ __all__ = [
     "UNSET",
     "CoverageReport",
     "BridgingReport",
-    "ConditionReport",
     "Contig",
     "check_coverage",
     "check_bridging",
-    "check_conditions",
     "greedy_assemble",
     "score_assembly",
     "enumerate_assemblies",
@@ -49,18 +47,6 @@ class CoverageReport:
 class BridgingReport:
     ok: bool
     violations: list[tuple[int, int, float, float]]  # (i, j, region start, end)
-
-
-@dataclass
-class ConditionReport:
-    coverage_ok: bool
-    coverage_violations: list[tuple[int, int]]
-    bridging_ok: bool
-    bridging_violations: list[tuple[int, int, float, float]]
-
-    @property
-    def ok(self) -> bool:
-        return self.coverage_ok and self.bridging_ok
 
 
 @dataclass
@@ -117,13 +103,6 @@ def check_bridging(pop: Population, rs: ReadSet) -> BridgingReport:
         violations.extend(
             (i, j, float(a[k]), float(b[k])) for k in bad)
     return BridgingReport(ok=not violations, violations=violations)
-
-
-def check_conditions(pop: Population, rs: ReadSet) -> ConditionReport:
-    cov = check_coverage(pop, rs)
-    br = check_bridging(pop, rs)
-    return ConditionReport(coverage_ok=cov.ok, coverage_violations=cov.violations,
-                           bridging_ok=br.ok, bridging_violations=br.violations)
 
 
 def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:

@@ -340,6 +340,9 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
         trials = int(params.get("trials", 0))
     if seed is None:
         seed = int(params.get("seed", 0))
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    RandomStream(seed)  # rejects a bad seed before any trial runs
     config = build_model(params)
     if config.eps > 0.0 and not ("D" in params and "d" in params):
         raise ConfigError("noisy simulation needs D and d")
@@ -389,6 +392,8 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     # ignored here
     params = {k: v for k, v in _load_params(config_path, overrides).items()
               if k not in ("D", "d")}
+    if l_min > l_max:
+        raise ConfigError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
     family, column = _BOUNDS[bound]
     evaluate = _FAMILIES[family][0]
 
@@ -449,15 +454,16 @@ def exponent(m_individuals, kappa, eps_list, out):
 @click.option("--blocks", type=click.IntRange(min=1), default=1000)
 @click.option("--algo", type=click.Choice(["ml", "spectral", "both"]),
               default="both")
-@click.option("--eta", type=float, default=0.5,
-              help="Match probability used to plant block contents.")
+@click.option("--eta", type=click.FloatRange(0.5, 1.0), default=0.5,
+              help="Match probability used to plant block contents; biallelic "
+                   "planting realizes [0.5, 1].")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default="-")
 def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                   out):
     """Benchmark block denoisers against planted truths."""
     stream = RandomStream(seed)
-    minor = 0.5 * (1.0 - math.sqrt(max(2.0 * eta - 1.0, 0.0)))
+    minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []
     algos = ["ml", "spectral"] if algo == "both" else [algo]
     for name in algos:
@@ -476,8 +482,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             flips = gen.random(obs.shape) < eps
             obs = np.where(flips, -obs, obs).astype(np.int8)
             block = DenoiseBlock(kappa=kappa, observations=obs,
-                                 window=(0.0, 1.0), M=m_individuals,
-                                 eps=eps)
+                                 M=m_individuals, eps=eps)
             if name == "ml":
                 decoded = ml_denoise(block).matrix
             else:

@@ -159,9 +159,11 @@ class ModelConfig:
 def _path_token(t) -> int:
     if isinstance(t, (int, np.integer)):
         v = int(t)
-        if v < 0:
-            raise ValidationError("stream path integers must be non-negative")
-        return v % (2 ** 32)
+        # SeedSequence splits larger ints into several 32-bit words, so they
+        # would alias multi-element paths
+        if not 0 <= v < 2 ** 32:
+            raise ValidationError(f"stream path int {v} is outside [0, 2^32)")
+        return v
     if isinstance(t, str):
         return zlib.crc32(t.encode("utf-8"))
     raise ValidationError(f"stream path element must be int or str, got {t!r}")
@@ -181,6 +183,8 @@ class RandomStream:
     gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
         self.gen = np.random.Generator(np.random.Philox(seq))
 

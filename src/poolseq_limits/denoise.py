@@ -6,7 +6,9 @@ content restricted to the window, assuming the read spans the whole
 window. ML decoding scores every M-subset of the 2^kappa possible
 sequences under the symmetric-flip channel; spectral decoding thresholds
 the sample cross-correlation into a graph, clusters its top eigenvector
-embedding, and majority-votes per cluster.
+embedding, and majority-votes per cluster. Sequences are scored as int64
+codes (`_util.pack_rows`: first locus most significant, +1 a set bit), so
+a Hamming distance is the popcount of an XOR (`_util.hamming`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from ._util import popcount_table
+from ._util import hamming, pack_rows, unpack_rows
 from .core import CapacityError, RandomStream, ValidationError
 
 __all__ = [
@@ -25,15 +27,12 @@ __all__ = [
     "DenoiseBlock",
     "CorrelationGraph",
     "SpectralResult",
-    "observation_likelihood",
     "ml_denoise",
     "default_threshold",
     "nu_min_for_mode",
     "build_correlation_graph",
     "spectral_denoise",
     "majority_vote",
-    "seq_to_int",
-    "int_to_seq",
     "extract_block",
 ]
 
@@ -41,19 +40,6 @@ ML_CANDIDATE_CAP = 10_000_000
 
 WORST_CASE = "worst_case"
 AVERAGE_CASE = "average_case"
-
-
-def seq_to_int(seq) -> int:
-    """Encode a +-1 sequence as an integer, first position most significant,
-    so integer order matches lexicographic order with -1 < +1."""
-    v = 0
-    for a in seq:
-        v = (v << 1) | (1 if a > 0 else 0)
-    return v
-
-
-def int_to_seq(v: int, kappa: int) -> tuple[int, ...]:
-    return tuple(1 if (v >> (kappa - 1 - k)) & 1 else -1 for k in range(kappa))
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,6 @@ class DenoiseBlock:
 
     kappa: int
     observations: np.ndarray  # (n, kappa) int8 over {-1, +1}
-    window: tuple[float, float]
     M: int
     eps: float
 
@@ -140,21 +125,10 @@ def mixture_distribution(hset: HypothesisSet, eps: float) -> np.ndarray:
         raise ValidationError("eps must be < 1")
     kappa = hset.kappa
     x = eps / (1.0 - eps)
-    pop = popcount_table(kappa)
-    members = np.array([seq_to_int(s) for s in hset.sequences])
-    phis = np.arange(1 << kappa)
-    dist = pop[np.bitwise_xor.outer(phis, members)]  # (2^kappa, M)
+    dist = hamming(np.arange(1 << kappa), pack_rows(hset.matrix), kappa)
     with np.errstate(divide="ignore"):
         mix = (x ** dist.astype(np.float64)).sum(axis=1)
     return ((1.0 - eps) ** kappa / hset.M) * mix
-
-
-def observation_likelihood(phi, hset: HypothesisSet, eps: float) -> float:
-    """Probability of observing one row phi under a hypothesis set."""
-    phi = tuple(int(a) for a in phi)
-    if len(phi) != hset.kappa:
-        raise ValidationError("observation length must match the hypothesis")
-    return float(mixture_distribution(hset, eps)[seq_to_int(phi)])
 
 
 def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
@@ -163,20 +137,21 @@ def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
     Ties are broken by lexicographic order of the candidate set, so the
     result is deterministic. Raises CapacityError when the candidate count
     C(2^kappa, M) exceeds the enumeration cap and ValidationError for an
-    empty block.
+    empty block or one with fewer than M possible sequences (M > 2^kappa).
     """
     if block.n == 0:
         raise ValidationError("cannot denoise a block with no observations")
     kappa, M = block.kappa, block.M
+    if M > 1 << kappa:
+        raise ValidationError(f"{kappa} SNPs carry fewer than M={M} sequences")
     n_cand = comb(1 << kappa, M)
     if n_cand > ML_CANDIDATE_CAP:
         raise CapacityError(
             f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
     x = block.eps / (1.0 - block.eps)
-    pop = popcount_table(kappa)
-    obs_ints = np.array([seq_to_int(r) for r in block.observations])
-    distinct, counts = np.unique(obs_ints, return_counts=True)
-    xpow = x ** pop[np.bitwise_xor.outer(distinct, np.arange(1 << kappa))].astype(float)
+    distinct, counts = np.unique(pack_rows(block.observations),
+                                 return_counts=True)
+    xpow = x ** hamming(distinct, np.arange(1 << kappa), kappa).astype(float)
     best_ll = -np.inf
     best: tuple[int, ...] | None = None
     with np.errstate(divide="ignore"):
@@ -185,8 +160,7 @@ def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
             ll = float(counts @ np.log(mix))
             if best is None or ll > best_ll:
                 best_ll, best = ll, cand
-    assert best is not None
-    return HypothesisSet(tuple(int_to_seq(v, kappa) for v in best))
+    return HypothesisSet.from_matrix(unpack_rows(best, kappa))
 
 
 def nu_min_for_mode(mode: str, kappa: int, eta: float | None) -> float:
@@ -317,10 +291,8 @@ def extract_block(rs, window: tuple[float, float], eps: float) -> DenoiseBlock:
     r_hi = int(np.searchsorted(rs.starts, lo_pos, side="right"))
     r_lo = int(np.searchsorted(rs.starts, hi_pos - L, side="left"))
     offsets, values = rs.observations()
-    rows = []
-    for r in range(r_lo, r_hi):
-        base = offsets[r] + (snp_lo - rs.cover_lo[r])
-        rows.append(values[base:base + kappa])
-    obs = np.asarray(rows, dtype=np.int8) if rows else np.empty((0, kappa), np.int8)
-    return DenoiseBlock(kappa=kappa, observations=obs, window=window,
-                        M=rs.config.M, eps=eps)
+    # empty when r_hi < r_lo, as when the window is longer than a read
+    reads = np.arange(r_lo, r_hi)
+    base = offsets[reads] + (snp_lo - rs.cover_lo[reads])
+    obs = values[base[:, None] + np.arange(kappa)]
+    return DenoiseBlock(kappa=kappa, observations=obs, M=rs.config.M, eps=eps)

@@ -22,7 +22,7 @@ from math import comb, exp, expm1, log, sqrt
 
 import numpy as np
 
-from ._util import clamp01, golden_min, poisson_weights, popcount_table
+from ._util import clamp01, golden_min, hamming, poisson_weights
 from .core import CapacityError, ModelConfig, ValidationError
 from .denoise import (AVERAGE_CASE, WORST_CASE, HypothesisSet,
                       mixture_distribution, nu_min_for_mode)
@@ -83,8 +83,6 @@ class SpectralBoundParams:
     eps: float
     nu_min: float
     p_e: float        # pairwise edge-misclassification bound
-    a_lower: float    # intra-community edge probability lower bound
-    b_upper: float    # inter-community edge probability upper bound
     zeta: float       # community-recovery exponent; 0 means vacuous
     c_const: float
 
@@ -189,12 +187,11 @@ def _member_arrays(kappa: int, M: int) -> np.ndarray:
 def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     """Pairwise set distances: minimal total bit flips over member matchings."""
     n, M = members.shape
-    pop = popcount_table(kappa)
     dist = None
     for perm in permutations(range(M)):
         d = np.zeros((n, n), dtype=np.int64)
         for j in range(M):
-            d += pop[np.bitwise_xor.outer(members[:, j], members[:, perm[j]])]
+            d += hamming(members[:, j], members[:, perm[j]], kappa)
         dist = d if dist is None else np.minimum(dist, d)
     return dist
 
@@ -202,9 +199,8 @@ def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
 def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
                         eps: float) -> np.ndarray:
     x = eps / (1.0 - eps)
-    pop = popcount_table(kappa)
     phis = np.arange(1 << kappa)
-    xpow = x ** pop[np.bitwise_xor.outer(phis, phis)].astype(np.float64)
+    xpow = x ** hamming(phis, phis, kappa).astype(np.float64)
     mix = xpow[:, members].sum(axis=2).T  # (n_cand, 2^kappa), constants dropped
     mix *= (1.0 - eps) ** kappa / M
     sq = np.sqrt(mix)
@@ -356,14 +352,13 @@ def spectral_quantities(kappa: int, eta: float | None, eps: float,
         raise ValidationError("kappa must be >= 0")
     nu = nu_min_for_mode(mode, kappa, eta)
     if kappa == 0 or nu <= 0.0:
-        return SpectralBoundParams(kappa, eps, nu, 1.0, 0.0, 1.0, 0.0, c_const)
+        return SpectralBoundParams(kappa, eps, nu, 1.0, 0.0, c_const)
     p_e = exp(-(nu * nu / kappa) * (1.0 - 2.0 * eps) ** 4)
     zeta = 0.0
     if p_e < 0.5:
         zeta = (1.0 - 2.0 * p_e) ** 2 / (c_const * c_const * (1.0 - p_e))
     return SpectralBoundParams(kappa=kappa, eps=eps, nu_min=nu, p_e=p_e,
-                               a_lower=1.0 - p_e, b_upper=p_e, zeta=zeta,
-                               c_const=c_const)
+                               zeta=zeta, c_const=c_const)
 
 
 def spectral_noise_ceiling(kappa: int, nu_min: float) -> float:

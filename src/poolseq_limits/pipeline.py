@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assemble import check_bridging, check_coverage, greedy_assemble, score_assembly
-from .core import ModelConfig, RandomStream
+from .core import ModelConfig, RandomStream, ValidationError
 from .denoise import extract_block, ml_denoise, spectral_denoise
 from .noisy_bounds import SegmentationPlan
 from .simulate import apply_noise, generate_population, generate_reads
@@ -26,7 +26,6 @@ __all__ = ["TrialResult", "run_noiseless_trial", "run_noisy_trial",
 
 @dataclass
 class TrialResult:
-    trial: int
     coverage_fail: bool | None = None
     bridging_fail: bool | None = None
     greedy_fail: bool | None = None
@@ -51,7 +50,7 @@ def run_noiseless_trial(config: ModelConfig, stream: RandomStream) -> TrialResul
     br = check_bridging(pop, rs)
     contigs = greedy_assemble(rs, stream.child("greedy"))
     ok = score_assembly(contigs, pop, rs)
-    return TrialResult(trial=0, coverage_fail=not cov.ok, bridging_fail=not br.ok,
+    return TrialResult(coverage_fail=not cov.ok, bridging_fail=not br.ok,
                        greedy_fail=not ok, success=ok)
 
 
@@ -85,8 +84,7 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
     pop = generate_population(config, stream.child("pop"))
     rs = generate_reads(pop, config, stream.child("reads"))
     noisy = apply_noise(rs, config.eps, stream.child("noise"))
-    res = TrialResult(trial=0, disc_fail=False, denoise_fail=False,
-                      stitch_fail=False)
+    res = TrialResult(disc_fail=False, denoise_fail=False, stitch_fail=False)
     pos = pop.snp_positions
     D, d = plan.D, plan.d
     segments = []
@@ -106,17 +104,21 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
             seg_out.append(np.empty((config.M, 0), dtype=np.int8))
             continue
         block = extract_block(noisy, (lo, hi), config.eps)
-        if block.n == 0 or (denoiser == "spectral" and block.n < config.M):
-            res.denoise_fail = True
-            seg_out.append(None)
-            continue
+        decoded = None
         if denoiser == "ml":
-            decoded = ml_denoise(block).matrix
-        else:
+            try:
+                decoded = ml_denoise(block).matrix
+            except ValidationError:  # empty block, or 2^kappa < M sequences
+                pass
+        elif block.n >= config.M:
             decoded = spectral_denoise(block, mode=nu_min_mode,
                                        eta=config.eta,
                                        stream=stream.child("spectral", k)
                                        ).sequences
+        if decoded is None:
+            res.denoise_fail = True
+            seg_out.append(None)
+            continue
         seg_out.append(decoded)
         if {r.tobytes() for r in truth} != {r.tobytes() for r in decoded}:
             res.denoise_fail = True
@@ -153,10 +155,7 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
                     ok = False
                     break
                 # express this segment's rows in the previous order
-                inv = np.empty(config.M, dtype=int)
-                for i, j in enumerate(mapping):
-                    inv[j] = i
-                out = out[inv]
+                out = out[np.argsort(mapping)]
                 seg_out[k] = out
         genomes[:, c_lo:c_hi] = out
     if ok:

@@ -12,7 +12,7 @@ bases match the reference by assumption), stored columnar for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "generate_reads",
     "apply_noise",
     "discriminating_positions",
-    "discriminating_indices",
-    "dump_readset",
 ]
 
 
@@ -78,7 +76,6 @@ class ReadSet:
     cover_hi: np.ndarray   # (N,) int64
     config: ModelConfig
     population: Population
-    noisy: bool = False
     _values: Optional[np.ndarray] = field(default=None, repr=False)
     _offsets: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -98,10 +95,6 @@ class ReadSet:
             cols = _flat_ranges(self.cover_lo, self.cover_hi, total)
             self._values = self.population.alleles[rows, cols]
         return self._offsets, self._values
-
-    def read_alleles(self, r: int) -> np.ndarray:
-        off, vals = self.observations()
-        return vals[off[r]:off[r + 1]]
 
 
 def _flat_ranges(lo: np.ndarray, hi: np.ndarray, total: int) -> np.ndarray:
@@ -167,8 +160,7 @@ def generate_reads(pop: Population, config: ModelConfig,
     cover_lo = np.searchsorted(pos, starts, side="left")
     cover_hi = np.searchsorted(pos, starts + L, side="left")
     return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
-                   cover_hi=cover_hi, config=config, population=pop,
-                   noisy=False)
+                   cover_hi=cover_hi, config=config, population=pop)
 
 
 def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
@@ -184,27 +176,12 @@ def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     noisy_values = np.where(flips, -values, values).astype(np.int8)
     return ReadSet(starts=rs.starts, hidden=rs.hidden, cover_lo=rs.cover_lo,
                    cover_hi=rs.cover_hi, config=rs.config,
-                   population=rs.population, noisy=True,
-                   _values=noisy_values, _offsets=offsets)
-
-
-def discriminating_indices(pop: Population, i: int, j: int) -> np.ndarray:
-    """SNP indices at which individuals i and j carry different alleles."""
-    if i == j:
-        raise ValidationError("discriminating positions need two distinct individuals")
-    return np.nonzero(pop.alleles[i] != pop.alleles[j])[0]
+                   population=rs.population, _values=noisy_values,
+                   _offsets=offsets)
 
 
 def discriminating_positions(pop: Population, i: int, j: int) -> np.ndarray:
     """Positions of SNPs that differ between individuals i and j (ascending)."""
-    return pop.snp_positions[discriminating_indices(pop, i, j)]
-
-
-def dump_readset(rs: ReadSet, fh: IO[str]) -> None:
-    """Debug text dump: `READ <start> <hidden_id> <idx:allele,...>` per read."""
-    offsets, values = rs.observations()
-    for r in range(rs.n_reads):
-        lo, hi = int(rs.cover_lo[r]), int(rs.cover_hi[r])
-        content = ",".join(
-            f"{idx}:{int(values[offsets[r] + k])}" for k, idx in enumerate(range(lo, hi)))
-        fh.write(f"READ {rs.starts[r]:.6f} {int(rs.hidden[r])} {content}\n")
+    if i == j:
+        raise ValidationError("discriminating positions need two distinct individuals")
+    return pop.snp_positions[pop.alleles[i] != pop.alleles[j]]

@@ -20,9 +20,9 @@ from scipy import stats
 
 from poolseq_limits._util import (binomial_sigma, bisect_decreasing,
                                   wilson_interval)
-from poolseq_limits.assemble import (check_bridging, check_conditions,
-                                     check_coverage, greedy_assemble,
-                                     score_assembly, unique_and_correct)
+from poolseq_limits.assemble import (check_bridging, check_coverage,
+                                     greedy_assemble, score_assembly,
+                                     unique_and_correct)
 from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
                                  RandomStream)
 from poolseq_limits.denoise import (AVERAGE_CASE, DenoiseBlock, ml_denoise,
@@ -192,13 +192,14 @@ def test_criterion_05_equivalence_oracle():
         if pop.S > 12 or rs.n_reads > 40 or rs.n_reads == 0:
             continue
         used += 1
-        cond = check_conditions(pop, rs)
+        cov_ok = check_coverage(pop, rs).ok
+        cond_ok = cov_ok and check_bridging(pop, rs).ok
         greedy_ok = score_assembly(greedy_assemble(rs, st.child("greedy")),
                                    pop, rs)
-        if cond.ok:
+        if cond_ok:
             held += 1
             agreed += greedy_ok and unique_and_correct(pop, rs)
-        if not cond.coverage_ok:
+        if not cov_ok:
             covviol += 1
             covviol_fail += not greedy_ok
     elapsed = time.time() - t0
@@ -272,7 +273,7 @@ def test_criterion_07_ml_denoise_bound():
                 obs = np.where(gen.random(obs.shape) < eps, -obs,
                                obs).astype(np.int8)
                 block = DenoiseBlock(kappa=kappa, observations=obs,
-                                     window=(0.0, 1.0), M=M, eps=eps)
+                                     M=M, eps=eps)
                 out = ml_denoise(block)
                 fails += out.sequences != tuple(
                     sorted(tuple(int(a) for a in row) for row in truth))
@@ -300,8 +301,7 @@ def _spectral_recovery(eps: float, blocks: int, seed: int,
                 break
         obs = truth[gen.integers(0, 2, size=n)]
         obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
-        block = DenoiseBlock(kappa=kappa, observations=obs, window=(0.0, 1.0),
-                             M=2, eps=eps)
+        block = DenoiseBlock(kappa=kappa, observations=obs, M=2, eps=eps)
         res = spectral_denoise(block, mode="average_case", eta=ETA,
                                stream=root.child(b, "sp"))
         hits += {r.tobytes() for r in res.sequences} == \

@@ -219,6 +219,20 @@ def test_noisy_bounds_config_error_for_single_individual():
     assert res.exit_code == 2
 
 
+def test_simulate_ml_segment_with_fewer_sequences_than_individuals(tmp_path):
+    """D=500 at p=0.002 leaves one-SNP segments, whose two possible
+    sequences cannot hold M=3 genomes: the trial records a denoising
+    failure instead of aborting the run."""
+    res = run(["simulate", "-O", "G=20000", "-O", "M=3", "-O", "p=0.002",
+               "-O", "maf=0.3", "-O", "lambda=0.01", "-O", "L=3000",
+               "-O", "eps=0.1", "-O", "D=500", "-O", "d=250",
+               "--trials", "3", "--seed", "1", "--json",
+               "--out", str(tmp_path / "rows.csv")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads(res.output)
+    assert summary["denoise_fail"]["count"] == 3
+
+
 def test_simulate_noisy_spectral_deterministic_across_workers(tmp_path):
     args = ["simulate", "-O", "G=20000", "-O", "M=2", "-O", "p=0.004",
             "-O", "maf=0.5", "-O", "lambda=0.0025", "-O", "L=10000",
@@ -236,6 +250,11 @@ def test_simulate_noisy_spectral_deterministic_across_workers(tmp_path):
 
 _BENCH = ["denoise-bench", "--kappa", "3", "--eps", "0.2", "--coverage", "25",
           "--blocks", "5"]
+_SIM = ["simulate", "-O", "G=20000", "-O", "M=2", "-O", "p=0.002", "-O", "maf=0.3",
+        "-O", "lambda=0.01", "-O", "L=3000", "--trials", "2"]
+_BRIDGE = ["exact-bridging", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
+           "-O", "eta=0.82", "-O", "lambda=0.001", "-O", "L=5000",
+           "--trials", "20"]
 
 
 @pytest.mark.parametrize("args", [
@@ -250,6 +269,15 @@ _BENCH = ["denoise-bench", "--kappa", "3", "--eps", "0.2", "--coverage", "25",
     [*_BENCH, "--m", "0"],
     [*_BENCH, "--coverage", "-1"],
     [*_BENCH, "--kappa", "0"],
+    [*_BENCH, "--seed", "-1"],
+    [*_BENCH, "--eta", "-1"],
+    [*_BENCH, "--eta", "2"],
+    [*_SIM, "--seed", "-1"],
+    [*_SIM, "--trials", "-1"],
+    [*_SIM[:-2], "-O", "trials=-1"],
+    [*_BRIDGE, "--seed", "-1"],
+    ["critical-l", *BASE, "--target", "0.001", "--bound", "assembly-upper",
+     "--l-min", "100", "--l-max", "10"],
 ])
 def test_out_of_range_inputs_exit_config(args):
     """Out-of-range inputs give exit 2, not a traceback or a silent result."""

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -121,6 +123,19 @@ def test_stream_reproducible_and_split_independent():
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
     assert not np.allclose(a1, c)
+
+
+def test_stream_rejects_negative_seed_and_aliasing_path_ints():
+    """A path int at or above 2^32 would alias its residue mod 2^32, so it
+    is refused; every int below keeps its own spawn key."""
+    with pytest.raises(ValidationError):
+        RandomStream(-1)
+    root = RandomStream(9)
+    for bad in (-1, 2 ** 32, np.uint64(2 ** 32), 2 ** 40 + 3):
+        with pytest.raises(ValidationError):
+            root.child(bad)
+    for ok in (0, 3, 2 ** 32 - 1, np.int64(7)):
+        assert root.child(ok, "role").path == (int(ok), zlib.crc32(b"role"))
 
 
 def test_eta_deterministic():

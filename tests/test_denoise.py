@@ -4,15 +4,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from poolseq_limits._util import pack_rows, unpack_rows
 from poolseq_limits.core import CapacityError, RandomStream, ValidationError
 from poolseq_limits.denoise import (DenoiseBlock, HypothesisSet,
-                                    build_correlation_graph, int_to_seq,
-                                    majority_vote, ml_denoise,
-                                    observation_likelihood, spectral_denoise)
+                                    build_correlation_graph, majority_vote,
+                                    mixture_distribution, ml_denoise,
+                                    spectral_denoise)
 
 
 def hset(*rows):
     return HypothesisSet(tuple(tuple(r) for r in rows))
+
+
+def observation_likelihood(phi, h, eps):
+    """Probability of one observation row phi under hypothesis set h."""
+    return float(mixture_distribution(h, eps)[pack_rows([phi])[0]])
 
 
 def make_block(truth, n, eps, gen, kappa=None):
@@ -21,8 +27,7 @@ def make_block(truth, n, eps, gen, kappa=None):
     who = gen.integers(0, M, size=n)
     obs = truth[who]
     obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
-    return DenoiseBlock(kappa=k, observations=obs, window=(0.0, 1.0), M=M,
-                        eps=eps)
+    return DenoiseBlock(kappa=k, observations=obs, M=M, eps=eps)
 
 
 def test_hypothesis_set_validation():
@@ -48,8 +53,8 @@ def test_likelihood_symmetric_single_locus():
 
 def test_likelihood_sums_to_one():
     h = hset((1, -1, 1), (-1, -1, -1), (1, 1, 1))
-    total = sum(observation_likelihood(int_to_seq(v, 3), h, 0.2)
-                for v in range(8))
+    total = sum(observation_likelihood(phi, h, 0.2)
+                for phi in unpack_rows(range(8), 3))
     assert total == pytest.approx(1.0)
 
 
@@ -62,13 +67,21 @@ def test_ml_recovers_truth_noiseless():
 
 def test_ml_errors():
     block = DenoiseBlock(kappa=2, observations=np.empty((0, 2), np.int8),
-                         window=(0, 1), M=2, eps=0.1)
+                         M=2, eps=0.1)
     with pytest.raises(ValidationError):
         ml_denoise(block)
     big = DenoiseBlock(kappa=14, observations=np.ones((1, 14), np.int8),
-                       window=(0, 1), M=6, eps=0.1)
+                       M=6, eps=0.1)
     with pytest.raises(CapacityError):
         ml_denoise(big)
+
+
+def test_ml_rejects_more_individuals_than_sequences():
+    """One SNP carries two possible sequences, so no 3-subset exists."""
+    block = DenoiseBlock(kappa=1, observations=np.array([[1], [-1]], np.int8),
+                         M=3, eps=0.1)
+    with pytest.raises(ValidationError, match="fewer than M=3"):
+        ml_denoise(block)
 
 
 def test_ml_uninformative_channel_matches_baseline():
@@ -117,7 +130,7 @@ def test_ml_argmax_matches_rational_oracle():
         got = ml_denoise(block)
         got_val = _exact_log_likelihood(block, got)
         for cand in combinations(range(1 << kappa), M):
-            h = HypothesisSet(tuple(int_to_seq(v, kappa) for v in cand))
+            h = HypothesisSet.from_matrix(unpack_rows(cand, kappa))
             assert _exact_log_likelihood(block, h) <= got_val
 
 
@@ -128,20 +141,19 @@ def test_ml_permutation_equivariance():
     out = ml_denoise(block)
     perm = [2, 0, 3, 1]
     block2 = DenoiseBlock(kappa=4, observations=block.observations[:, perm],
-                          window=(0, 1), M=2, eps=0.2)
+                          M=2, eps=0.2)
     out2 = ml_denoise(block2)
     expect = sorted(tuple(s[j] for j in perm) for s in out.sequences)
     assert list(out2.sequences) == expect
     # row order is irrelevant
     block3 = DenoiseBlock(kappa=4, observations=block.observations[::-1],
-                          window=(0, 1), M=2, eps=0.2)
+                          M=2, eps=0.2)
     assert ml_denoise(block3).sequences == out.sequences
 
 
 def test_correlation_graph_edges():
     rows = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [-1, -1, -1, -1]], np.int8)
-    block = DenoiseBlock(kappa=4, observations=rows, window=(0, 1), M=2,
-                         eps=0.0)
+    block = DenoiseBlock(kappa=4, observations=rows, M=2, eps=0.0)
     g = build_correlation_graph(block)
     assert g.C[0, 1] == pytest.approx(1.0)
     assert g.A[0, 1] == 1
@@ -225,7 +237,7 @@ def test_spectral_deterministic():
 
 def test_spectral_needs_enough_observations():
     block = DenoiseBlock(kappa=4, observations=np.ones((1, 4), np.int8),
-                         window=(0, 1), M=2, eps=0.1)
+                         M=2, eps=0.1)
     with pytest.raises(ValidationError):
         spectral_denoise(block)
 
@@ -249,8 +261,7 @@ def test_spectral_recovery_transition_at_scale():
             obs = truth[gen.integers(0, 2, size=200)]
             obs = np.where(gen.random(obs.shape) < eps, -obs,
                            obs).astype(np.int8)
-            block = DenoiseBlock(kappa=100, observations=obs,
-                                 window=(0.0, 1.0), M=2, eps=eps)
+            block = DenoiseBlock(kappa=100, observations=obs, M=2, eps=eps)
             res = spectral_denoise(block, mode="average_case", eta=0.82,
                                    stream=root.child(b, "sp"))
             hits += {r.tobytes() for r in res.sequences} == \

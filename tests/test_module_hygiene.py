@@ -43,3 +43,16 @@ def test_all_entries_resolve(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names missing objects: {missing}"
+
+
+def test_package_exports_are_module_exports():
+    """Every name `__init__` re-exports is in its module's `__all__`, so a
+    deleted or renamed public name cannot linger in either list."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"poolseq_limits.{node.module}")
+            stray += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in mod.__all__]
+    assert not stray, f"__init__ imports names missing from __all__: {stray}"

@@ -229,7 +229,7 @@ def test_assembly_exact_vs_asymptotic_agreement_in_regime():
 def test_assembly_sandwich_against_simulation():
     """Monte Carlo failure rate sits inside the exact bounds at a point
     where both coverage and bridging failures occur."""
-    from poolseq_limits.assemble import check_conditions
+    from poolseq_limits.assemble import check_bridging, check_coverage
     from poolseq_limits.simulate import generate_population, generate_reads
     from poolseq_limits.core import FixedBiallelic
 
@@ -242,7 +242,7 @@ def test_assembly_sandwich_against_simulation():
         st = root.child(t)
         pop = generate_population(cfg, st.child("pop"))
         rs = generate_reads(pop, cfg, st.child("reads"))
-        fails += not check_conditions(pop, rs).ok
+        fails += not (check_coverage(pop, rs).ok and check_bridging(pop, rs).ok)
     emp = fails / trials
     rep = assembly_bounds(cfg)
     sigma = (max(emp * (1 - emp), 1e-6) / trials) ** 0.5

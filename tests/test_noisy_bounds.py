@@ -211,7 +211,6 @@ def test_spectral_quantities_examples():
     q = spectral_quantities(100, ETA, 0.0, mode="average_case")
     assert q.p_e == pytest.approx(math.exp(-3.24), rel=1e-12)
     assert q.zeta > 0.0
-    assert q.b_upper <= q.p_e
     vac = spectral_quantities(100, ETA, 0.5, mode="average_case")
     assert vac.p_e == 1.0 and vac.zeta == 0.0
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,8 +6,7 @@ from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
                                  RandomStream, UnsupportedModelError,
                                  ValidationError)
 from poolseq_limits.simulate import (apply_noise, discriminating_positions,
-                                     dump_readset, generate_population,
-                                     generate_reads)
+                                     generate_population, generate_reads)
 
 LAW = FixedBiallelic(0.1)
 
@@ -72,8 +69,9 @@ def test_read_covers_exactly_window_snps():
         lo, hi = rs.cover_lo[r], rs.cover_hi[r]
         inside = (pos >= rs.starts[r]) & (pos < rs.starts[r] + cfg.L)
         np.testing.assert_array_equal(np.nonzero(inside)[0], np.arange(lo, hi))
+        off, vals = rs.observations()
         np.testing.assert_array_equal(
-            rs.read_alleles(r), pop.alleles[rs.hidden[r], lo:hi])
+            vals[off[r]:off[r + 1]], pop.alleles[rs.hidden[r], lo:hi])
 
 
 def test_noise_zero_is_identity():
@@ -81,7 +79,6 @@ def test_noise_zero_is_identity():
     pop = generate_population(cfg, RandomStream(8))
     rs = generate_reads(pop, cfg, RandomStream(9))
     noisy = apply_noise(rs, 0.0, RandomStream(10))
-    assert noisy.noisy
     np.testing.assert_array_equal(noisy.observations()[1], rs.observations()[1])
 
 
@@ -154,13 +151,3 @@ def test_noise_commutes_with_read_subsetting():
     sig = (0.3 * 0.7) ** 0.5 * (1 / off[half] + 1 / (flips.size - off[half])) ** 0.5
     assert abs(a - b) < 4 * sig
 
-
-def test_dump_readset_format():
-    cfg = _config(G=2000, p=5e-3, lam=5e-3, L=500.0)
-    pop = generate_population(cfg, RandomStream(25))
-    rs = generate_reads(pop, cfg, RandomStream(26))
-    buf = io.StringIO()
-    dump_readset(rs, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == rs.n_reads
-    assert all(line.startswith("READ ") for line in lines)
