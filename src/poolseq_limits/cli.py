@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 malformed configuration, 3 capacity refusal,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -32,8 +34,8 @@ from .noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
 from .noisy_bounds import (SegmentationPlan, den_ml_upper, exponent_closed,
                            exponent_table, noisy_upper_ml,
                            noisy_upper_spectral)
-from .pipeline import (estimate_trial_bytes, run_noiseless_trial,
-                       run_noisy_trial)
+from .pipeline import (TrialResult, estimate_trial_bytes,
+                       run_noiseless_trial, run_noisy_trial)
 
 SCHEMA_TAG = "#poolseq-limits v1"
 
@@ -46,22 +48,29 @@ _FLOAT_KEYS = {"p", "L", "lambda", "eta", "maf", "eps", "D", "d", "c_const"}
 _STR_KEYS = {"nu_min_mode"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-# per-trial failure flags, in CSV column order
-_TRIAL_FLAGS = ("coverage_fail", "bridging_fail", "greedy_fail", "disc_fail",
-                "denoise_fail", "stitch_fail")
+# per-trial failure flags; their field order is the CSV column order
+_TRIAL_FLAGS = tuple(f.name for f in dataclasses.fields(TrialResult)
+                     if f.name != "success")
 
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_value(key: str, raw: str, where: str):
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """Split a KEY=VALUE item, check the key and parse the value; `where`
+    prefixes every error message."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected KEY=VALUE")
+    key, raw = (t.strip() for t in item.split("=", 1))
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     try:
         if key in _INT_KEYS:
-            return int(raw)
+            return key, int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+            return key, float(raw)
+        return key, raw
     except ValueError:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}")
 
@@ -74,28 +83,16 @@ def load_config_file(path: str) -> dict:
     except OSError as e:
         raise ConfigError(f"{path}: {e}")
     for ln, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{ln}: expected KEY=VALUE, got {line.strip()!r}")
-        key, raw = (t.strip() for t in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-        params[key] = _parse_value(key, raw, f"{path}:{ln}")
+        item = line.split("#", 1)[0].strip()
+        if item:
+            key, value = _parse_item(item, f"{path}:{ln}")
+            params[key] = value
     return params
 
 
 def apply_overrides(params: dict, overrides: tuple[str, ...]) -> dict:
-    out = dict(params)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected KEY=VALUE")
-        key, raw = (t.strip() for t in item.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"override {item!r}: unknown key {key!r}")
-        out[key] = _parse_value(key, raw, f"override {item!r}")
-    return out
+    return {**params, **dict(_parse_item(item, f"override {item!r}")
+                             for item in overrides)}
 
 
 def build_model(params: dict, need_L: bool = True) -> ModelConfig:
@@ -142,18 +139,6 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
             vals = np.unique(np.round(vals).astype(int))
         axes.append((name, vals))
     return axes
-
-
-def _grid(axes: list[tuple[str, np.ndarray]]):
-    if not axes:
-        yield {}
-        return
-    name, vals = axes[0]
-    for v in vals:
-        for rest in _grid(axes[1:]):
-            out = {name: v.item() if hasattr(v, "item") else v}
-            out.update(rest)
-            yield out
 
 
 def _open_out(path: str):
@@ -289,10 +274,10 @@ def bounds(config_path, overrides, sweeps, out):
     """Evaluate analytic bounds at one point or over a sweep grid."""
     base = _load_params(config_path, overrides)
     axes = parse_sweeps(sweeps)
+    names = [name for name, _ in axes]
     rows = []
-    for point in _grid(axes):
-        params = dict(base)
-        params.update(point)
+    for point in itertools.product(*(vals.tolist() for _, vals in axes)):
+        params = {**base, **dict(zip(names, point))}
         config = build_model(params)
         row = _echo_params(params)
         for evaluate, applies in _FAMILIES.values():
@@ -326,7 +311,8 @@ def _simulate_one(args) -> dict:
 @common_options
 @click.option("--trials", type=int, default=None, help="Trial count.")
 @click.option("--seed", type=int, default=None, help="Root seed.")
-@click.option("--workers", type=int, default=1, help="Worker processes.")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              help="Worker processes.")
 @click.option("--denoiser", type=click.Choice(["ml", "spectral"]), default="ml")
 @click.option("--mem-cap-mb", type=int, default=1024,
               help="Refuse trials whose estimated footprint exceeds this.")

@@ -79,12 +79,9 @@ class ExponentTable:
 class SpectralBoundParams:
     """Quantities feeding the spectral denoising bound."""
 
-    kappa: int
-    eps: float
     nu_min: float
     p_e: float        # pairwise edge-misclassification bound
     zeta: float       # community-recovery exponent; 0 means vacuous
-    c_const: float
 
 
 def disc_upper(M: int, p: float, eta: float, D: float, d: float) -> float:
@@ -122,7 +119,8 @@ def exponent_numeric(psi_t: HypothesisSet, psi: HypothesisSet,
 
     Computes -log of the Bhattacharyya coefficient between the observation
     mixtures the two sets induce over all 2^kappa sequences. Zero iff the
-    mixtures coincide (identical sets, or eps = 0.5).
+    mixtures coincide (identical sets, or eps = 0.5); inf when they are
+    disjoint (possible at eps = 0).
     """
     if psi_t.kappa != psi.kappa or psi_t.M != psi.M:
         raise ValidationError("hypothesis sets must share kappa and M")
@@ -131,7 +129,7 @@ def exponent_numeric(psi_t: HypothesisSet, psi: HypothesisSet,
     p = mixture_distribution(psi_t, eps)
     q = mixture_distribution(psi, eps)
     bc = float(np.sqrt(p * q).sum())
-    return max(0.0, -math.log(min(bc, 1.0)))
+    return max(0.0, -math.log(min(bc, 1.0))) if bc > 0.0 else math.inf
 
 
 def exponent_closed(M: int, eps: float) -> float:
@@ -352,13 +350,12 @@ def spectral_quantities(kappa: int, eta: float | None, eps: float,
         raise ValidationError("kappa must be >= 0")
     nu = nu_min_for_mode(mode, kappa, eta)
     if kappa == 0 or nu <= 0.0:
-        return SpectralBoundParams(kappa, eps, nu, 1.0, 0.0, c_const)
+        return SpectralBoundParams(nu, 1.0, 0.0)
     p_e = exp(-(nu * nu / kappa) * (1.0 - 2.0 * eps) ** 4)
     zeta = 0.0
     if p_e < 0.5:
         zeta = (1.0 - 2.0 * p_e) ** 2 / (c_const * c_const * (1.0 - p_e))
-    return SpectralBoundParams(kappa=kappa, eps=eps, nu_min=nu, p_e=p_e,
-                               zeta=zeta, c_const=c_const)
+    return SpectralBoundParams(nu_min=nu, p_e=p_e, zeta=zeta)
 
 
 def spectral_noise_ceiling(kappa: int, nu_min: float) -> float:

@@ -3,13 +3,22 @@
 A noiseless trial generates a population and read set, evaluates the
 coverage and bridging conditions against ground truth, runs the greedy
 assembler, and scores the result. A noisy trial additionally flips
-alleles, denoises overlapping segments of length D at step d, stitches
-consecutive segments by matching their consensus sets on the overlap, and
-compares the stitched genomes to the truth.
+alleles, cuts the genome into overlapping segments of length D at step d,
+denoises each segment, stitches each segment onto the previous one by
+matching their decoded rows on the overlap, and compares the stitched
+genomes to the truth. Its flags mean:
+
+- disc_fail: on some overlap the true genomes do not tell all M
+  individuals apart;
+- denoise_fail: some segment is decoded wrongly or cannot be decoded
+  (every segment is decoded);
+- stitch_fail: stitching reached an overlap whose decoded rows do not
+  match one-to-one, and stitching stops there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +63,19 @@ def run_noiseless_trial(config: ModelConfig, stream: RandomStream) -> TrialResul
                        greedy_fail=not ok, success=ok)
 
 
-def _match_rows(prev_rows: np.ndarray, rows: np.ndarray,
-                overlap_prev: slice, overlap_cur: slice) -> list[int] | None:
-    """Match segment rows to the previous segment's rows on their shared
-    SNP columns; None when any row has no match or a match is ambiguous."""
-    M = rows.shape[0]
-    a = prev_rows[:, overlap_prev]
-    b = rows[:, overlap_cur]
-    mapping: list[int] = []
-    taken = set()
-    for i in range(M):
-        hits = [j for j in range(M) if np.array_equal(b[i], a[j])]
-        if len(hits) != 1 or hits[0] in taken:
-            return None
-        taken.add(hits[0])
-        mapping.append(hits[0])
+def _rows(matrix: np.ndarray) -> list[bytes]:
+    return [row.tobytes() for row in matrix]
+
+
+def _match_rows(prev: np.ndarray, cur: np.ndarray) -> list[int] | None:
+    """Index among the previous segment's rows of each current row, both
+    restricted to their shared SNP columns; None unless the previous rows
+    are distinct and the current rows are a permutation of them."""
+    index = {row: j for j, row in enumerate(_rows(prev))}
+    mapping = [index.get(row) for row in _rows(cur)]
+    if len(index) < len(prev) or None in mapping \
+            or len(set(mapping)) < len(mapping):
+        return None
     return mapping
 
 
@@ -77,90 +84,53 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
                     nu_min_mode: str = "average_case") -> TrialResult:
     """Segment, denoise, stitch, and compare against the true genomes.
 
-    The disc/denoise flags report whether the sufficient conditions held;
-    the decode and stitch always run, and success is judged on the final
-    stitched genomes (an ambiguous overlap match is a stitch failure).
+    Every segment is decoded and checked; stitching stops at the first
+    segment that cannot be decoded or matched, and success is judged on
+    the stitched genomes.
     """
     pop = generate_population(config, stream.child("pop"))
     rs = generate_reads(pop, config, stream.child("reads"))
     noisy = apply_noise(rs, config.eps, stream.child("noise"))
     res = TrialResult(disc_fail=False, denoise_fail=False, stitch_fail=False)
-    pos = pop.snp_positions
-    D, d = plan.D, plan.d
-    segments = []
-    k = 0
-    while k * d < config.G:
-        lo = k * d
-        segments.append((lo, min(lo + D, float(config.G))))
-        k += 1
-    seg_out: list[np.ndarray | None] = []
-    seg_cols: list[tuple[int, int]] = []
-    for k, (lo, hi) in enumerate(segments):
-        c_lo = int(np.searchsorted(pos, lo, side="left"))
-        c_hi = int(np.searchsorted(pos, hi, side="left"))
-        seg_cols.append((c_lo, c_hi))
-        truth = pop.alleles[:, c_lo:c_hi]
-        if c_hi == c_lo:
-            seg_out.append(np.empty((config.M, 0), dtype=np.int8))
-            continue
-        block = extract_block(noisy, (lo, hi), config.eps)
-        decoded = None
-        if denoiser == "ml":
-            try:
-                decoded = ml_denoise(block).matrix
-            except ValidationError:  # empty block, or 2^kappa < M sequences
-                pass
-        elif block.n >= config.M:
-            decoded = spectral_denoise(block, mode=nu_min_mode,
-                                       eta=config.eta,
+    M = config.M
+    # segment k spans [k d, min(k d + D, G)) for every k with k d < G
+    lo = np.arange(math.ceil(config.G / plan.d) + 1) * plan.d
+    lo = lo[lo < config.G]
+    hi = np.minimum(lo + plan.D, float(config.G))
+    c_lo = np.searchsorted(pop.snp_positions, lo).tolist()
+    c_hi = np.searchsorted(pop.snp_positions, hi).tolist()
+    genomes = np.full((M, pop.S), -127, dtype=np.int8)
+    stitching = True
+    for k, window in enumerate(zip(lo.tolist(), hi.tolist())):
+        a, b = c_lo[k], c_hi[k]
+        shared = c_hi[k - 1] if k else a  # overlap columns are [a, shared)
+        truth = out = pop.alleles[:, a:b]  # nothing to decode without SNPs
+        if b > a:
+            block = extract_block(noisy, window, config.eps)
+            out = None
+            if denoiser == "ml":
+                try:
+                    out = ml_denoise(block).matrix
+                except ValidationError:  # empty block, or 2^kappa < M sequences
+                    pass
+            elif block.n >= M:
+                out = spectral_denoise(block, mode=nu_min_mode, eta=config.eta,
                                        stream=stream.child("spectral", k)
                                        ).sequences
-        if decoded is None:
+        if out is None or set(_rows(out)) != set(_rows(truth)):
             res.denoise_fail = True
-            seg_out.append(None)
-            continue
-        seg_out.append(decoded)
-        if {r.tobytes() for r in truth} != {r.tobytes() for r in decoded}:
-            res.denoise_fail = True
-    # discrimination condition: consecutive overlaps must distinguish all
-    # individuals in the true genomes
-    for k in range(len(segments) - 1):
-        lo_next = segments[k + 1][0]
-        c_lo, c_hi = seg_cols[k]
-        o_lo = int(np.searchsorted(pos, lo_next, side="left"))
-        overlap = pop.alleles[:, o_lo:c_hi]
-        if len({r.tobytes() for r in overlap}) < config.M:
+        if k and len(set(_rows(pop.alleles[:, a:shared]))) < M:
             res.disc_fail = True
-            break
-    # stitch consecutive segments into global genomes
-    genomes = np.full((config.M, pop.S), -127, dtype=np.int8)
-    ok = True
-    for k, (lo, hi) in enumerate(segments):
-        c_lo, c_hi = seg_cols[k]
-        out = seg_out[k]
-        if out is None:
-            ok = False
-            break
-        if k > 0 and out.shape[1] > 0 and seg_out[k - 1] is not None:
-            p_lo, p_hi = seg_cols[k - 1]
-            shared_lo = max(c_lo, p_lo)
-            if p_hi > shared_lo:
-                mapping = _match_rows(
-                    seg_out[k - 1],
-                    out,
-                    slice(shared_lo - p_lo, p_hi - p_lo),
-                    slice(shared_lo - c_lo, p_hi - c_lo))
-                if mapping is None:
-                    res.stitch_fail = True
-                    ok = False
-                    break
-                # express this segment's rows in the previous order
-                out = out[np.argsort(mapping)]
-                seg_out[k] = out
-        genomes[:, c_lo:c_hi] = out
-    if ok:
-        truth_sorted = sorted(pop.alleles[m].tobytes() for m in range(config.M))
-        got_sorted = sorted(genomes[m].tobytes() for m in range(config.M))
-        ok = truth_sorted == got_sorted and bool((genomes != -127).all())
-    res.success = bool(ok)
+        if stitching and out is not None and shared > a:
+            # the previous segment wrote the overlap columns last; put this
+            # segment's rows in its order
+            mapping = _match_rows(genomes[:, a:shared], out[:, :shared - a])
+            res.stitch_fail = mapping is None
+            out = None if mapping is None else out[np.argsort(mapping)]
+        stitching = stitching and out is not None
+        if stitching:
+            genomes[:, a:b] = out
+    # unstitched columns keep -127, which no true row holds
+    res.success = stitching and \
+        sorted(_rows(genomes)) == sorted(_rows(pop.alleles))
     return res

@@ -278,6 +278,8 @@ _BRIDGE = ["exact-bridging", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
     [*_BRIDGE, "--seed", "-1"],
     ["critical-l", *BASE, "--target", "0.001", "--bound", "assembly-upper",
      "--l-min", "100", "--l-max", "10"],
+    [*_SIM, "--workers", "0"],
+    [*_SIM, "--workers", "-3"],
 ])
 def test_out_of_range_inputs_exit_config(args):
     """Out-of-range inputs give exit 2, not a traceback or a silent result."""

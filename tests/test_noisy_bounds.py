@@ -58,6 +58,15 @@ def test_exponent_numeric_identity_and_uninformative():
     assert exponent_numeric(t, a, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_exponent_numeric_disjoint_mixtures_is_inf():
+    """At eps = 0 two sets sharing no sequence induce disjoint mixtures:
+    the exponent is inf, as in `exponent_table`, not a log-domain error."""
+    t = HypothesisSet(((1, 1), (1, -1)))
+    a = HypothesisSet(((-1, -1), (-1, 1)))
+    assert exponent_numeric(t, a, 0.0) == math.inf
+    assert math.inf in exponent_table(2, 2, 0.0).values
+
+
 def test_exponent_numeric_adjacent_pair_value():
     t, a = canonical_adjacent_pair(2, 2)
     assert exponent_numeric(t, a, 0.1) == pytest.approx(-math.log(0.8),
