@@ -14,10 +14,9 @@ from .noiseless_bounds import (BoundReport, assembly_bounds, bridging_bounds,
                                lambda_lower, p_m)
 from .denoise import (DenoiseBlock, HypothesisSet, build_correlation_graph,
                       majority_vote, ml_denoise, spectral_denoise)
-from .noisy_bounds import (ExponentTable, SegmentationPlan,
-                           SpectralBoundParams, disc_upper, exponent_closed,
-                           exponent_numeric, exponent_table, den_ml_upper,
-                           noisy_upper_ml, noisy_upper_spectral,
+from .noisy_bounds import (SegmentationPlan, SpectralBoundParams, disc_upper,
+                           exponent_closed, exponent_numeric, exponent_table,
+                           den_ml_upper, noisy_upper_ml, noisy_upper_spectral,
                            spectral_noise_ceiling, spectral_quantities)
 from .exact_bridging import BridgingEstimate, estimate_bridging
 

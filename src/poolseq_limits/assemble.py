@@ -22,8 +22,7 @@ from .simulate import Population, ReadSet, discriminating_positions
 
 __all__ = [
     "UNSET",
-    "CoverageReport",
-    "BridgingReport",
+    "CheckReport",
     "Contig",
     "check_coverage",
     "check_bridging",
@@ -38,15 +37,9 @@ UNSET = np.int8(-128)
 
 
 @dataclass
-class CoverageReport:
+class CheckReport:
     ok: bool
-    violations: list[tuple[int, int]]  # (individual, snp index)
-
-
-@dataclass
-class BridgingReport:
-    ok: bool
-    violations: list[tuple[int, int, float, float]]  # (i, j, region start, end)
+    violations: int  # uncovered (individual, SNP) pairs or unbridged regions
 
 
 @dataclass
@@ -62,25 +55,24 @@ class Contig:
     consensus: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
 
 
-def check_coverage(pop: Population, rs: ReadSet) -> CoverageReport:
-    """Flag every (individual, snp) pair not covered by that individual's reads."""
+def check_coverage(pop: Population, rs: ReadSet) -> CheckReport:
+    """Count the (individual, snp) pairs not covered by that individual's reads."""
     L = rs.config.L
     positions = pop.snp_positions
-    violations: list[tuple[int, int]] = []
+    violations = 0
     for m in range(pop.M):
         starts_m = rs.starts[rs.hidden == m]
         if starts_m.size == 0:
-            violations.extend((m, s) for s in range(pop.S))
+            violations += pop.S
             continue
         idx = np.searchsorted(starts_m, positions, side="right")
         prev = np.where(idx > 0, starts_m[np.maximum(idx - 1, 0)], -np.inf)
-        uncovered = np.nonzero(~(prev > positions - L))[0]
-        violations.extend((m, int(s)) for s in uncovered)
-    return CoverageReport(ok=not violations, violations=violations)
+        violations += int(np.count_nonzero(~(prev > positions - L)))
+    return CheckReport(ok=violations == 0, violations=violations)
 
 
-def check_bridging(pop: Population, rs: ReadSet) -> BridgingReport:
-    """Check every identical region between every pair for a bridging read.
+def check_bridging(pop: Population, rs: ReadSet) -> CheckReport:
+    """Count the identical regions between every pair with no bridging read.
 
     A region between consecutive discriminating SNPs at positions (a, b) is
     bridged by a read from either individual with start <= a and
@@ -88,7 +80,7 @@ def check_bridging(pop: Population, rs: ReadSet) -> BridgingReport:
     SNP are not obligations.
     """
     L = rs.config.L
-    violations: list[tuple[int, int, float, float]] = []
+    violations = 0
     for i, j in combinations(range(pop.M), 2):
         dpos = discriminating_positions(pop, i, j)
         if dpos.size < 2:
@@ -99,10 +91,8 @@ def check_bridging(pop: Population, rs: ReadSet) -> BridgingReport:
         b = dpos[1:]
         hi = np.searchsorted(starts_ij, a, side="right")
         lo = np.searchsorted(starts_ij, b - L, side="left")
-        bad = np.nonzero(hi <= lo)[0]
-        violations.extend(
-            (i, j, float(a[k]), float(b[k])) for k in bad)
-    return BridgingReport(ok=not violations, violations=violations)
+        violations += int(np.count_nonzero(hi <= lo))
+    return CheckReport(ok=violations == 0, violations=violations)
 
 
 def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
@@ -178,17 +168,24 @@ def _most_agreeing(consensus: list[bytearray], frontier: list[int], lo: int,
     return [m for m, a in enumerate(agree) if a == best]
 
 
-def _match_contigs(rows: list[np.ndarray], truth: np.ndarray) -> bool:
-    """Backtracking perfect matching: contig rows vs truth rows, where a
-    contig is compatible with a truth row when all its determined SNPs agree."""
-    M = truth.shape[0]
-    compat = [[bool(((r == truth[m]) | (r == UNSET)).all()) for m in range(M)]
-              for r in rows]
+def score_assembly(contigs: list[Contig], pop: Population) -> bool:
+    """Decide whether the contigs match the true allele rows one-to-one.
+
+    Backtracking perfect matching, where a contig is compatible with a true
+    row when all its determined SNPs agree. Undetermined SNPs are not
+    failures here: a trial also needs per-individual coverage to succeed.
+    """
+    M = pop.M
+    if len(contigs) != M:
+        return False
+    truth = pop.alleles
+    compat = [[bool(((c.consensus == truth[m]) | (c.consensus == UNSET)).all())
+               for m in range(M)] for c in contigs]
 
     used = [False] * M
 
     def assign(i: int) -> bool:
-        if i == len(rows):
+        if i == M:
             return True
         for m in range(M):
             if not used[m] and compat[i][m]:
@@ -199,27 +196,6 @@ def _match_contigs(rows: list[np.ndarray], truth: np.ndarray) -> bool:
         return False
 
     return assign(0)
-
-
-def score_assembly(contigs: list[Contig], pop: Population,
-                   readset: ReadSet | None = None) -> bool:
-    """Decide whether the contigs reconstruct all genomes exactly.
-
-    Success needs a bijection from contigs to true allele rows agreeing on
-    every SNP the contig determines, plus full information: when a read set
-    is supplied, per-individual SNP coverage must hold; otherwise every
-    contig must determine every SNP.
-    """
-    if len(contigs) != pop.M:
-        return False
-    rows = [c.consensus for c in contigs]
-    if readset is not None:
-        if not check_coverage(pop, readset).ok:
-            return False
-    else:
-        if any((r == UNSET).any() for r in rows):
-            return False
-    return _match_contigs(rows, pop.alleles)
 
 
 def enumerate_assemblies(pop: Population, rs: ReadSet,

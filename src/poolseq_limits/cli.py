@@ -95,19 +95,17 @@ def apply_overrides(params: dict, overrides: tuple[str, ...]) -> dict:
                              for item in overrides)}
 
 
-def build_model(params: dict, need_L: bool = True) -> ModelConfig:
-    for key in ("G", "M", "p", "lambda"):
+def build_model(params: dict) -> ModelConfig:
+    for key in ("G", "M", "p", "lambda", "L"):
         if key not in params:
             raise ConfigError(f"missing required key {key!r}")
-    if need_L and "L" not in params:
-        raise ConfigError("missing required key 'L'")
     if ("eta" in params) == ("maf" in params):
         raise ConfigError("exactly one of 'eta' or 'maf' must be given")
     law = FixedEta(params["eta"]) if "eta" in params \
         else FixedBiallelic(params["maf"])
     try:
         return ModelConfig(G=params["G"], M=params["M"], p=params["p"],
-                           L=params.get("L", 1.0), lam=params["lambda"],
+                           L=params["L"], lam=params["lambda"],
                            law=law, eps=params.get("eps", 0.0))
     except ValidationError as e:
         raise ConfigError(str(e))
@@ -129,7 +127,12 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
             raise ConfigError(f"sweep {spec!r}: unknown parameter {name!r}")
         if count < 1:
             raise ConfigError(f"sweep {spec!r}: count must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"sweep {spec!r}: MIN and MAX must be finite")
         if scale == "log":
+            if lo <= 0.0 or hi <= 0.0:
+                raise ConfigError(
+                    f"sweep {spec!r}: a log axis needs MIN and MAX > 0")
             vals = np.geomspace(lo, hi, count)
         elif scale == "linear":
             vals = np.linspace(lo, hi, count)
@@ -314,7 +317,7 @@ def _simulate_one(args) -> dict:
 @click.option("--workers", type=click.IntRange(min=1), default=1,
               help="Worker processes.")
 @click.option("--denoiser", type=click.Choice(["ml", "spectral"]), default="ml")
-@click.option("--mem-cap-mb", type=int, default=1024,
+@click.option("--mem-cap-mb", type=click.IntRange(min=1), default=1024,
               help="Refuse trials whose estimated footprint exceeds this.")
 @click.option("--out", default="-", help="Per-trial CSV path or - for stdout.")
 @click.option("--json", "as_json", is_flag=True, help="JSON summary on stdout.")
@@ -378,6 +381,8 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     # ignored here
     params = {k: v for k, v in _load_params(config_path, overrides).items()
               if k not in ("D", "d")}
+    if math.isnan(target):
+        raise ConfigError("--target must be a number, got nan")
     if l_min > l_max:
         raise ConfigError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
     family, column = _BOUNDS[bound]
@@ -425,7 +430,7 @@ def exponent(m_individuals, kappa, eps_list, out):
     for eps in eps_values:
         tbl = exponent_table(m_individuals, kappa, eps)
         closed = exponent_closed(m_individuals, eps)
-        for i, d_i in enumerate(tbl.values, start=1):
+        for i, d_i in enumerate(tbl, start=1):
             rows.append({"M": m_individuals, "kappa": kappa, "eps": eps,
                          "i": i, "exponent": d_i, "d1_closed": closed})
     write_csv(out, ["M", "kappa", "eps", "i", "exponent", "d1_closed"], rows)
@@ -448,6 +453,8 @@ def exponent(m_individuals, kappa, eps_list, out):
 def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                   out):
     """Benchmark block denoisers against planted truths."""
+    if not math.isfinite(coverage):
+        raise ConfigError(f"--coverage must be finite, got {coverage}")
     stream = RandomStream(seed)
     minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []
@@ -470,7 +477,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             block = DenoiseBlock(kappa=kappa, observations=obs,
                                  M=m_individuals, eps=eps)
             if name == "ml":
-                decoded = ml_denoise(block).matrix
+                decoded = ml_denoise(block)
             else:
                 decoded = spectral_denoise(block, mode="average_case",
                                            eta=eta,

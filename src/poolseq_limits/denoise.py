@@ -25,10 +25,8 @@ from .core import CapacityError, RandomStream, ValidationError
 __all__ = [
     "HypothesisSet",
     "DenoiseBlock",
-    "CorrelationGraph",
     "SpectralResult",
     "ml_denoise",
-    "default_threshold",
     "nu_min_for_mode",
     "build_correlation_graph",
     "spectral_denoise",
@@ -37,6 +35,9 @@ __all__ = [
 ]
 
 ML_CANDIDATE_CAP = 10_000_000
+# spectral clustering: Lloyd iterations per run, random reseeds per block
+LLOYD_MAX_ITER = 50
+RESEED_ATTEMPTS = 5
 
 WORST_CASE = "worst_case"
 AVERAGE_CASE = "average_case"
@@ -60,10 +61,6 @@ class HypothesisSet:
         if len(set(self.sequences)) != len(self.sequences):
             raise ValidationError("hypothesis sequences must be distinct")
         object.__setattr__(self, "sequences", tuple(sorted(self.sequences)))
-
-    @classmethod
-    def from_matrix(cls, arr) -> "HypothesisSet":
-        return cls(tuple(tuple(int(a) for a in row) for row in np.asarray(arr)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -101,13 +98,6 @@ class DenoiseBlock:
 
 
 @dataclass
-class CorrelationGraph:
-    C: np.ndarray
-    A: np.ndarray
-    tau_c: float
-
-
-@dataclass
 class SpectralResult:
     sequences: np.ndarray      # (M, kappa) int8 consensus rows
     labels: np.ndarray         # (n,) cluster assignment
@@ -131,13 +121,15 @@ def mixture_distribution(hset: HypothesisSet, eps: float) -> np.ndarray:
     return ((1.0 - eps) ** kappa / hset.M) * mix
 
 
-def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
+def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     """Exact maximum-likelihood decoding over all M-subsets of sequences.
 
-    Ties are broken by lexicographic order of the candidate set, so the
-    result is deterministic. Raises CapacityError when the candidate count
-    C(2^kappa, M) exceeds the enumeration cap and ValidationError for an
-    empty block or one with fewer than M possible sequences (M > 2^kappa).
+    Returns the decoded (M, kappa) int8 rows in lexicographic order (-1
+    before +1). Ties are broken by lexicographic order of the candidate
+    set, so the result is deterministic. Raises CapacityError when the
+    candidate count C(2^kappa, M) exceeds the enumeration cap and
+    ValidationError for an empty block or one with fewer than M possible
+    sequences (M > 2^kappa).
     """
     if block.n == 0:
         raise ValidationError("cannot denoise a block with no observations")
@@ -160,7 +152,7 @@ def ml_denoise(block: DenoiseBlock) -> HypothesisSet:
             ll = float(counts @ np.log(mix))
             if best is None or ll > best_ll:
                 best_ll, best = ll, cand
-    return HypothesisSet.from_matrix(unpack_rows(best, kappa))
+    return unpack_rows(best, kappa)
 
 
 def nu_min_for_mode(mode: str, kappa: int, eta: float | None) -> float:
@@ -174,26 +166,19 @@ def nu_min_for_mode(mode: str, kappa: int, eta: float | None) -> float:
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def default_threshold(kappa: int, eps: float, nu_min: float) -> float:
-    """Edge threshold (1-2 eps)^2 (1 - nu_min / kappa) separating the expected
-    same-individual correlation from the closest cross-individual one."""
-    return (1.0 - 2.0 * eps) ** 2 * (1.0 - nu_min / kappa)
-
-
-def build_correlation_graph(block: DenoiseBlock, tau_c: float | None = None,
-                            mode: str = WORST_CASE,
-                            eta: float | None = None) -> CorrelationGraph:
-    """Sample cross-correlation C = X X^T / kappa thresholded into an
-    adjacency matrix A[i, j] = 1 iff C[i, j] >= tau_c."""
+def build_correlation_graph(block: DenoiseBlock, mode: str = WORST_CASE,
+                            eta: float | None = None) -> np.ndarray:
+    """Adjacency matrix A[i, j] = 1 iff the sample cross-correlation
+    C = X X^T / kappa has C[i, j] >= (1-2 eps)^2 (1 - nu_min / kappa), the
+    threshold separating the expected same-individual correlation from the
+    closest cross-individual one."""
     if block.n < 1:
         raise ValidationError("correlation graph needs at least one observation")
-    if tau_c is None:
-        tau_c = default_threshold(block.kappa, block.eps,
-                                  nu_min_for_mode(mode, block.kappa, eta))
+    nu_min = nu_min_for_mode(mode, block.kappa, eta)
+    tau_c = (1.0 - 2.0 * block.eps) ** 2 * (1.0 - nu_min / block.kappa)
     X = block.observations.astype(np.float64)
     C = X @ X.T / block.kappa
-    A = (C >= tau_c).astype(np.int8)
-    return CorrelationGraph(C=C, A=A, tau_c=float(tau_c))
+    return (C >= tau_c).astype(np.int8)
 
 
 def majority_vote(rows: np.ndarray) -> np.ndarray:
@@ -217,11 +202,10 @@ def _farthest_point_seed(emb: np.ndarray, M: int) -> np.ndarray:
     return emb[centers].copy()
 
 
-def _lloyd(emb: np.ndarray, centers: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, bool]:
+def _lloyd(emb: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, bool]:
     M = centers.shape[0]
     labels = None
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         if (np.bincount(new_labels, minlength=M) == 0).any():
@@ -234,10 +218,9 @@ def _lloyd(emb: np.ndarray, centers: np.ndarray,
     return labels, True
 
 
-def spectral_denoise(block: DenoiseBlock, mode: str = WORST_CASE,
-                     eta: float | None = None, tau_c: float | None = None,
-                     stream: RandomStream | None = None,
-                     max_iter: int = 50, reseed_attempts: int = 5) -> SpectralResult:
+def spectral_denoise(block: DenoiseBlock, stream: RandomStream,
+                     mode: str = WORST_CASE,
+                     eta: float | None = None) -> SpectralResult:
     """Cluster observations into M communities and majority-vote per cluster.
 
     Embeds the rows of the thresholded adjacency matrix into its top-M
@@ -249,18 +232,18 @@ def spectral_denoise(block: DenoiseBlock, mode: str = WORST_CASE,
     if block.n < block.M:
         raise ValidationError("spectral denoising needs at least M observations")
     M = block.M
-    graph = build_correlation_graph(block, tau_c=tau_c, mode=mode, eta=eta)
-    w, v = np.linalg.eigh(graph.A.astype(np.float64))
+    A = build_correlation_graph(block, mode=mode, eta=eta)
+    w, v = np.linalg.eigh(A.astype(np.float64))
     emb = v[:, -M:]
     centers = _farthest_point_seed(emb, M)
-    labels, okay = _lloyd(emb, centers, max_iter)
+    labels, okay = _lloyd(emb, centers)
     reseeds = 0
     if not okay:
-        rng = (stream or RandomStream(0)).child("spectral_reseed")
-        while not okay and reseeds < reseed_attempts:
+        rng = stream.child("spectral_reseed")
+        while not okay and reseeds < RESEED_ATTEMPTS:
             reseeds += 1
             idx = rng.child(reseeds).gen.choice(block.n, size=M, replace=False)
-            labels, okay = _lloyd(emb, emb[idx].copy(), max_iter)
+            labels, okay = _lloyd(emb, emb[idx].copy())
     degraded = not okay
     sequences = np.empty((M, block.kappa), dtype=np.int8)
     for m in range(M):

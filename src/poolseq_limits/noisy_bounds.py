@@ -29,7 +29,6 @@ from .denoise import (AVERAGE_CASE, WORST_CASE, HypothesisSet,
 
 __all__ = [
     "SegmentationPlan",
-    "ExponentTable",
     "SpectralBoundParams",
     "disc_upper",
     "exponent_numeric",
@@ -59,20 +58,6 @@ class SegmentationPlan:
     def __post_init__(self):
         if not (0.0 < self.d < self.D):
             raise ValidationError(f"need 0 < d < D, got d={self.d}, D={self.D}")
-
-
-@dataclass(frozen=True)
-class ExponentTable:
-    """Worst-case confusion exponents by hypothesis distance i = 1..M*kappa.
-
-    values[i-1] is the minimum pairwise exponent over hypothesis pairs at
-    set distance i; +inf marks distances no valid pair realizes.
-    """
-
-    M: int
-    kappa: int
-    eps: float
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -212,13 +197,15 @@ def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
 def min_exponent(M: int, kappa: int, eps: float, distance: int = 1) -> float:
     """Exhaustive minimum confusion exponent over all hypothesis pairs at a
     given set distance. This is the oracle the closed forms must match."""
-    values = exponent_table(M, kappa, eps).values
+    values = exponent_table(M, kappa, eps)
     return values[distance - 1] if 1 <= distance <= len(values) else math.inf
 
 
 @lru_cache(maxsize=256)
-def exponent_table(M: int, kappa: int, eps: float) -> ExponentTable:
-    """Worst-case exponent for every hypothesis distance 1..M*kappa."""
+def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
+    """Worst-case confusion exponent for every hypothesis distance
+    i = 1..M*kappa: entry i-1 is the minimum pairwise exponent over
+    hypothesis pairs at set distance i, +inf where no valid pair is."""
     if M < 1 or kappa < 1 or M > 1 << kappa:
         raise ValidationError(f"need kappa >= 1 and 1 <= M <= 2^kappa, "
                               f"got M={M}, kappa={kappa}")
@@ -232,7 +219,7 @@ def exponent_table(M: int, kappa: int, eps: float) -> ExponentTable:
         mask = dist == i
         np.fill_diagonal(mask, False)
         values.append(float(exps[mask].min()) if mask.any() else math.inf)
-    return ExponentTable(M=M, kappa=kappa, eps=eps, values=tuple(values))
+    return tuple(values)
 
 
 def den_ml_upper(M: int, lam: float, L: float, D: float, eps: float,
@@ -247,7 +234,7 @@ def den_ml_upper(M: int, lam: float, L: float, D: float, eps: float,
     # at D >= L no read can strictly cover the segment; the bound is vacuous
     coverage = lam * M * max(L - D, 0.0)
     total = 0.0
-    for i, d_i in enumerate(exponent_table(M, kappa, eps).values, start=1):
+    for i, d_i in enumerate(exponent_table(M, kappa, eps), start=1):
         if math.isinf(d_i):
             continue
         total += comb(M * kappa, i) * exp(-coverage * -expm1(-d_i))
@@ -384,6 +371,9 @@ def noisy_upper_spectral(config: ModelConfig,
     """
     if config.M < 2:
         raise ValidationError("noisy bounds need M >= 2")
+    if not 0.0 < c_const < math.inf:
+        raise ValidationError(
+            f"c_const must be positive and finite, got {c_const}")
     G, L, lam, p, eps = config.G, config.L, config.lam, config.p, config.eps
     eta = config.eta
     M = config.M

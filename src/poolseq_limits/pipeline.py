@@ -58,7 +58,7 @@ def run_noiseless_trial(config: ModelConfig, stream: RandomStream) -> TrialResul
     cov = check_coverage(pop, rs)
     br = check_bridging(pop, rs)
     contigs = greedy_assemble(rs, stream.child("greedy"))
-    ok = score_assembly(contigs, pop, rs)
+    ok = cov.ok and score_assembly(contigs, pop)
     return TrialResult(coverage_fail=not cov.ok, bridging_fail=not br.ok,
                        greedy_fail=not ok, success=ok)
 
@@ -110,7 +110,7 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
             out = None
             if denoiser == "ml":
                 try:
-                    out = ml_denoise(block).matrix
+                    out = ml_denoise(block)
                 except ValidationError:  # empty block, or 2^kappa < M sequences
                     pass
             elif block.n >= M:

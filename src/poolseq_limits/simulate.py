@@ -90,27 +90,13 @@ class ReadSet:
             lengths = self.cover_hi - self.cover_lo
             self._offsets = np.concatenate(([0], np.cumsum(lengths)))
         if self._values is None:
-            total = int(self._offsets[-1])
-            rows = np.repeat(self.hidden, self.cover_hi - self.cover_lo)
-            cols = _flat_ranges(self.cover_lo, self.cover_hi, total)
+            lengths = self.cover_hi - self.cover_lo
+            rows = np.repeat(self.hidden, lengths)
+            # flat entry i of read r sits at column cover_lo[r] + i - offsets[r]
+            cols = np.arange(int(self._offsets[-1])) - np.repeat(
+                self._offsets[:-1] - self.cover_lo, lengths)
             self._values = self.population.alleles[rows, cols]
         return self._offsets, self._values
-
-
-def _flat_ranges(lo: np.ndarray, hi: np.ndarray, total: int) -> np.ndarray:
-    """Concatenate arange(lo[r], hi[r]) for all r without a Python loop."""
-    keep = hi > lo
-    lo_k = lo[keep].astype(np.int64)
-    hi_k = hi[keep].astype(np.int64)
-    if lo_k.size == 0:
-        return np.empty(0, dtype=np.int64)
-    lengths = hi_k - lo_k
-    out = np.ones(total, dtype=np.int64)
-    block_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=block_starts[1:])
-    out[block_starts[0]] = lo_k[0]
-    out[block_starts[1:]] = lo_k[1:] - hi_k[:-1] + 1
-    return np.cumsum(out)
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:

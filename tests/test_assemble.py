@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 
 from poolseq_limits import assemble
@@ -48,7 +50,7 @@ def test_empty_readset_violates_every_pair():
     rs = make_readset(config, pop, [], [])
     rep = check_coverage(pop, rs)
     assert not rep.ok
-    assert len(rep.violations) == pop.M * pop.S
+    assert rep.violations == pop.M * pop.S
 
 
 def test_single_read_covers_lone_snp():
@@ -75,14 +77,45 @@ def test_region_longer_than_read_is_unbridgeable():
     rs = make_readset(config, pop, [0.0, 5.0, 60.0, 65.0], [0, 1, 0, 1])
     rep = check_bridging(pop, rs)
     assert not rep.ok
-    assert rep.violations == [(0, 1, 10.0, 90.0)]
+    assert rep.violations == 1
+
+
+def test_condition_counts_match_brute_force():
+    """`violations` is the number of (individual, SNP) pairs with no read of
+    that individual covering the SNP (start <= pos < start + L), and of
+    consecutive discriminating regions (a, b) of each pair with no read of
+    either individual spanning them (start <= a, start + L > b)."""
+    root = RandomStream(53)
+    outcomes = set()
+    for t in range(160):
+        M = 2 + t % 3
+        config = _config(G=400, M=M, L=60.0, lam=(0.005, 0.02, 0.08, 0.2)[t % 4])
+        st = root.child(t)
+        pop = generate_population(config, st.child("pop"))
+        rs = generate_reads(pop, config, st.child("reads"))
+        L = config.L
+        reads = list(zip(rs.starts.tolist(), rs.hidden.tolist()))
+        cov = sum(not any(h == m and s <= x < s + L for s, h in reads)
+                  for m in range(M) for x in pop.snp_positions.tolist())
+        br = 0
+        for i, j in combinations(range(M), 2):
+            d = pop.snp_positions[pop.alleles[i] != pop.alleles[j]].tolist()
+            br += sum(not any(h in (i, j) and s <= a and s + L > b
+                              for s, h in reads)
+                      for a, b in zip(d, d[1:]))
+        cov_rep, br_rep = check_coverage(pop, rs), check_bridging(pop, rs)
+        assert (cov_rep.violations, br_rep.violations) == (cov, br), t
+        assert (cov_rep.ok, br_rep.ok) == (cov == 0, br == 0), t
+        outcomes.add((cov > 0, br > 0))
+    # each check both holds and fails somewhere
+    assert {c for c, _ in outcomes} == {b for _, b in outcomes} == {False, True}
 
 
 def test_fig_scenario_bridged_and_assembled():
     config, pop, rs = fig_scenario()
     assert check_coverage(pop, rs).ok and check_bridging(pop, rs).ok
     contigs = greedy_assemble(rs, RandomStream(1))
-    assert score_assembly(contigs, pop, rs)
+    assert score_assembly(contigs, pop)
     assert unique_and_correct(pop, rs)
 
 
@@ -99,7 +132,7 @@ def test_fig_scenario_unbridged_region_splits_outcomes():
     root = RandomStream(2)
     for t in range(trials):
         contigs = greedy_assemble(rs, root.child(t))
-        wins += score_assembly(contigs, pop, rs)
+        wins += score_assembly(contigs, pop)
     sigma = (0.25 / trials) ** 0.5
     assert abs(wins / trials - 0.5) < 3 * sigma
 
@@ -116,21 +149,13 @@ def test_greedy_single_individual_single_contig():
 def test_score_assembly_examples():
     config, pop, rs = fig_scenario()
     contigs = greedy_assemble(rs, RandomStream(6))
-    assert score_assembly(contigs, pop, rs)
+    assert score_assembly(contigs, pop)
     # swapped labels still succeed
-    assert score_assembly(list(reversed(contigs)), pop, rs)
+    assert score_assembly(list(reversed(contigs)), pop)
     # one flipped allele fails
     bad = [c for c in contigs]
     bad[0].consensus[1] = -bad[0].consensus[1]
-    assert not score_assembly(bad, pop, rs)
-
-
-def test_score_assembly_requires_full_determination_without_readset():
-    config, pop, rs = fig_scenario()
-    contigs = greedy_assemble(rs, RandomStream(7))
-    assert score_assembly(contigs, pop)
-    contigs[0].consensus[2] = UNSET
-    assert not score_assembly(contigs, pop)
+    assert not score_assembly(bad, pop)
 
 
 def test_uniqueness_oracle_counts_coverage_gaps():
@@ -176,8 +201,8 @@ def test_equivalence_on_random_instances():
         config, pop, rs, st = inst
         cov_ok = check_coverage(pop, rs).ok
         cond_ok = cov_ok and check_bridging(pop, rs).ok
-        greedy_ok = score_assembly(greedy_assemble(rs, st.child("greedy")),
-                                   pop, rs)
+        greedy_ok = cov_ok and score_assembly(
+            greedy_assemble(rs, st.child("greedy")), pop)
         if cond_ok:
             assert greedy_ok
             assert unique_and_correct(pop, rs)

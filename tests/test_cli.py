@@ -257,6 +257,12 @@ _BRIDGE = ["exact-bridging", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
            "--trials", "20"]
 
 
+# noiseless bounds at the BASE point; noisy ones at a smaller genome so the
+# spectral solve stays quick
+_NOISY = ["-O", "G=100000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
+          "-O", "lambda=0.01", "-O", "eps=0.1"]
+
+
 @pytest.mark.parametrize("args", [
     ["exponent", "--m", "2", "--kappa", "3", "--eps", "1.0"],
     ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1,-0.2"],
@@ -280,6 +286,16 @@ _BRIDGE = ["exact-bridging", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
      "--l-min", "100", "--l-max", "10"],
     [*_SIM, "--workers", "0"],
     [*_SIM, "--workers", "-3"],
+    ["bounds", *BASE, "--sweep", "L=0:10:3:log"],
+    ["bounds", *BASE, "-O", "L=110000", "--sweep", "G=1:nan:3"],
+    ["bounds", *_NOISY, "-O", "L=20000", "-O", "c_const=0"],
+    ["bounds", *_NOISY, "-O", "L=20000", "-O", "c_const=nan"],
+    ["critical-l", *_NOISY, "-O", "c_const=0", "--target", "0.01",
+     "--bound", "spectral-upper"],
+    [*_BENCH, "--coverage", "nan"],
+    [*_BENCH, "--coverage", "inf"],
+    ["critical-l", *BASE, "--target", "nan", "--bound", "assembly-upper"],
+    [*_SIM, "--mem-cap-mb", "-5"],
 ])
 def test_out_of_range_inputs_exit_config(args):
     """Out-of-range inputs give exit 2, not a traceback or a silent result."""
@@ -287,12 +303,6 @@ def test_out_of_range_inputs_exit_config(args):
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
     assert res.exit_code == 2
-
-
-# noiseless bounds at the BASE point; noisy ones at a smaller genome so the
-# spectral solve stays quick
-_NOISY = ["-O", "G=100000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
-          "-O", "lambda=0.01", "-O", "eps=0.1"]
 
 
 @pytest.mark.parametrize("bound,column,point", [

@@ -62,7 +62,7 @@ def test_ml_recovers_truth_noiseless():
     truth = ((1, -1, 1), (-1, 1, 1))
     gen = np.random.default_rng(0)
     block = make_block(truth, 30, 0.0, gen)
-    assert ml_denoise(block).sequences == hset(*truth).sequences
+    assert ml_denoise(block).tolist() == sorted(map(list, truth))
 
 
 def test_ml_errors():
@@ -97,20 +97,21 @@ def test_ml_uninformative_channel_matches_baseline():
                 break
         block = make_block(truth, 20, 0.5, gen)
         out = ml_denoise(block)
-        hits += out.sequences == HypothesisSet.from_matrix(truth).sequences
+        hits += {r.tobytes() for r in out} == {r.tobytes() for r in truth}
     base = 1.0 / 28.0
     sigma = (base * (1 - base) / trials) ** 0.5
     assert abs(hits / trials - base) < 4 * sigma
 
 
-def _exact_log_likelihood(block, h):
-    """Rational-arithmetic likelihood oracle (eps must be a nice fraction)."""
+def _exact_log_likelihood(block, members):
+    """Rational-arithmetic likelihood oracle for a set of member rows (eps
+    must be a nice fraction)."""
     eps = Fraction(block.eps).limit_denominator(1000)
     x = eps / (1 - eps)
     total = Fraction(1)
     for row in block.observations:
         mix = Fraction(0)
-        for member in h.sequences:
+        for member in members:
             rho = sum(int(a != b) for a, b in zip(row, member))
             mix += x ** rho
         total *= mix
@@ -130,8 +131,8 @@ def test_ml_argmax_matches_rational_oracle():
         got = ml_denoise(block)
         got_val = _exact_log_likelihood(block, got)
         for cand in combinations(range(1 << kappa), M):
-            h = HypothesisSet.from_matrix(unpack_rows(cand, kappa))
-            assert _exact_log_likelihood(block, h) <= got_val
+            assert _exact_log_likelihood(block, unpack_rows(cand, kappa)) \
+                <= got_val
 
 
 def test_ml_permutation_equivariance():
@@ -143,23 +144,20 @@ def test_ml_permutation_equivariance():
     block2 = DenoiseBlock(kappa=4, observations=block.observations[:, perm],
                           M=2, eps=0.2)
     out2 = ml_denoise(block2)
-    expect = sorted(tuple(s[j] for j in perm) for s in out.sequences)
-    assert list(out2.sequences) == expect
+    # rows come back in lexicographic order
+    assert out2.tolist() == sorted(out[:, perm].tolist())
     # row order is irrelevant
     block3 = DenoiseBlock(kappa=4, observations=block.observations[::-1],
                           M=2, eps=0.2)
-    assert ml_denoise(block3).sequences == out.sequences
+    np.testing.assert_array_equal(ml_denoise(block3), out)
 
 
 def test_correlation_graph_edges():
     rows = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [-1, -1, -1, -1]], np.int8)
     block = DenoiseBlock(kappa=4, observations=rows, M=2, eps=0.0)
-    g = build_correlation_graph(block)
-    assert g.C[0, 1] == pytest.approx(1.0)
-    assert g.A[0, 1] == 1
-    assert g.C[0, 2] == pytest.approx(-1.0)
-    assert g.A[0, 2] == 0
-    assert np.allclose(np.diag(g.C), 1.0)
+    A = build_correlation_graph(block)
+    # correlations 1 within the first two rows, -1 against the third
+    np.testing.assert_array_equal(A, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
 def test_correlation_expectation_matches_formula():
@@ -239,7 +237,7 @@ def test_spectral_needs_enough_observations():
     block = DenoiseBlock(kappa=4, observations=np.ones((1, 4), np.int8),
                          M=2, eps=0.1)
     with pytest.raises(ValidationError):
-        spectral_denoise(block)
+        spectral_denoise(block, stream=RandomStream(0))
 
 
 def test_spectral_recovery_transition_at_scale():

@@ -64,7 +64,7 @@ def test_exponent_numeric_disjoint_mixtures_is_inf():
     t = HypothesisSet(((1, 1), (1, -1)))
     a = HypothesisSet(((-1, -1), (-1, 1)))
     assert exponent_numeric(t, a, 0.0) == math.inf
-    assert math.inf in exponent_table(2, 2, 0.0).values
+    assert math.inf in exponent_table(2, 2, 0.0)
 
 
 def test_exponent_numeric_adjacent_pair_value():
@@ -104,15 +104,15 @@ def test_exponent_table_ordering_and_positivity():
     are positive for eps < 0.5 and vanish at eps = 0.5."""
     for M, kappa in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         tbl = exponent_table(M, kappa, 0.2)
-        finite = [v for v in tbl.values if math.isfinite(v)]
-        assert min(finite) >= 0.99 * tbl.values[0]
-        assert tbl.values[0] == min_exponent(M, kappa, 0.2, distance=1)
+        finite = [v for v in tbl if math.isfinite(v)]
+        assert min(finite) >= 0.99 * tbl[0]
+        assert tbl[0] == min_exponent(M, kappa, 0.2, distance=1)
         assert min_exponent(M, kappa, 0.2, distance=0) == math.inf
         assert min_exponent(M, kappa, 0.2, distance=M * kappa + 1) == math.inf
         assert all(v > 0 for v in finite)
         tbl_half = exponent_table(M, kappa, 0.5)
         assert all(v == pytest.approx(0.0, abs=1e-12) or math.isinf(v)
-                   for v in tbl_half.values)
+                   for v in tbl_half)
 
 
 def test_min_exponent_share_one_member_is_worst():
@@ -297,7 +297,7 @@ def test_exponent_table_noiseless_disjoint_sets_are_infinite():
     """At eps = 0 hypothesis sets far enough apart induce disjoint
     observation mixtures: their exponent is inf, computed without a
     divide-by-zero warning."""
-    values = exponent_table(2, 3, 0.0).values
+    values = exponent_table(2, 3, 0.0)
     assert values[0] == pytest.approx(math.log(2.0), rel=1e-12)
     assert all(math.isinf(v) for v in values[3:])
 

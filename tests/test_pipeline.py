@@ -104,7 +104,7 @@ def test_extract_block_and_ml_decode_from_simulated_reads():
             continue
         tried += 1
         out = ml_denoise(block)
-        decoded_ok += {r.tobytes() for r in out.matrix} == \
+        decoded_ok += {r.tobytes() for r in out} == \
             {r.tobytes() for r in truth}
     assert tried >= 10
     assert decoded_ok >= 0.9 * tried
@@ -165,7 +165,7 @@ def reference_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
         decoded = None
         if denoiser == "ml":
             try:
-                decoded = ml_denoise(block).matrix
+                decoded = ml_denoise(block)
             except ValidationError:  # empty block, or 2^kappa < M sequences
                 pass
         elif block.n >= config.M:

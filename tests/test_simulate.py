@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
@@ -72,6 +74,41 @@ def test_read_covers_exactly_window_snps():
         off, vals = rs.observations()
         np.testing.assert_array_equal(
             vals[off[r]:off[r + 1]], pop.alleles[rs.hidden[r], lo:hi])
+
+
+def _reference_values(rs) -> np.ndarray:
+    """Per-read loop: read r observes alleles[hidden[r], cover_lo[r]:cover_hi[r]]."""
+    alleles = rs.population.alleles
+    return np.concatenate([np.empty(0, np.int8)] + [
+        alleles[h, lo:hi]
+        for h, lo, hi in zip(rs.hidden, rs.cover_lo, rs.cover_hi)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(M=st.integers(1, 4), G=st.integers(50, 3000),
+       p=st.sampled_from([0.0, 0.002, 0.02, 0.3]),
+       lam=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+       L=st.floats(1.0, 600.0), eps=st.sampled_from([0.0, 0.1, 0.5]),
+       seed=st.integers(0, 2**20))
+@example(M=2, G=500, p=0.0, lam=0.01, L=50.0, eps=0.1, seed=1)    # p = 0
+@example(M=3, G=500, p=0.02, lam=0.0, L=50.0, eps=0.1, seed=2)    # no reads
+@example(M=2, G=2000, p=0.002, lam=0.05, L=5.0, eps=0.1, seed=3)  # SNP-free reads
+def test_observations_match_per_read_loop(M, G, p, lam, L, eps, seed):
+    """`observations()` gives the per-read loop's offsets and values, and a
+    noisy set gives those values with the noise stream's flips applied."""
+    cfg = _config(G=G, M=M, p=p, L=L, lam=lam)
+    root = RandomStream(seed)
+    pop = generate_population(cfg, root.child("pop"))
+    rs = generate_reads(pop, cfg, root.child("reads"))
+    want = _reference_values(rs)
+    offsets, values = rs.observations()
+    lengths = (rs.cover_hi - rs.cover_lo).tolist()
+    assert offsets.tolist() == np.cumsum([0] + lengths).tolist()
+    assert values.dtype == np.int8 and values.tobytes() == want.tobytes()
+    noisy = apply_noise(rs, eps, root.child("noise"))
+    flips = root.child("noise").child("noise").gen.random(want.size) < eps
+    assert noisy.observations()[1].tobytes() == \
+        np.where(flips, -want, want).astype(np.int8).tobytes()
 
 
 def test_noise_zero_is_identity():
