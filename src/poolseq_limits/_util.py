@@ -101,17 +101,6 @@ def hamming(a, b, kappa: int) -> np.ndarray:
                for s in range(0, max(kappa, 1), 16))
 
 
-def trunc_exp(gen: np.random.Generator, rate: float, bound: float) -> float:
-    """Sample Exp(rate) conditioned on the value being at most `bound`."""
-    if bound <= 0.0:
-        return 0.0
-    if rate <= 0.0:
-        return float(gen.uniform(0.0, bound))
-    u = gen.random()
-    tail = -math.expm1(-rate * bound)
-    return -math.log1p(-u * tail) / rate
-
-
 def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Poisson pmf support truncated to total mass >= 1 - tail.
 

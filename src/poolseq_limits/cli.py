@@ -455,6 +455,8 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
     """Benchmark block denoisers against planted truths."""
     if not math.isfinite(coverage):
         raise ConfigError(f"--coverage must be finite, got {coverage}")
+    if math.isnan(eta):
+        raise ConfigError("--eta must be a number, got nan")
     stream = RandomStream(seed)
     minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []

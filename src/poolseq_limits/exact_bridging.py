@@ -11,6 +11,11 @@ later read containing it. Conditioning on the span L_R between the first
 and last discriminating SNPs makes each trial exact for the stationary
 read model, so the estimate referees the closed-form lower and upper
 bounds.
+
+Batches of BATCH_TRIALS chains walk in lockstep on arrays. Batch b draws
+only from stream.child("bridging_batch", b), a span uniform per trial and
+then an (n_active, 4) uniform block per step, so results depend only on
+the seed, the trial count and the model.
 """
 
 from __future__ import annotations
@@ -18,16 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1
 
-from ._util import trunc_exp, wilson_interval
+import numpy as np
+
+from ._util import wilson_interval
 from .core import RandomStream, ValidationError
 
-__all__ = [
-    "BridgingEstimate",
-    "sample_region_span",
-    "estimate_bridging",
-]
+__all__ = ["BridgingEstimate", "sample_region_span", "estimate_bridging"]
 
 MAX_CHAIN_STEPS = 1_000_000
+BATCH_TRIALS = 4096
+# halvings of [0, G] that bring the span bracket under 1e-12 G
+SPAN_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -42,74 +48,72 @@ class BridgingEstimate:
     capped_trials: int
 
 
-def _span_cdf(ell: float, G: float, r: float) -> float:
+def _span_cdf(ell: np.ndarray, G: float, r: float) -> np.ndarray:
     """CDF of the span between first and last discriminating SNPs given at
     least two of them on [0, G]."""
     gr = G * r
     z = -expm1(-gr) - gr * exp(-gr)
     a = r * (G - ell)
-    num = (1.0 + a) * exp(-a) - (1.0 + gr) * exp(-gr)
-    return num / z
+    return ((1.0 + a) * np.exp(-a) - (1.0 + gr) * exp(-gr)) / z
 
 
-def sample_region_span(G: float, r: float, stream: RandomStream,
-                       tol: float = 1e-9) -> float:
-    """Inverse-CDF sample of the discriminating span L_R by bisection."""
-    u = stream.gen.random()
-    lo, hi = 0.0, G
-    for _ in range(200):
+def sample_region_span(G: float, r: float, gen, n: int) -> np.ndarray:
+    """n inverse-CDF samples of the discriminating span L_R by bisection."""
+    u = gen.random(n)
+    lo, hi = np.zeros(n), np.full(n, float(G))
+    for _ in range(SPAN_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        f_mid = _span_cdf(mid, G, r)
-        if abs(f_mid - u) <= tol:
-            return mid
-        if f_mid < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * G:
-            break
+        below = _span_cdf(mid, G, r) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def _run_chain(L_R: float, L: float, lam: float, r: float,
-               gen) -> tuple[bool, int, bool]:
-    """Walk one chain at absolute positions; the first discriminating SNP
-    sits at 0 and the last at L_R. Returns (failed, steps, capped).
+def _trunc_exp(u: np.ndarray, rate: float, bound) -> np.ndarray:
+    """Exp(rate) conditioned on at most `bound`, by inverse CDF at the
+    uniforms u; rate <= 0 gives Uniform(0, bound), bound <= 0 gives 0."""
+    bound = np.maximum(bound, 0.0)
+    if rate <= 0.0:
+        return u * bound
+    return -np.log1p(u * np.expm1(-rate * bound)) / rate
 
-    Only never-sampled territory is scanned: after drawing an anchor as the
-    last discriminating SNP of a window, the stretch from it to the window
-    end is known empty, so the next scan starts at the previous read end.
+
+def _walk_chains(spans: np.ndarray, L: float, lam: float, r: float,
+                 gen: np.random.Generator) -> tuple[int, int, int]:
+    """Walk one chain per span in lockstep at absolute positions, the first
+    discriminating SNP at 0 and the last at the span. Returns (failures,
+    total steps, capped trials).
+
+    Step k takes the last read start in (anchor, target] as the current
+    read (for k = 0, the last read containing 0); earlier starts are known
+    absent, as the previous read was the last one covering the anchor.
+    The next target is the last discriminating SNP in the read's fresh
+    territory, past the previous read end: the rest is known empty.
     """
     two_lam = 2.0 * lam
-    # initial current read: the last read containing position 0
-    if gen.random() < exp(-two_lam * L):
-        return True, 0, False
-    u = trunc_exp(gen, two_lam, L)
-    end = L - u           # current read end
-    anchor = 0.0          # last discriminating SNP known to be in the read
-    scanned_to = 0.0      # disc-SNP territory is fresh beyond this point
-    steps = 0
-    while steps < MAX_CHAIN_STEPS:
-        if end >= L_R:
-            return False, steps, False
-        fresh = end - scanned_to
-        # new anchor: last discriminating SNP in (scanned_to, end]; none
-        # means no later read can carry phase past the current one
-        if fresh <= 0.0 or gen.random() < exp(-r * fresh):
-            return True, steps, False
-        new_anchor = end - trunc_exp(gen, r, fresh)
-        # next read: last start in (anchor, new_anchor]; earlier starts are
-        # known absent because the current read was the last one covering
-        # the current anchor
-        gap = new_anchor - anchor
-        if gen.random() < exp(-two_lam * gap):
-            return True, steps, False
-        start = new_anchor - trunc_exp(gen, two_lam, gap)
-        scanned_to = end
-        end = start + L
-        anchor = new_anchor
-        steps += 1
-    return True, steps, True
+    n = spans.size
+    anchor, target, end = np.full(n, -L), np.zeros(n), np.zeros(n)
+    failures = steps = 0
+    for k in range(MAX_CHAIN_STEPS):
+        if spans.size == 0:
+            break
+        u = gen.random((spans.size, 4))
+        gap = target - anchor
+        found = u[:, 0] >= np.exp(-two_lam * gap)
+        new_end = target - _trunc_exp(u[:, 1], two_lam, gap) + L
+        fresh = new_end - end
+        # no new anchor means no later read can carry phase past this one
+        has_anchor = (fresh > 0.0) & (u[:, 2] >= np.exp(-r * fresh))
+        reached = found & (new_end >= spans)
+        walking = found & ~reached & has_anchor
+        done = spans.size - int(walking.sum())
+        failures += done - int(reached.sum())
+        # a missing read ends the walk before step k completes
+        steps += k * done - min(k, 1) * int((~found).sum())
+        next_target = new_end - _trunc_exp(u[:, 3], r, fresh)
+        spans, anchor = spans[walking], target[walking]
+        target, end = next_target[walking], new_end[walking]
+    capped = spans.size
+    return failures + capped, steps + MAX_CHAIN_STEPS * capped, capped
 
 
 def estimate_bridging(G: float, L: float, lam: float, p: float, eta: float,
@@ -129,16 +133,12 @@ def estimate_bridging(G: float, L: float, lam: float, p: float, eta: float,
     prefactor = -expm1(-gr) - gr * exp(-gr) if r > 0.0 else 0.0
     if prefactor <= 0.0:
         return BridgingEstimate(0.0, 0.0, 0.0, 0.0, trials, 0, 0.0, 0)
-    failures = 0
-    total_steps = 0
-    capped = 0
-    for t in range(trials):
-        gen = stream.child("bridging_trial", t).gen
-        span = sample_region_span(G, r, stream.child("span", t))
-        failed, steps, was_capped = _run_chain(span, L, lam, r, gen)
-        failures += int(failed)
-        total_steps += steps
-        capped += int(was_capped)
+    totals = np.zeros(3, dtype=np.int64)
+    for b, first in enumerate(range(0, trials, BATCH_TRIALS)):
+        gen = stream.child("bridging_batch", b).gen
+        spans = sample_region_span(G, r, gen, min(BATCH_TRIALS, trials - first))
+        totals += _walk_chains(spans, L, lam, r, gen)
+    failures, total_steps, capped = (int(v) for v in totals)
     lo, hi = wilson_interval(failures, trials)
     return BridgingEstimate(
         estimate=prefactor * failures / trials,

@@ -121,32 +121,35 @@ def generate_population(config: ModelConfig, stream: RandomStream) -> Population
     return Population(snp_positions=positions, alleles=alleles, law=config.law)
 
 
+def _count_below(pos: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """For each of the ascending points, the number of the ascending SNP
+    positions strictly below it: searchsorted(pos, points, "left"), found
+    by placing the few SNPs among the many points instead. Between the
+    places of SNPs j-1 and j, every point has exactly j SNPs below it."""
+    placed = np.searchsorted(points, pos, side="right")
+    runs = np.diff(placed, prepend=0, append=points.size)
+    return np.repeat(np.arange(pos.size + 1), runs)
+
+
 def generate_reads(pop: Population, config: ModelConfig,
                    stream: RandomStream) -> ReadSet:
-    """Sample per-individual Poisson(lambda) read starts and merge them.
+    """Sample pooled Poisson(M * lambda) read starts with uniform labels.
 
     Starts live on [-L, G) so every SNP in [0, G) sees the stationary
-    coverage window of length L; per-individual counts are therefore
-    Poisson(lambda * (G + L)).
+    coverage window of length L. By Poisson thinning each individual's
+    reads are an independent Poisson(lambda) process, so per-individual
+    counts are Poisson(lambda * (G + L)).
     """
     L = config.L
-    all_starts = []
-    all_hidden = []
-    for m in range(config.M):
-        s = sample_poisson_positions(config.lam, float(config.G) + L,
-                                     stream.child("reads", m)) - L
-        all_starts.append(s)
-        all_hidden.append(np.full(s.size, m, dtype=np.int32))
-    starts = np.concatenate(all_starts) if all_starts else np.empty(0)
-    hidden = np.concatenate(all_hidden) if all_hidden else np.empty(0, np.int32)
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    hidden = hidden[order]
+    reads = stream.child("reads")
+    starts = sample_poisson_positions(config.M * config.lam,
+                                      float(config.G) + L, reads) - L
+    hidden = reads.gen.integers(0, config.M, size=starts.size, dtype=np.int32)
     pos = pop.snp_positions
-    cover_lo = np.searchsorted(pos, starts, side="left")
-    cover_hi = np.searchsorted(pos, starts + L, side="left")
-    return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
-                   cover_hi=cover_hi, config=config, population=pop)
+    return ReadSet(starts=starts, hidden=hidden,
+                   cover_lo=_count_below(pos, starts),
+                   cover_hi=_count_below(pos, starts + L),
+                   config=config, population=pop)
 
 
 def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:

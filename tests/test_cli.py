@@ -296,6 +296,7 @@ _NOISY = ["-O", "G=100000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
     [*_BENCH, "--coverage", "inf"],
     ["critical-l", *BASE, "--target", "nan", "--bound", "assembly-upper"],
     [*_SIM, "--mem-cap-mb", "-5"],
+    [*_BENCH, "--eta", "nan"],
 ])
 def test_out_of_range_inputs_exit_config(args):
     """Out-of-range inputs give exit 2, not a traceback or a silent result."""

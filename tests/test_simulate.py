@@ -7,7 +7,8 @@ from scipy import stats
 from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
                                  RandomStream, UnsupportedModelError,
                                  ValidationError)
-from poolseq_limits.simulate import (apply_noise, discriminating_positions,
+from poolseq_limits.simulate import (Population, _count_below, apply_noise,
+                                     discriminating_positions,
                                      generate_population, generate_reads)
 
 LAW = FixedBiallelic(0.1)
@@ -74,6 +75,80 @@ def test_read_covers_exactly_window_snps():
         off, vals = rs.observations()
         np.testing.assert_array_equal(
             vals[off[r]:off[r + 1]], pop.alleles[rs.hidden[r], lo:hi])
+
+
+def _assert_covers_match_searchsorted(rs) -> None:
+    pos = rs.population.snp_positions
+    ends = rs.starts + rs.config.L
+    assert rs.cover_lo.tolist() == np.searchsorted(pos, rs.starts).tolist()
+    assert rs.cover_hi.tolist() == np.searchsorted(pos, ends).tolist()
+
+
+_grid = st.lists(st.integers(0, 40), max_size=60).map(
+    lambda v: np.sort(np.asarray(v, dtype=np.float64)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(starts=_grid, pos=_grid.map(np.unique), L=st.integers(0, 45))
+@example(starts=np.empty(0), pos=np.array([3.0, 7.0]), L=5)      # no reads
+@example(starts=np.array([1.0, 1.0, 9.0]), pos=np.empty(0), L=5)  # no SNPs
+@example(starts=np.array([3.0, 3.0, 7.0]), pos=np.array([3.0, 8.0]), L=5)
+def test_count_below_matches_searchsorted(starts, pos, L):
+    """Placing SNPs among the starts gives searchsorted(pos, points) for
+    starts and ends on a small integer grid, where starts tie with each
+    other and starts and ends land exactly on SNPs."""
+    for points in (starts, starts + L):
+        got = _count_below(pos, points)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.searchsorted(pos, points).tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(M=st.integers(1, 4), p=st.sampled_from([0.0, 0.002, 0.05]),
+       lam=st.sampled_from([0.0, 0.001, 0.02]), L=st.floats(1.0, 600.0),
+       seed=st.integers(0, 2**20))
+@example(M=1, p=0.002, lam=0.02, L=50.0, seed=1)
+@example(M=2, p=0.0, lam=0.02, L=50.0, seed=2)     # no SNPs
+@example(M=3, p=0.05, lam=0.0, L=50.0, seed=3)     # no reads
+def test_read_covers_match_searchsorted(M, p, lam, L, seed):
+    """generate_reads' cover indices equal searchsorted of the starts and
+    the ends in the SNP positions, also with SNPs placed exactly on read
+    starts and ends: the starts do not depend on the population."""
+    cfg = _config(G=3000, M=M, p=p, L=L, lam=lam)
+    root = RandomStream(seed)
+    pop = generate_population(cfg, root.child("pop"))
+    rs = generate_reads(pop, cfg, root.child("reads"))
+    assert rs.starts.tolist() == sorted(rs.starts.tolist())
+    assert ((rs.hidden >= 0) & (rs.hidden < M)).all()
+    _assert_covers_match_searchsorted(rs)
+    tied = np.unique(np.concatenate([pop.snp_positions, rs.starts[::3],
+                                     (rs.starts + L)[1::3]]))
+    tied_pop = Population(tied, np.ones((M, tied.size), np.int8), LAW)
+    tied_rs = generate_reads(tied_pop, cfg, root.child("reads"))
+    assert tied_rs.starts.tobytes() == rs.starts.tobytes()
+    _assert_covers_match_searchsorted(tied_rs)
+
+
+def test_per_individual_read_counts_independent_poisson():
+    """Each individual's read count is Poisson(lam * (G + L)), and the
+    counts of different individuals are uncorrelated."""
+    cfg = _config(G=10**4, M=3, lam=1e-3, L=1000.0)
+    pop = generate_population(cfg, RandomStream(25))
+    root = RandomStream(26)
+    counts = np.array([
+        np.bincount(generate_reads(pop, cfg, root.child(i)).hidden,
+                    minlength=cfg.M) for i in range(4000)])
+    mu = cfg.lam * (cfg.G + cfg.L)
+    # one bin per count in the central 99%, plus one bin for each tail
+    lo, hi = stats.poisson.ppf([0.005, 0.995], mu).astype(int)
+    cdf = stats.poisson.cdf(np.arange(lo - 1, hi + 1), mu)
+    expected = np.diff(np.concatenate(([0.0], cdf, [1.0]))) * len(counts)
+    for m in range(cfg.M):
+        binned = np.clip(counts[:, m], lo - 1, hi + 1) - (lo - 1)
+        observed = np.bincount(binned, minlength=expected.size)
+        assert stats.chisquare(observed, expected).pvalue > 0.01, m
+    corr = np.corrcoef(counts.T)[np.triu_indices(cfg.M, 1)]
+    assert (np.abs(corr) < 4 / len(counts) ** 0.5).all(), corr
 
 
 def _reference_values(rs) -> np.ndarray:
