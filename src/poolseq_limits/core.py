@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -175,18 +176,22 @@ class RandomStream:
 
     child(trial_index, role) derives an independent stream keyed only by the
     root seed and the path of tokens, so results are reproducible regardless
-    of draw order or how trials are scheduled across workers.
+    of draw order or how trials are scheduled across workers. The generator
+    is built on first use, so a stream that only derives children costs no
+    SeedSequence or Philox construction.
     """
 
     seed: int
     path: tuple[int, ...] = ()
-    gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=self.path)
-        self.gen = np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(seq))
 
     def child(self, *path) -> "RandomStream":
         tokens = tuple(_path_token(t) for t in path)
@@ -207,6 +212,8 @@ def sample_poisson_positions(rate: float, length: float,
     n = int(stream.gen.poisson(rate * length))
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    # np.unique returns sorted output; float collisions are measure-zero
-    # but would break strict ordering
-    return np.unique(stream.gen.uniform(0.0, length, n))
+    pos = np.sort(stream.gen.uniform(0.0, length, n))
+    # float collisions are measure-zero but would break strict ordering
+    if not (pos[1:] > pos[:-1]).all():
+        pos = np.unique(pos)
+    return pos

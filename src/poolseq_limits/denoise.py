@@ -4,17 +4,19 @@ A denoise block is a window of kappa biallelic SNP loci with n noisy
 observation rows over {-1, +1} (-1 = major allele), each row a read's
 content restricted to the window, assuming the read spans the whole
 window. ML decoding scores every M-subset of the 2^kappa possible
-sequences under the symmetric-flip channel; spectral decoding thresholds
-the sample cross-correlation into a graph, clusters its top eigenvector
-embedding, and majority-votes per cluster. Sequences are scored as int64
-codes (`_util.pack_rows`: first locus most significant, +1 a set bit), so
+sequences under the symmetric-flip channel, one chunk of candidate sets
+per matrix-vector product, and rescores the sets near the running maximum
+with the scalar log-likelihood so that rounding never changes the winner;
+spectral decoding thresholds the sample cross-correlation into a graph,
+clusters its top eigenvector embedding, and majority-votes per cluster.
+Sequences are scored as int64 codes (`_util.pack_rows`: first locus most significant, +1 a set bit), so
 a Hamming distance is the popcount of an XOR (`_util.hamming`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 ML_CANDIDATE_CAP = 10_000_000
+# float64 values in one chunk of ML candidate mixtures (1 MB)
+ML_CHUNK_VALUES = 1 << 17
 # spectral clustering: Lloyd iterations per run, random reseeds per block
 LLOYD_MAX_ITER = 50
 RESEED_ATTEMPTS = 5
@@ -88,7 +92,7 @@ class DenoiseBlock:
         obs = np.asarray(self.observations, dtype=np.int8)
         if obs.ndim != 2 or (obs.size and obs.shape[1] != self.kappa):
             raise ValidationError("observations must be an (n, kappa) matrix")
-        if obs.size and not np.isin(obs, (-1, 1)).all():
+        if obs.size and not (np.abs(obs) == 1).all():
             raise ValidationError("observations must be -1/+1 valued")
         self.observations = obs
 
@@ -130,6 +134,19 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     candidate count C(2^kappa, M) exceeds the enumeration cap and
     ValidationError for an empty block or one with fewer than M possible
     sequences (M > 2^kappa).
+
+    A candidate's score is the scalar log-likelihood counts @ log(mix),
+    with mix its summed x^hamming column per distinct observed row. The
+    candidates are walked in lexicographic order, in chunks of
+    ML_CHUNK_VALUES // (distinct rows) sets, and each chunk is scored as
+    one matrix-vector product, which rounds differently from the scalar
+    score by at most half of `_ml_margin`. Every candidate whose matrix
+    score is within that margin of the running maximum is rescored with
+    the scalar expression, in lexicographic order, and replaces the best
+    only when strictly greater, so the result is the scalar loop's. When
+    every candidate scores -inf (possible at eps = 0) the first one is
+    kept; at eps = 0.5 every candidate scores n log M and the first one is
+    returned without scoring.
     """
     if block.n == 0:
         raise ValidationError("cannot denoise a block with no observations")
@@ -140,19 +157,55 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     if n_cand > ML_CANDIDATE_CAP:
         raise CapacityError(
             f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
+    best = tuple(range(M))
     x = block.eps / (1.0 - block.eps)
+    if x == 1.0:
+        return unpack_rows(best, kappa)
     distinct, counts = np.unique(pack_rows(block.observations),
                                  return_counts=True)
     xpow = x ** hamming(distinct, np.arange(1 << kappa), kappa).astype(float)
-    best_ll = -np.inf
-    best: tuple[int, ...] | None = None
+    margin = _ml_margin(xpow, block.n, M)
+    rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
+    chunk = max(1, ML_CHUNK_VALUES // len(distinct))
+    cands = combinations(range(1 << kappa), M)
+    best_ll = top = -np.inf
     with np.errstate(divide="ignore"):
-        for cand in combinations(range(1 << kappa), M):
-            mix = xpow[:, cand].sum(axis=1)  # constants drop out of the argmax
-            ll = float(counts @ np.log(mix))
-            if best is None or ll > best_ll:
-                best_ll, best = ll, cand
+        for start in range(0, n_cand, chunk):
+            k = min(chunk, n_cand - start)
+            sets = np.fromiter(chain.from_iterable(islice(cands, k)),
+                               dtype=np.int64, count=k * M).reshape(k, M)
+            mix = rows[sets[:, 0]]
+            for j in range(1, M):  # left to right, as the scalar sum adds
+                mix += rows[sets[:, j]]
+            scores = np.log(mix, out=mix) @ counts
+            top = max(top, scores.max())
+            if top == -np.inf:  # no candidate yet explains every row
+                continue
+            for i in np.flatnonzero(scores >= top - margin):
+                cand = tuple(sets[i].tolist())
+                # the scalar score; constants drop out of the argmax
+                ll = float(counts @ np.log(xpow[:, cand].sum(axis=1)))
+                if ll > best_ll:
+                    best_ll, best = ll, cand
     return unpack_rows(best, kappa)
+
+
+def _ml_margin(xpow: np.ndarray, n: int, M: int) -> float:
+    """Twice a bound on |matrix score - scalar score| for any ML candidate.
+
+    A finite log mix lies between log(min positive xpow) and log(M max
+    xpow), so its magnitude is at most lam. A score is a dot product of d
+    counts summing to n with such logs; each form rounds it by at most
+    d u n lam (u = eps_mach / 2). The two forms' logs of one mix differ by
+    a few ulp of lam where they add its M terms in the same order, and by
+    about M u more where they do not (numpy's sum reorders 8 or more
+    terms). The two scores therefore differ by at most half the
+    returned margin, and the scalar winner's matrix score is at least the
+    top matrix score minus the margin.
+    """
+    d = xpow.shape[0]
+    lam = max(abs(np.log(xpow[xpow > 0].min())), abs(np.log(M * xpow.max())))
+    return 2.0 * np.finfo(np.float64).eps * n * ((2 * d + 8) * lam + M)
 
 
 def nu_min_for_mode(mode: str, kappa: int, eta: float | None) -> float:

@@ -35,7 +35,7 @@ def row_pairs(draw):
     return kappa, rows(), rows()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(row_pairs())
 def test_codec_matches_reference_loops(case):
     kappa, a, b = case

@@ -63,6 +63,20 @@ def test_positions_strictly_increasing():
     assert pos.min() >= 0.0 and pos.max() < 1e5
 
 
+def test_positions_drop_duplicate_draws():
+    """Tied uniforms are merged, so positions stay strictly increasing."""
+    class DuplicatingGen:
+        def poisson(self, mu):
+            return 5
+
+        def uniform(self, lo, hi, n):
+            return np.array([3.0, 1.0, 3.0, 2.0, 1.0])[:n]
+
+    stream = type("Stub", (), {"gen": DuplicatingGen()})()
+    pos = sample_poisson_positions(1.0, 10.0, stream)
+    np.testing.assert_array_equal(pos, [1.0, 2.0, 3.0])
+
+
 def test_position_counts_poisson_gof():
     """Counts over repeated draws match the Poisson pmf (chi-square GOF)."""
     rate, length, draws = 1e-3, 1e6, 10000
@@ -123,6 +137,18 @@ def test_stream_reproducible_and_split_independent():
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
     assert not np.allclose(a1, c)
+
+
+def test_stream_builds_generator_on_first_use():
+    """Deriving a child builds no generator; the lazily built one draws
+    the same values as a generator keyed by the seed and path."""
+    s = RandomStream(9).child(3, "role")
+    assert "gen" not in vars(s)
+    got = s.gen.random(8)
+    assert s.gen is s.gen
+    seq = np.random.SeedSequence(9, spawn_key=(3, zlib.crc32(b"role")))
+    want = np.random.Generator(np.random.Philox(seq)).random(8)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_stream_rejects_negative_seed_and_aliasing_path_ints():

@@ -1,12 +1,16 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from poolseq_limits._util import pack_rows, unpack_rows
+from poolseq_limits import denoise
+from poolseq_limits._util import hamming, pack_rows, unpack_rows
 from poolseq_limits.core import CapacityError, RandomStream, ValidationError
-from poolseq_limits.denoise import (DenoiseBlock, HypothesisSet,
+from poolseq_limits.denoise import (ML_CANDIDATE_CAP, DenoiseBlock,
+                                    HypothesisSet,
                                     build_correlation_graph, majority_vote,
                                     mixture_distribution, ml_denoise,
                                     spectral_denoise)
@@ -76,6 +80,15 @@ def test_ml_errors():
         ml_denoise(big)
 
 
+def test_block_rejects_non_unit_alleles():
+    for bad in (0, 2, 127, -128):
+        obs = np.array([[1, -1], [bad, 1]], np.int8)
+        with pytest.raises(ValidationError, match="-1/\\+1"):
+            DenoiseBlock(kappa=2, observations=obs, M=2, eps=0.1)
+    DenoiseBlock(kappa=2, observations=np.array([[1, -1]], np.int8), M=2,
+                 eps=0.1)
+
+
 def test_ml_rejects_more_individuals_than_sequences():
     """One SNP carries two possible sequences, so no 3-subset exists."""
     block = DenoiseBlock(kappa=1, observations=np.array([[1], [-1]], np.int8),
@@ -116,6 +129,115 @@ def _exact_log_likelihood(block, members):
             mix += x ** rho
         total *= mix
     return total
+
+
+def scalar_ml_denoise(block: DenoiseBlock) -> np.ndarray:
+    """Reference: the one-candidate-at-a-time ML loop that ml_denoise must
+    reproduce exactly, ties and rounding included."""
+    if block.n == 0:
+        raise ValidationError("cannot denoise a block with no observations")
+    kappa, M = block.kappa, block.M
+    if M > 1 << kappa:
+        raise ValidationError(f"{kappa} SNPs carry fewer than M={M} sequences")
+    n_cand = comb(1 << kappa, M)
+    if n_cand > ML_CANDIDATE_CAP:
+        raise CapacityError(
+            f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
+    x = block.eps / (1.0 - block.eps)
+    distinct, counts = np.unique(pack_rows(block.observations),
+                                 return_counts=True)
+    xpow = x ** hamming(distinct, np.arange(1 << kappa), kappa).astype(float)
+    best_ll = -np.inf
+    best: tuple[int, ...] | None = None
+    with np.errstate(divide="ignore"):
+        for cand in combinations(range(1 << kappa), M):
+            mix = xpow[:, cand].sum(axis=1)  # constants drop out of the argmax
+            ll = float(counts @ np.log(mix))
+            if best is None or ll > best_ll:
+                best_ll, best = ll, cand
+    return unpack_rows(best, kappa)
+
+
+ML_EXACT_EPS = (0.0, 0.01, 0.1, 0.3, 0.45, 0.5)
+
+
+def random_ml_block(seed: int, mirrored: bool = False,
+                    max_candidates: int = 560) -> DenoiseBlock:
+    """A seeded block with kappa 1-7, M 1-4 and n 1-120 rows; M is lowered
+    until C(2^kappa, M) <= max_candidates, which bounds the reference
+    loop's time. A mirrored block holds each row together with its
+    complement, so every candidate set ties exactly with its complemented
+    set."""
+    gen = np.random.default_rng(seed)
+    kappa = int(gen.integers(1, 8))
+    M = int(gen.integers(1, min(4, 1 << kappa) + 1))
+    while comb(1 << kappa, M) > max_candidates:
+        M -= 1
+    eps = float(gen.choice(ML_EXACT_EPS))
+    n = int(gen.integers(1, 121))
+    truth = np.where(gen.random((M, kappa)) < 0.5, 1, -1).astype(np.int8)
+    obs = truth[gen.integers(0, M, size=n)]
+    obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
+    if mirrored:
+        obs = np.concatenate([obs[: (n + 1) // 2], -obs[: (n + 1) // 2]])
+    return DenoiseBlock(kappa=kappa, observations=obs, M=M, eps=eps)
+
+
+def test_ml_matches_scalar_reference():
+    """The chunked matrix pass returns the scalar loop's set on 3,000
+    random blocks and 600 mirror-tied ones; one block in 20 may have up
+    to C(128, 2) = 8,128 candidates (kappa = 7, M = 2)."""
+    blocks = [random_ml_block(s, mirrored=s >= 3000,
+                              max_candidates=8128 if s % 20 == 0 else 560)
+              for s in range(3600)]
+    assert {b.eps for b in blocks} == set(ML_EXACT_EPS)
+    assert {(b.kappa, b.M) for b in blocks} >= {(7, 2), (6, 2), (5, 3),
+                                                (4, 4), (1, 1)}
+    for b in blocks:
+        np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
+
+
+def test_ml_ties_resolve_to_first_candidate():
+    """At eps = 0 a set either explains every row (score log 1 = 0) or
+    scores -inf. Three equal rows tie every 3-set holding that row; the
+    rows +1+1 and -1-1 leave no single sequence explaining both, so every
+    set scores -inf. Both return the first such set."""
+    lone = DenoiseBlock(kappa=4, observations=np.ones((3, 4), np.int8),
+                        M=3, eps=0.0)
+    none = DenoiseBlock(kappa=2, observations=np.array([[1, 1], [-1, -1]],
+                                                       np.int8), M=1, eps=0.0)
+    assert ml_denoise(lone).tolist() == [[-1, -1, -1, -1], [-1, -1, -1, 1],
+                                         [1, 1, 1, 1]]
+    assert ml_denoise(none).tolist() == [[-1, -1]]
+    for block in (lone, none):
+        np.testing.assert_array_equal(ml_denoise(block),
+                                      scalar_ml_denoise(block))
+
+
+@pytest.mark.parametrize("chunk_values", [1, 5, 64])
+def test_ml_matches_scalar_reference_across_chunks(monkeypatch, chunk_values):
+    """A chunk budget below the distinct-row count gives one candidate per
+    chunk; small budgets split every block into many chunks."""
+    monkeypatch.setattr(denoise, "ML_CHUNK_VALUES", chunk_values)
+    for seed in range(0, 3600, 24):
+        b = random_ml_block(seed, mirrored=seed >= 3000)
+        np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
+
+
+def test_ml_memory_is_bounded_by_chunk():
+    """kappa = 10, M = 2 has 523,776 candidates; scoring them streams
+    through fixed-size chunks instead of holding every score."""
+    gen = np.random.default_rng(11)
+    truth = np.where(gen.random((2, 10)) < 0.5, 1, -1).astype(np.int8)
+    block = make_block(truth, 60, 0.1, gen)
+    assert comb(1 << 10, 2) == 523_776
+    tracemalloc.start()
+    try:
+        ml_denoise(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_ml_argmax_matches_rational_oracle():

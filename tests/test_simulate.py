@@ -88,7 +88,7 @@ _grid = st.lists(st.integers(0, 40), max_size=60).map(
     lambda v: np.sort(np.asarray(v, dtype=np.float64)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(starts=_grid, pos=_grid.map(np.unique), L=st.integers(0, 45))
 @example(starts=np.empty(0), pos=np.array([3.0, 7.0]), L=5)      # no reads
 @example(starts=np.array([1.0, 1.0, 9.0]), pos=np.empty(0), L=5)  # no SNPs
@@ -103,7 +103,7 @@ def test_count_below_matches_searchsorted(starts, pos, L):
         assert got.tolist() == np.searchsorted(pos, points).tolist()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(M=st.integers(1, 4), p=st.sampled_from([0.0, 0.002, 0.05]),
        lam=st.sampled_from([0.0, 0.001, 0.02]), L=st.floats(1.0, 600.0),
        seed=st.integers(0, 2**20))
@@ -159,7 +159,7 @@ def _reference_values(rs) -> np.ndarray:
         for h, lo, hi in zip(rs.hidden, rs.cover_lo, rs.cover_hi)])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(M=st.integers(1, 4), G=st.integers(50, 3000),
        p=st.sampled_from([0.0, 0.002, 0.02, 0.3]),
        lam=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
