@@ -12,8 +12,8 @@ from .assemble import (Contig, check_bridging, check_coverage,
 from .noiseless_bounds import (BoundReport, assembly_bounds, bridging_bounds,
                                coverage_bounds, coverage_single, delta_m,
                                lambda_lower, p_m)
-from .denoise import (DenoiseBlock, HypothesisSet, build_correlation_graph,
-                      majority_vote, ml_denoise, spectral_denoise)
+from .denoise import (DenoiseBlock, build_correlation_graph, majority_vote,
+                      ml_denoise, spectral_denoise)
 from .noisy_bounds import (SegmentationPlan, SpectralBoundParams, disc_upper,
                            exponent_closed, exponent_numeric, exponent_table,
                            den_ml_upper, noisy_upper_ml, noisy_upper_spectral,

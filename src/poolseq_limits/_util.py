@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -99,6 +100,27 @@ def hamming(a, b, kappa: int) -> np.ndarray:
     diff = np.bitwise_xor.outer(a, b)
     return sum(_POPCOUNT16[(diff >> s) & 0xFFFF]
                for s in range(0, max(kappa, 1), 16))
+
+
+def candidate_sets(kappa: int, M: int, chunk: int):
+    """Every M-subset of the 2^kappa sequence codes, in lexicographic order,
+    as (k, M) int64 arrays of at most chunk sets each."""
+    total = math.comb(1 << kappa, M)
+    sets = combinations(range(1 << kappa), M)
+    for start in range(0, total, chunk):
+        k = min(chunk, total - start)
+        yield np.fromiter(chain.from_iterable(islice(sets, k)),
+                          dtype=np.int64, count=k * M).reshape(k, M)
+
+
+def set_sums(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Sum of each set's member rows: out[i] = rows[sets[i, 0]] +
+    rows[sets[i, 1]] + ..., added left to right so every caller rounds
+    alike."""
+    out = rows[sets[:, 0]]
+    for j in range(1, sets.shape[1]):
+        out += rows[sets[:, j]]
+    return out
 
 
 def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

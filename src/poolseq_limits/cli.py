@@ -494,9 +494,8 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                "eps": eps, "coverage": coverage, "blocks": used,
                "failure_rate": fails / used, "ci_low": lo, "ci_high": hi}
         if name == "ml":
-            row["ml_bound"] = den_ml_upper(
-                m_individuals, 1.0, coverage / m_individuals + 1.0, 1.0,
-                eps, kappa=kappa)
+            row["ml_bound"] = den_ml_upper(m_individuals, coverage, eps,
+                                           kappa=kappa)
         rows.append(row)
     write_csv(out, ["algo", "M", "kappa", "eps", "coverage", "blocks",
                     "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)

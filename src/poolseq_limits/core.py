@@ -39,7 +39,7 @@ class ValidationError(ValueError):
     """A parameter or frequency vector violates its contract."""
 
 
-class UnsupportedModelError(ValueError):
+class UnsupportedModelError(ValidationError):
     """The requested model combination is out of scope (e.g. noisy 4-ary)."""
 
 

@@ -16,16 +16,14 @@ a Hamming distance is the popcount of an XOR (`_util.hamming`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
-from ._util import hamming, pack_rows, unpack_rows
+from ._util import candidate_sets, hamming, pack_rows, set_sums, unpack_rows
 from .core import CapacityError, RandomStream, ValidationError
 
 __all__ = [
-    "HypothesisSet",
     "DenoiseBlock",
     "SpectralResult",
     "ml_denoise",
@@ -47,38 +45,6 @@ WORST_CASE = "worst_case"
 AVERAGE_CASE = "average_case"
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
-    """A candidate set of M distinct length-kappa sequences over {-1, +1}."""
-
-    sequences: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.sequences:
-            raise ValidationError("hypothesis set cannot be empty")
-        kappa = len(self.sequences[0])
-        for s in self.sequences:
-            if len(s) != kappa:
-                raise ValidationError("hypothesis sequences must share one length")
-            if any(a not in (-1, 1) for a in s):
-                raise ValidationError("hypothesis alleles must be -1 or +1")
-        if len(set(self.sequences)) != len(self.sequences):
-            raise ValidationError("hypothesis sequences must be distinct")
-        object.__setattr__(self, "sequences", tuple(sorted(self.sequences)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.sequences, dtype=np.int8)
-
-    @property
-    def M(self) -> int:
-        return len(self.sequences)
-
-    @property
-    def kappa(self) -> int:
-        return len(self.sequences[0])
-
-
 @dataclass
 class DenoiseBlock:
     """n noisy full-window observations of kappa SNPs."""
@@ -89,12 +55,15 @@ class DenoiseBlock:
     eps: float
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=np.int8)
+        obs = np.asarray(self.observations)
         if obs.ndim != 2 or (obs.size and obs.shape[1] != self.kappa):
             raise ValidationError("observations must be an (n, kappa) matrix")
+        # checked before the int8 cast, which would wrap 255 to -1
         if obs.size and not (np.abs(obs) == 1).all():
             raise ValidationError("observations must be -1/+1 valued")
-        self.observations = obs
+        if not 0.0 <= self.eps <= 0.5:
+            raise ValidationError(f"eps must be in [0, 0.5], got {self.eps}")
+        self.observations = obs.astype(np.int8, copy=False)
 
     @property
     def n(self) -> int:
@@ -107,22 +76,6 @@ class SpectralResult:
     labels: np.ndarray         # (n,) cluster assignment
     degraded: bool
     reseeds: int
-
-
-def mixture_distribution(hset: HypothesisSet, eps: float) -> np.ndarray:
-    """Observation distribution over all 2^kappa sequences for a hypothesis.
-
-    P(phi | psi) = ((1-eps)^kappa / M) * sum_j x^hamming(phi, psi_j) with
-    x = eps / (1 - eps).
-    """
-    if eps >= 1.0:
-        raise ValidationError("eps must be < 1")
-    kappa = hset.kappa
-    x = eps / (1.0 - eps)
-    dist = hamming(np.arange(1 << kappa), pack_rows(hset.matrix), kappa)
-    with np.errstate(divide="ignore"):
-        mix = (x ** dist.astype(np.float64)).sum(axis=1)
-    return ((1.0 - eps) ** kappa / hset.M) * mix
 
 
 def ml_denoise(block: DenoiseBlock) -> np.ndarray:
@@ -167,17 +120,10 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     margin = _ml_margin(xpow, block.n, M)
     rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
     chunk = max(1, ML_CHUNK_VALUES // len(distinct))
-    cands = combinations(range(1 << kappa), M)
     best_ll = top = -np.inf
     with np.errstate(divide="ignore"):
-        for start in range(0, n_cand, chunk):
-            k = min(chunk, n_cand - start)
-            sets = np.fromiter(chain.from_iterable(islice(cands, k)),
-                               dtype=np.int64, count=k * M).reshape(k, M)
-            mix = rows[sets[:, 0]]
-            for j in range(1, M):  # left to right, as the scalar sum adds
-                mix += rows[sets[:, j]]
-            scores = np.log(mix, out=mix) @ counts
+        for sets in candidate_sets(kappa, M, chunk):
+            scores = np.log(set_sums(rows, sets)) @ counts
             top = max(top, scores.max())
             if top == -np.inf:  # no candidate yet explains every row
                 continue

@@ -17,20 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, exp, expm1, log, sqrt
 
 import numpy as np
 
-from ._util import clamp01, golden_min, hamming, poisson_weights
+from ._util import (candidate_sets, clamp01, golden_min, hamming, pack_rows,
+                    poisson_weights, set_sums)
 from .core import CapacityError, ModelConfig, ValidationError
-from .denoise import (AVERAGE_CASE, WORST_CASE, HypothesisSet,
-                      mixture_distribution, nu_min_for_mode)
+from .denoise import AVERAGE_CASE, WORST_CASE, nu_min_for_mode
 
 __all__ = [
     "SegmentationPlan",
     "SpectralBoundParams",
     "disc_upper",
+    "mixture_distribution",
     "exponent_numeric",
     "exponent_closed",
     "canonical_adjacent_pair",
@@ -98,19 +99,51 @@ def disc_upper(M: int, p: float, eta: float, D: float, d: float) -> float:
     return clamp01(total)
 
 
-def exponent_numeric(psi_t: HypothesisSet, psi: HypothesisSet,
-                     eps: float) -> float:
-    """Exact confusion exponent between two hypothesis sets.
+def _check_eps(eps: float) -> None:
+    if not (0.0 <= eps <= 0.5):
+        raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
+
+
+def _mixtures(sets: np.ndarray, kappa: int, eps: float) -> np.ndarray:
+    """Observation mixtures over all 2^kappa sequences, one row per set of
+    sequence codes: P(phi | psi) = ((1-eps)^kappa / M) * sum_j
+    x^hamming(phi, psi_j) with x = eps / (1 - eps)."""
+    codes, members = np.unique(sets, return_inverse=True)
+    x = eps / (1.0 - eps)
+    rows = x ** hamming(codes, np.arange(1 << kappa), kappa).astype(np.float64)
+    mix = set_sums(rows, members.reshape(sets.shape))
+    mix *= (1.0 - eps) ** kappa / sets.shape[1]
+    return mix
+
+
+def mixture_distribution(psi: np.ndarray, eps: float) -> np.ndarray:
+    """Observation distribution over all 2^kappa sequences (in code order)
+    induced by a hypothesis set: an (M, kappa) matrix of M distinct +-1
+    rows."""
+    psi = np.asarray(psi)
+    if psi.ndim != 2 or len(psi) == 0:
+        raise ValidationError("a hypothesis set is a non-empty (M, kappa) matrix")
+    if not np.isin(psi, (-1, 1)).all():
+        raise ValidationError("hypothesis alleles must be -1 or +1")
+    if psi.shape[1] > EXPONENT_KAPPA_CAP:
+        raise CapacityError(f"kappa > {EXPONENT_KAPPA_CAP} not enumerable")
+    codes = np.unique(pack_rows(psi))  # members summed in code order
+    if len(codes) != len(psi):
+        raise ValidationError("hypothesis sequences must be distinct")
+    _check_eps(eps)
+    return _mixtures(codes[None], psi.shape[1], eps)[0]
+
+
+def exponent_numeric(psi_t: np.ndarray, psi: np.ndarray, eps: float) -> float:
+    """Exact confusion exponent between two (M, kappa) hypothesis sets.
 
     Computes -log of the Bhattacharyya coefficient between the observation
     mixtures the two sets induce over all 2^kappa sequences. Zero iff the
     mixtures coincide (identical sets, or eps = 0.5); inf when they are
     disjoint (possible at eps = 0).
     """
-    if psi_t.kappa != psi.kappa or psi_t.M != psi.M:
+    if np.shape(psi_t) != np.shape(psi):
         raise ValidationError("hypothesis sets must share kappa and M")
-    if psi_t.kappa > EXPONENT_KAPPA_CAP:
-        raise CapacityError(f"kappa > {EXPONENT_KAPPA_CAP} not enumerable")
     p = mixture_distribution(psi_t, eps)
     q = mixture_distribution(psi, eps)
     bc = float(np.sqrt(p * q).sum())
@@ -126,8 +159,7 @@ def exponent_closed(M: int, eps: float) -> float:
     Both satisfy the eps -> 0 limit log(1 + 1/(M-1)) and vanish at
     eps = 0.5. Other M fall back to a small-kappa numeric minimization.
     """
-    if not (0.0 <= eps <= 0.5):
-        raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
+    _check_eps(eps)
     e = eps
     if M == 2:
         return -log(0.5 + sqrt(e * (1.0 - e)))
@@ -140,23 +172,21 @@ def exponent_closed(M: int, eps: float) -> float:
     return min_exponent(M, kappa, eps, distance=1)
 
 
-def canonical_adjacent_pair(M: int, kappa: int) -> tuple[HypothesisSet, HypothesisSet]:
+def canonical_adjacent_pair(M: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
     """The minimum-distance hypothesis pair realizing the dominant exponent.
 
     The true set holds M sequences forming a chain of adjacent corners on
     the first two coordinates; the alternative flips one locus of the last
-    member. Requires kappa >= 2 and M in {2, 3}.
+    member. Both are (M, kappa) int8 matrices with rows in lexicographic
+    order. Requires kappa >= 2 and M in {2, 3}.
     """
     if kappa < 2 or M not in (2, 3):
         raise ValidationError("canonical pair defined for M in {2, 3}, kappa >= 2")
-    pad = (-1,) * (kappa - 2)
-    if M == 2:
-        true = ((-1, -1) + pad, (1, -1) + pad)
-        alt = ((-1, -1) + pad, (-1, 1) + pad)
-    else:
-        true = ((-1, -1) + pad, (1, -1) + pad, (1, 1) + pad)
-        alt = ((-1, -1) + pad, (1, -1) + pad, (-1, 1) + pad)
-    return HypothesisSet(true), HypothesisSet(alt)
+    true = [(-1, -1), (1, -1), (1, 1)][:M]
+    alt = true[:-1] + [(-1, 1)]
+    pad = np.full((M, kappa - 2), -1, dtype=np.int8)
+    return tuple(np.hstack([np.array(sorted(s), dtype=np.int8), pad])
+                 for s in (true, alt))
 
 
 def _member_arrays(kappa: int, M: int) -> np.ndarray:
@@ -164,7 +194,8 @@ def _member_arrays(kappa: int, M: int) -> np.ndarray:
     if n_cand > PAIR_ENUM_CAP:
         raise CapacityError(
             f"{n_cand} hypothesis sets exceed the enumeration cap {PAIR_ENUM_CAP}")
-    return np.array(list(combinations(range(1 << kappa), M)), dtype=np.int64)
+    (members,) = candidate_sets(kappa, M, n_cand)
+    return members
 
 
 def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
@@ -179,14 +210,9 @@ def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     return dist
 
 
-def _pairwise_exponents(members: np.ndarray, kappa: int, M: int,
+def _pairwise_exponents(members: np.ndarray, kappa: int,
                         eps: float) -> np.ndarray:
-    x = eps / (1.0 - eps)
-    phis = np.arange(1 << kappa)
-    xpow = x ** hamming(phis, phis, kappa).astype(np.float64)
-    mix = xpow[:, members].sum(axis=2).T  # (n_cand, 2^kappa), constants dropped
-    mix *= (1.0 - eps) ** kappa / M
-    sq = np.sqrt(mix)
+    sq = np.sqrt(_mixtures(members, kappa, eps))
     bc = sq @ sq.T
     # disjoint mixtures (possible at eps = 0) have bc = 0: the exponent is inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,11 +235,10 @@ def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
     if M < 1 or kappa < 1 or M > 1 << kappa:
         raise ValidationError(f"need kappa >= 1 and 1 <= M <= 2^kappa, "
                               f"got M={M}, kappa={kappa}")
-    if not (0.0 <= eps <= 0.5):
-        raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
+    _check_eps(eps)
     members = _member_arrays(kappa, M)
     dist = _set_distances(members, kappa)
-    exps = _pairwise_exponents(members, kappa, M, eps)
+    exps = _pairwise_exponents(members, kappa, eps)
     values = []
     for i in range(1, M * kappa + 1):
         mask = dist == i
@@ -222,17 +247,16 @@ def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
     return tuple(values)
 
 
-def den_ml_upper(M: int, lam: float, L: float, D: float, eps: float,
-                 kappa: int) -> float:
-    """Upper bound on ML denoising failure in one block of kappa SNPs.
+def den_ml_upper(M: int, coverage: float, eps: float, kappa: int) -> float:
+    """Upper bound on ML denoising failure in one block of kappa SNPs whose
+    covering-read count is Poisson(coverage).
 
-    The number of covering reads is Poisson(lam * M * (L - D)), and the
-    bound is sum_i C(M kappa, i) exp(-coverage (1 - e^-D_i)) over the
+    The bound is sum_i C(M kappa, i) exp(-coverage (1 - e^-D_i)) over the
     hypothesis distances i of the exponent table. Returned raw: values
-    above 1 mean the bound is vacuous there.
+    above 1 mean the bound is vacuous there, as at coverage 0.
     """
-    # at D >= L no read can strictly cover the segment; the bound is vacuous
-    coverage = lam * M * max(L - D, 0.0)
+    if not coverage >= 0.0:
+        raise ValidationError(f"coverage must be >= 0, got {coverage}")
     total = 0.0
     for i, d_i in enumerate(exponent_table(M, kappa, eps), start=1):
         if math.isinf(d_i):

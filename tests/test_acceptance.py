@@ -254,8 +254,7 @@ def test_criterion_07_ml_denoise_bound():
     all_ok = True
     for eps in (0.1, 0.2, 0.3):
         for cov in (20.0, 60.0):
-            bound = den_ml_upper(M, 1.0, cov / M + 10.0, 10.0, eps,
-                                 kappa=kappa)
+            bound = den_ml_upper(M, cov, eps, kappa=kappa)
             root = RandomStream(308)
             fails = 0
             for b in range(blocks):

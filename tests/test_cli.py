@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -152,6 +153,23 @@ def test_exponent_table_output():
     assert float(first["exponent"]) > 0
 
 
+@pytest.mark.parametrize("args,digest", [
+    ("exponent --m 2 --kappa 3 --eps 0,0.05,0.1,0.3,0.5", "0501ad6c52ff45ca"),
+    ("exponent --m 3 --kappa 3 --eps 0.1,0.2", "f0e72068f61521cc"),
+    ("exponent --m 4 --kappa 2 --eps 0.1", "bed79d30db9429d9"),
+    ("denoise-bench --m 2 --kappa 3 --eps 0.2 --coverage 25 --blocks 300 "
+     "--seed 5", "1807fa90abc73c90"),
+    ("denoise-bench --m 3 --kappa 4 --eps 0.1 --coverage 40 --blocks 200 "
+     "--seed 2", "ffa7a9a0bb1f9003"),
+])
+def test_exponent_and_denoise_bench_output_digests(args, digest):
+    """Exponent tables, ML decodes and ML bounds print these recorded
+    bytes; the shared enumerator and mixture kernel must keep them."""
+    res = run(args.split())
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
+
+
 def test_simulate_zero_trials(tmp_path):
     out = tmp_path / "rows.csv"
     res = run(["simulate", "-O", "G=100000", "-O", "M=2", "-O", "p=0.001",
@@ -178,6 +196,18 @@ def test_simulate_memory_guard():
                "-O", "p=0.001", "-O", "maf=0.1", "-O", "lambda=0.01",
                "-O", "L=100000", "--trials", "1", "--mem-cap-mb", "64"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_rejects_eta_law(workers):
+    """An eta law has no allele frequencies to sample from: exit 2 with
+    an error line, in the parent process and from a worker alike."""
+    res = run(["simulate", *BASE, "-O", "L=3000", "-O", "G=20000",
+               "--trials", "2", "--workers", workers])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    err = res.stderr if hasattr(res, "stderr") and res.stderr else res.output
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_simulate_deterministic_across_workers(tmp_path):

@@ -10,14 +10,14 @@ from poolseq_limits import denoise
 from poolseq_limits._util import hamming, pack_rows, unpack_rows
 from poolseq_limits.core import CapacityError, RandomStream, ValidationError
 from poolseq_limits.denoise import (ML_CANDIDATE_CAP, DenoiseBlock,
-                                    HypothesisSet,
                                     build_correlation_graph, majority_vote,
-                                    mixture_distribution, ml_denoise,
-                                    spectral_denoise)
+                                    ml_denoise, spectral_denoise)
+from poolseq_limits.noisy_bounds import (EXPONENT_KAPPA_CAP,
+                                         mixture_distribution)
 
 
 def hset(*rows):
-    return HypothesisSet(tuple(tuple(r) for r in rows))
+    return np.array(rows)
 
 
 def observation_likelihood(phi, h, eps):
@@ -35,12 +35,17 @@ def make_block(truth, n, eps, gen, kappa=None):
 
 
 def test_hypothesis_set_validation():
-    with pytest.raises(ValidationError):
-        hset((1, 1), (1, 1))
-    with pytest.raises(ValidationError):
-        hset((1, 0))
-    h = hset((1, -1), (-1, -1))
-    assert h.sequences[0] == (-1, -1)  # stored sorted
+    """A hypothesis set is a non-empty (M, kappa) matrix of distinct +-1
+    rows; its members are summed in code order, whatever their row order."""
+    for bad in (hset((1, 1), (1, 1)), hset((1, 0)), hset((1, 2)),
+                np.array([1, -1]), np.empty((0, 2))):
+        with pytest.raises(ValidationError):
+            mixture_distribution(bad, 0.1)
+    with pytest.raises(CapacityError):
+        mixture_distribution(np.ones((1, EXPONENT_KAPPA_CAP + 1)), 0.1)
+    np.testing.assert_array_equal(
+        mixture_distribution(hset((1, -1), (-1, -1)), 0.1),
+        mixture_distribution(hset((-1, -1), (1, -1)), 0.1))
 
 
 def test_likelihood_noiseless_mixture():
@@ -81,10 +86,19 @@ def test_ml_errors():
 
 
 def test_block_rejects_non_unit_alleles():
+    """Values are checked as given, before the int8 cast that would wrap
+    255 to -1; eps must lie in [0, 0.5]."""
     for bad in (0, 2, 127, -128):
         obs = np.array([[1, -1], [bad, 1]], np.int8)
         with pytest.raises(ValidationError, match="-1/\\+1"):
             DenoiseBlock(kappa=2, observations=obs, M=2, eps=0.1)
+    for bad in (255, -129, 1.5):
+        with pytest.raises(ValidationError, match="-1/\\+1"):
+            DenoiseBlock(kappa=2, observations=[[bad, 1], [1, -1]], M=2,
+                         eps=0.1)
+    for eps in (1.2, float("nan")):
+        with pytest.raises(ValidationError, match="eps"):
+            DenoiseBlock(kappa=2, observations=[[1, -1]], M=2, eps=eps)
     DenoiseBlock(kappa=2, observations=np.array([[1, -1]], np.int8), M=2,
                  eps=0.1)
 

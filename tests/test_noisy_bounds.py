@@ -1,11 +1,12 @@
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from poolseq_limits._util import unpack_rows
 from poolseq_limits.core import (CapacityError, FixedEta, ModelConfig,
                                  ValidationError)
-from poolseq_limits.denoise import HypothesisSet
 from poolseq_limits.noisy_bounds import (SegmentationPlan,
                                          canonical_adjacent_pair, den_ml_upper,
                                          disc_upper, exponent_closed,
@@ -61,8 +62,8 @@ def test_exponent_numeric_identity_and_uninformative():
 def test_exponent_numeric_disjoint_mixtures_is_inf():
     """At eps = 0 two sets sharing no sequence induce disjoint mixtures:
     the exponent is inf, as in `exponent_table`, not a log-domain error."""
-    t = HypothesisSet(((1, 1), (1, -1)))
-    a = HypothesisSet(((-1, -1), (-1, 1)))
+    t = np.array([[1, 1], [1, -1]])
+    a = np.array([[-1, -1], [-1, 1]])
     assert exponent_numeric(t, a, 0.0) == math.inf
     assert math.inf in exponent_table(2, 2, 0.0)
 
@@ -71,6 +72,40 @@ def test_exponent_numeric_adjacent_pair_value():
     t, a = canonical_adjacent_pair(2, 2)
     assert exponent_numeric(t, a, 0.1) == pytest.approx(-math.log(0.8),
                                                         rel=1e-9)
+
+
+def test_exponent_numeric_rejects_eps_outside_channel():
+    """Like `exponent_table` and `exponent_closed`, the oracle refuses an
+    eps outside [0, 0.5] instead of returning a number or inf."""
+    t, a = canonical_adjacent_pair(2, 3)
+    for eps in (0.7, -0.1, math.nan):
+        for f in (lambda: exponent_numeric(t, a, eps),
+                  lambda: exponent_table(2, 3, eps),
+                  lambda: exponent_closed(2, eps)):
+            with pytest.raises(ValidationError, match="eps"):
+                f()
+
+
+def _brute_set_distance(s, t):
+    """Fewest bit flips turning set s into set t, over member matchings."""
+    return min(int((s != t[list(perm)]).sum())
+               for perm in permutations(range(len(s))))
+
+
+@pytest.mark.parametrize("M,kappa", [(1, 3), (2, 2), (2, 3), (3, 3)])
+def test_exponent_table_is_pairwise_oracle_minimum(M, kappa):
+    """Entry i of the table is the oracle's minimum over every pair of
+    sets at distance i, inf where no pair is; the table and the oracle
+    share one mixture kernel but enumerate and pair sets separately."""
+    sets = [unpack_rows(c, kappa) for c in combinations(range(1 << kappa), M)]
+    for eps in (0.0, 0.1, 0.3, 0.5):
+        best = [math.inf] * (M * kappa)
+        for s, t in combinations(sets, 2):
+            i = _brute_set_distance(s, t)
+            best[i - 1] = min(best[i - 1], exponent_numeric(s, t, eps))
+        # abs covers eps = 0.5, where every exponent is 0 up to rounding
+        assert exponent_table(M, kappa, eps) == pytest.approx(
+            tuple(best), rel=1e-9, abs=1e-12)
 
 
 def test_exponent_closed_limits():
@@ -120,8 +155,8 @@ def test_min_exponent_share_one_member_is_worst():
     and is strictly below the adjacent-pair closed form."""
     for eps in (0.05, 0.2, 0.4):
         mn = min_exponent(2, 3, eps, distance=1)
-        t = HypothesisSet(((-1, -1, -1), (1, 1, -1)))
-        a = HypothesisSet(((-1, -1, -1), (1, -1, -1)))
+        t = np.array([[-1, -1, -1], [1, 1, -1]])
+        a = np.array([[-1, -1, -1], [1, -1, -1]])
         assert mn == pytest.approx(exponent_numeric(t, a, eps), rel=1e-9)
         assert mn < exponent_closed(2, eps)
 
@@ -137,8 +172,8 @@ def test_exponent_kappa_independence():
 
 
 def test_den_ml_upper_shapes():
-    # D = L: no strictly covering reads, bound is vacuous (>= 1)
-    assert den_ml_upper(2, 1e-3, 1e5, 1e5, 0.2, kappa=3) >= 1.0
+    # no covering reads: the bound is vacuous (>= 1)
+    assert den_ml_upper(2, 0.0, 0.2, kappa=3) >= 1.0
     # eps = 0 dominant denoising term of the ML assembly bound:
     # M p D exp(-coverage (1 - (M-1)/M))
     cfg = ModelConfig(G=10**6, M=2, p=1e-3, L=2e5, lam=1e-3, law=LAW, eps=0.0)
@@ -152,8 +187,8 @@ def test_den_ml_upper_shapes():
 
 
 def test_den_ml_upper_monotone_in_coverage():
-    vals = [den_ml_upper(2, lam, 2e5, 5e4, 0.2, kappa=3)
-            for lam in (1e-4, 3e-4, 1e-3, 3e-3)]
+    vals = [den_ml_upper(2, cov, 0.2, kappa=3)
+            for cov in (30.0, 90.0, 300.0, 900.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
