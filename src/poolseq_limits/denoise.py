@@ -8,7 +8,9 @@ sequences under the symmetric-flip channel, one chunk of candidate sets
 per matrix-vector product, and rescores the sets near the running maximum
 with the scalar log-likelihood so that rounding never changes the winner;
 spectral decoding thresholds the sample cross-correlation into a graph,
-clusters its top eigenvector embedding, and majority-votes per cluster.
+clusters its top eigenvector embedding, and majority-votes per cluster. The
+embedding is computed on the block's distinct rows, weighted by their
+counts, and lifted back to every row.
 Sequences are scored as int64 codes (`_util.pack_rows`: first locus most significant, +1 a set bit), so
 a Hamming distance is the popcount of an XOR (`_util.hamming`).
 """
@@ -63,6 +65,8 @@ class DenoiseBlock:
             raise ValidationError("observations must be -1/+1 valued")
         if not 0.0 <= self.eps <= 0.5:
             raise ValidationError(f"eps must be in [0, 0.5], got {self.eps}")
+        if self.M < 1:
+            raise ValidationError(f"M must be at least 1, got {self.M}")
         self.observations = obs.astype(np.int8, copy=False)
 
     @property
@@ -217,23 +221,50 @@ def _lloyd(emb: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, bool]:
     return labels, True
 
 
+def _spectral_embedding(block: DenoiseBlock, mode: str,
+                        eta: float | None) -> np.ndarray:
+    """Each row's coordinates in the top-M eigenvector span of the
+    correlation graph A, one column per eigenvector (fewer when the block
+    has fewer than M distinct rows).
+
+    Identical rows have identical adjacency rows, so A = P B P^T with P
+    the n x u membership matrix of the u distinct rows and B their graph.
+    With W = P^T P = diag(counts), every eigenpair (mu, y) of
+    S = W^1/2 B W^1/2 gives the unit eigenpair (mu, P W^-1/2 y) of A, and
+    A's other eigenvalues are 0; so when A's M-th eigenvalue is positive,
+    its top-M eigenspace is S's lifted back to the rows.
+    """
+    # rows packed to bytes: one 1-D unique is far cheaper than unique(axis=0)
+    packed = np.packbits(block.observations > 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    distinct = DenoiseBlock(kappa=block.kappa,
+                            observations=block.observations[first],
+                            M=block.M, eps=block.eps)
+    B = build_correlation_graph(distinct, mode=mode, eta=eta)
+    root = np.sqrt(counts)
+    _, y = np.linalg.eigh(B * np.outer(root, root))
+    return (y[:, -block.M:] / root[:, None])[inverse]
+
+
 def spectral_denoise(block: DenoiseBlock, stream: RandomStream,
                      mode: str = WORST_CASE,
                      eta: float | None = None) -> SpectralResult:
     """Cluster observations into M communities and majority-vote per cluster.
 
     Embeds the rows of the thresholded adjacency matrix into its top-M
-    eigenvector span, seeds M centers by farthest-point traversal, runs
-    bounded Lloyd iterations, and reseeds (perturbed, from the stream) when
-    a cluster empties; after the attempt budget the result is flagged
-    degraded. Deterministic for a fixed block and stream.
+    eigenvector span, computed on the distinct rows and lifted back to
+    every row (`_spectral_embedding`), seeds M centers by farthest-point
+    traversal, runs bounded Lloyd iterations, and reseeds (perturbed, from
+    the stream) when a cluster empties; after the attempt budget the result
+    is flagged degraded, as it is for a block with fewer than M distinct
+    rows. Deterministic for a fixed block and stream.
     """
     if block.n < block.M:
         raise ValidationError("spectral denoising needs at least M observations")
     M = block.M
-    A = build_correlation_graph(block, mode=mode, eta=eta)
-    w, v = np.linalg.eigh(A.astype(np.float64))
-    emb = v[:, -M:]
+    emb = _spectral_embedding(block, mode, eta)
     centers = _farthest_point_seed(emb, M)
     labels, okay = _lloyd(emb, centers)
     reseeds = 0

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 PAIR_ENUM_CAP = 2100  # hypothesis sets; all-pairs tables go quadratic in this
+# M! member matchings times squared set count: (M, kappa) = (4, 4) needs 8e7
+MATCHING_WORK_CAP = 10 ** 8
 EXPONENT_KAPPA_CAP = 14
 
 
@@ -201,6 +203,9 @@ def _member_arrays(kappa: int, M: int) -> np.ndarray:
 def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     """Pairwise set distances: minimal total bit flips over member matchings."""
     n, M = members.shape
+    if math.factorial(M) * n * n > MATCHING_WORK_CAP:
+        raise CapacityError(f"set distances need {M}! matchings over {n}^2 "
+                            f"set pairs, over the cap {MATCHING_WORK_CAP:.0e}")
     dist = None
     for perm in permutations(range(M)):
         d = np.zeros((n, n), dtype=np.int64)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -160,7 +161,7 @@ def test_exponent_table_output():
     ("denoise-bench --m 2 --kappa 3 --eps 0.2 --coverage 25 --blocks 300 "
      "--seed 5", "1807fa90abc73c90"),
     ("denoise-bench --m 3 --kappa 4 --eps 0.1 --coverage 40 --blocks 200 "
-     "--seed 2", "ffa7a9a0bb1f9003"),
+     "--seed 2", "10d858c64138451f"),
 ])
 def test_exponent_and_denoise_bench_output_digests(args, digest):
     """Exponent tables, ML decodes and ML bounds print these recorded
@@ -168,6 +169,16 @@ def test_exponent_and_denoise_bench_output_digests(args, digest):
     res = run(args.split())
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
+
+
+def test_exponent_refuses_matching_blowup():
+    """M = 12 at kappa = 4 has 1,820 sets and 12! member matchings: refused
+    with exit 3 before any matching is tried."""
+    t0 = time.perf_counter()
+    res = run(["exponent", "--m", "12", "--kappa", "4", "--eps", "0.1"])
+    assert res.exit_code == 3
+    assert "matchings" in res.stderr
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_simulate_zero_trials(tmp_path):

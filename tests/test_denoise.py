@@ -9,9 +9,10 @@ import pytest
 from poolseq_limits import denoise
 from poolseq_limits._util import hamming, pack_rows, unpack_rows
 from poolseq_limits.core import CapacityError, RandomStream, ValidationError
-from poolseq_limits.denoise import (ML_CANDIDATE_CAP, DenoiseBlock,
-                                    build_correlation_graph, majority_vote,
-                                    ml_denoise, spectral_denoise)
+from poolseq_limits.denoise import (ML_CANDIDATE_CAP, RESEED_ATTEMPTS,
+                                    DenoiseBlock, build_correlation_graph,
+                                    majority_vote, ml_denoise,
+                                    spectral_denoise)
 from poolseq_limits.noisy_bounds import (EXPONENT_KAPPA_CAP,
                                          mixture_distribution)
 
@@ -87,7 +88,7 @@ def test_ml_errors():
 
 def test_block_rejects_non_unit_alleles():
     """Values are checked as given, before the int8 cast that would wrap
-    255 to -1; eps must lie in [0, 0.5]."""
+    255 to -1; eps must lie in [0, 0.5] and M be at least 1."""
     for bad in (0, 2, 127, -128):
         obs = np.array([[1, -1], [bad, 1]], np.int8)
         with pytest.raises(ValidationError, match="-1/\\+1"):
@@ -99,6 +100,9 @@ def test_block_rejects_non_unit_alleles():
     for eps in (1.2, float("nan")):
         with pytest.raises(ValidationError, match="eps"):
             DenoiseBlock(kappa=2, observations=[[1, -1]], M=2, eps=eps)
+    for M in (0, -1):
+        with pytest.raises(ValidationError, match="M must be"):
+            DenoiseBlock(kappa=2, observations=[[1, -1]], M=M, eps=0.1)
     DenoiseBlock(kappa=2, observations=np.array([[1, -1]], np.int8), M=2,
                  eps=0.1)
 
@@ -367,6 +371,54 @@ def test_spectral_deterministic():
                          stream=RandomStream(2))
     np.testing.assert_array_equal(a.sequences, b.sequences)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("kappa,n,eps,M,mode", [
+    (4, 60, 0.1, 2, "worst_case"),
+    (8, 80, 0.05, 3, "worst_case"),
+    (16, 120, 0.02, 2, "average_case"),
+    (100, 200, 0.2, 2, "average_case"),
+])
+def test_spectral_embedding_is_full_top_eigenspace(kappa, n, eps, M, mode):
+    """The embedding built on distinct rows spans the top-M eigenspace of
+    the full n x n graph wherever that space is well defined."""
+    root = RandomStream(31)
+    checked = 0
+    for b in range(40):
+        gen = root.child(kappa, b).gen
+        truth = np.where(gen.random((M, kappa)) < 0.3, 1, -1).astype(np.int8)
+        block = make_block(truth, n, eps, gen)
+        distinct = len({r.tobytes() for r in block.observations})
+        if kappa == 100:
+            assert distinct == n
+        else:
+            assert distinct < n / 2
+        w, V = np.linalg.eigh(build_correlation_graph(
+            block, mode=mode, eta=0.82).astype(float))
+        if w[-M] - w[-M - 1] < 0.5:
+            continue
+        checked += 1
+        E = denoise._spectral_embedding(block, mode, 0.82)
+        assert E.shape == (n, M)
+        np.testing.assert_allclose(E.T @ E, np.eye(M), atol=1e-9)
+        np.testing.assert_allclose(E @ E.T, V[:, -M:] @ V[:, -M:].T,
+                                   atol=1e-9)
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("rows,M", [
+    ([[1, -1, 1, 1]] * 6, 2),
+    ([[1, -1, 1, 1]] * 4 + [[-1, -1, 1, -1]] * 5, 3),
+])
+def test_spectral_fewer_distinct_rows_than_m_is_degraded(rows, M):
+    """Fewer than M distinct rows give fewer than M embedding columns; every
+    Lloyd attempt empties a cluster and the block comes back degraded."""
+    block = DenoiseBlock(kappa=4, observations=np.array(rows, np.int8), M=M,
+                         eps=0.1)
+    res = spectral_denoise(block, stream=RandomStream(0))
+    assert res.degraded
+    assert res.reseeds == RESEED_ATTEMPTS
+    assert res.sequences.shape == (M, 4)
 
 
 def test_spectral_needs_enough_observations():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 
 from poolseq_limits import pipeline
@@ -265,3 +268,19 @@ def test_one_pass_noisy_trial_matches_reference():
             for flag, value in zip(_FLAGS, flags):
                 seen[flag].add(value)
     assert all(values == {False, True} for values in seen.values()), seen
+
+
+def test_spectral_trial_flags_pinned():
+    """Sixty spectral trials at the sim-noisy benchmark's spectral point set
+    these recorded flags; decoding on distinct reads must not move a trial."""
+    cfg = ModelConfig(G=20000, M=2, p=4e-3, L=10000.0, lam=1e-2,
+                      law=FixedBiallelic(0.5), eps=0.05)
+    plan = SegmentationPlan(D=4000.0, d=1500.0)
+    flags = []
+    for t in range(60):
+        res = run_noisy_trial(cfg, plan, RandomStream(12).child(t), "spectral")
+        flags.append([getattr(res, f) for f in _FLAGS])
+    assert {tuple(f) for f in flags} >= {(False, False, False, True),
+                                         (True, True, True, False)}
+    digest = hashlib.sha256(json.dumps(flags).encode()).hexdigest()[:16]
+    assert digest == "7032e439b821a3ec"
