@@ -127,7 +127,9 @@ def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndar
     """Poisson pmf support truncated to total mass >= 1 - tail.
 
     Returns (ks, weights). Expands outward from the mode so large means do
-    not require summing from zero.
+    not require summing from zero. Also stops once the next two terms
+    cannot change the rounded total: rounding in the mode weight, which
+    grows with mu, can keep the total just short of 1 - tail for good.
     """
     if mu <= 0.0:
         return np.array([0]), np.array([1.0])
@@ -141,6 +143,8 @@ def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndar
     while total < 1.0 - tail:
         w_up = w_hi * mu / (hi + 1)
         w_down = w_lo * lo / mu if lo > 0 else 0.0
+        if total + (w_up + w_down) == total:
+            break
         if w_up >= w_down:
             hi += 1
             w_hi = w_up

@@ -112,6 +112,20 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     the SNP-carrying reads already assigned to m. Consistency is one prefix
     compare, the overlap is max(0, f_m - lo), and a merge writes only the
     suffix [max(f_m, lo), hi).
+
+    Reads sharing (lo, hi) form one contiguous run, and within a run the
+    candidate search runs once per distinct consistent read. Once a read
+    with values v has merged on the consistent path, every later read of
+    the run with values v has the pool
+    P(v) = {m : f_m == hi and consensus_m[lo:hi] == v}: those contigs
+    overlap it fully, and merging into one writes nothing. So P(v) is
+    cached per run, and a repeat only draws its member. No later merge
+    changes P(v): members' windows are full, a consistent merge of other
+    values v' leaves v' on its window, and a fallback merge of v' could
+    leave v only on a contig j whose determined prefix disagrees with v'
+    where v' matches v on j's unfilled suffix; every member of P(v) then
+    agrees with v' on more SNPs than j, so j is never the fallback pick.
+    Fallback reads are not cached, as their merges can still write.
     """
     M = rs.config.M
     S = rs.population.S
@@ -124,13 +138,24 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     frontier = [0] * M
     assigned: list[list[int]] = [[] for _ in range(M)]
     gen = stream.gen
+    run = None
+    pools: dict[bytes, list[int]] = {}
     for r in range(rs.n_reads):
         lo, hi = los[r], his[r]
         if hi == lo:
             # no SNP content: assign anywhere without touching consensus
             assigned[int(gen.integers(M))].append(r)
             continue
+        if run != (lo, hi):
+            run, pools = (lo, hi), {}
         v = obs[off[r]:off[r + 1]]
+        pool = pools.get(v)
+        if pool is not None:
+            # every member's window already holds v: the merge writes nothing
+            m = pool[0] if len(pool) == 1 else \
+                pool[int(gen.integers(len(pool)))]
+            assigned[m].append(r)
+            continue
         best_overlap = -1
         candidates: list[int] = []
         for m in range(M):
@@ -154,6 +179,9 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
             consensus[m][lo:hi] = v
         frontier[m] = hi
         assigned[m].append(r)
+        if candidates:
+            # P(v): the full-overlap candidates, or m alone if none was full
+            pools[v] = candidates if best_overlap == hi - lo else [m]
     return [Contig(read_indices=assigned[m],
                    consensus=np.frombuffer(consensus[m], dtype=np.int8))
             for m in range(M)]

@@ -162,6 +162,14 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
             fh.close()
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout or sys.stderr, named explicitly:
+    without `file`, click caches a wrapper per stream object in a
+    WeakKeyDictionary whose value keeps its key alive, so every in-process
+    invocation (each with fresh streams) would leak one wrapper."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 class _Main(click.Group):
     """Command group mapping library errors to exit codes for every command."""
 
@@ -172,7 +180,7 @@ class _Main(click.Group):
             code, message = EXIT_CONFIG, str(e)
         except CapacityError as e:
             code, message = EXIT_CAPACITY, str(e)
-        click.echo(f"error: {message}", err=True)
+        _echo(f"error: {message}", err=True)
         sys.exit(code)
 
 
@@ -362,10 +370,10 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
             summary[flag] = {"count": k, "rate": k / len(vals),
                              "ci95": [lo, hi]}
     if as_json:
-        click.echo(json.dumps(summary, sort_keys=True))
+        _echo(json.dumps(summary, sort_keys=True))
     else:
         for key, val in summary.items():
-            click.echo(f"{key}: {val}")
+            _echo(f"{key}: {val}")
 
 
 @main.command("critical-l")
@@ -398,20 +406,20 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     value, iters = bisect_decreasing(f, target, l_min, l_max)
     if value is None:
         if as_json:
-            click.echo(json.dumps({"region": "empty", "bound": bound,
-                                   "target": target,
-                                   "bracket": [l_min, l_max]}))
+            _echo(json.dumps({"region": "empty", "bound": bound,
+                              "target": target,
+                              "bracket": [l_min, l_max]}))
         else:
-            click.echo(f"region empty: {bound} stays above {target} "
-                       f"on [{l_min}, {l_max}]")
+            _echo(f"region empty: {bound} stays above {target} "
+                  f"on [{l_min}, {l_max}]")
         sys.exit(EXIT_EMPTY_REGION)
     result = {"bound": bound, "target": target, "critical_L": value,
               "bracket": [l_min, l_max], "iterations": iters}
     if as_json:
-        click.echo(json.dumps(result, sort_keys=True))
+        _echo(json.dumps(result, sort_keys=True))
     else:
         for key, val in result.items():
-            click.echo(f"{key}: {val}")
+            _echo(f"{key}: {val}")
 
 
 @main.command()

@@ -67,6 +67,9 @@ class DenoiseBlock:
             raise ValidationError(f"eps must be in [0, 0.5], got {self.eps}")
         if self.M < 1:
             raise ValidationError(f"M must be at least 1, got {self.M}")
+        if self.kappa < 1:
+            raise ValidationError(
+                f"kappa must be at least 1, got {self.kappa}")
         self.observations = obs.astype(np.int8, copy=False)
 
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 from math import comb, exp, expm1, log, sqrt
 
@@ -414,6 +414,8 @@ def noisy_upper_spectral(config: ModelConfig,
     else:
         mv_rate = 1.0
 
+    # the optimiser's line over d / D holds D fixed, so most calls repeat
+    @cache
     def community_term(D: float) -> float:
         coverage = lam * M * max(L - D, 0.0)
         ks, ws = poisson_weights(p * D)

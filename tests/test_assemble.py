@@ -315,3 +315,52 @@ def test_frontier_greedy_matches_reference(monkeypatch):
         seen["noisy"] += config.eps > 0.0
     assert all(seen.values()), seen
     assert fallbacks > 0
+
+
+def _dense_instance(rng, root, t):
+    """Many reads per cover window: M 3-4, maf 0.5, p L of 1.5-4 SNPs per
+    read, lambda / p of 10-40 reads per SNP gap, every other instance noisy
+    with eps 0.2-0.45."""
+    M = 3 + t % 2
+    p = float(rng.uniform(0.01, 0.03))
+    L = float(rng.uniform(1.5, 4.0)) / p
+    lam = float(rng.uniform(10.0, 40.0)) * p
+    G = int(rng.integers(600, 1200))
+    eps = float(rng.uniform(0.2, 0.45)) if t % 2 else 0.0
+    config = ModelConfig(G=G, M=M, p=p, L=L, lam=lam,
+                         law=FixedBiallelic(0.5), eps=eps)
+    st = root.child(t)
+    pop = generate_population(config, st.child("pop"))
+    rs = generate_reads(pop, config, st.child("reads"))
+    if eps > 0.0:
+        rs = apply_noise(rs, eps, st.child("noise"))
+    return config, rs, st
+
+
+def test_frontier_greedy_matches_reference_on_dense_runs():
+    """Reads sharing a cover window come in long runs here, so most reads
+    reuse the merge pool of an earlier read with the same values; the
+    decisions, consensus bytes and generator state must still be the
+    reference loop's, with and without noise."""
+    rng = np.random.default_rng(47)
+    root = RandomStream(53)
+    repeats = snp_reads = 0
+    for t in range(60):
+        config, rs, st = _dense_instance(rng, root, t)
+        got_stream, want_stream = st.child("greedy"), st.child("greedy")
+        got = greedy_assemble(rs, got_stream)
+        want = _reference_greedy(rs, want_stream)
+        for g, w in zip(got, want):
+            assert g.read_indices == w.read_indices, t
+            assert g.consensus.tobytes() == w.consensus.tobytes(), t
+        np.testing.assert_equal(got_stream.gen.bit_generator.state,
+                                want_stream.gen.bit_generator.state, err_msg=t)
+        offsets, values = rs.observations()
+        keys = {(lo, hi, values[offsets[r]:offsets[r + 1]].tobytes())
+                for r, (lo, hi) in enumerate(zip(rs.cover_lo.tolist(),
+                                                 rs.cover_hi.tolist()))
+                if hi > lo}
+        n = int((rs.cover_hi > rs.cover_lo).sum())
+        snp_reads, repeats = snp_reads + n, repeats + n - len(keys)
+    # most SNP-carrying reads repeat an earlier read's window and values
+    assert repeats > 0.5 * snp_reads

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -376,3 +377,25 @@ def test_critical_l_agrees_with_bounds(bound, column, point):
         [crit * (1 - 2e-3), crit], rel=1e-11)
     assert float(rows[1][column]) <= target
     assert float(rows[0][column]) > target
+
+
+def _live_click_objects() -> int:
+    gc.collect()
+    modules = (vars(type(o)).get("__module__") for o in gc.get_objects())
+    return sum(isinstance(m, str) and m.startswith("click") for m in modules)
+
+
+def test_repeated_invocations_hold_no_click_objects():
+    """In-process invocations leave no click objects behind, whether they
+    echo to stdout (exit 0) or report an error on stderr (exit 2)."""
+    ok = ["critical-l", *BASE, "--target", "1e-3",
+          "--bound", "assembly-upper-asym", "--l-min", "1000",
+          "--l-max", "1000000", "--json"]
+    bad = ["bounds", *BASE, "-O", "L=1000", "-O", "bogus=1"]
+    for args, code in ((ok, 0), (bad, 2)):  # warm click's own caches
+        assert run(args).exit_code == code
+    before = _live_click_objects()
+    for i in range(100):
+        args, code = (ok, 0) if i % 2 else (bad, 2)
+        assert run(args).exit_code == code
+    assert _live_click_objects() <= before

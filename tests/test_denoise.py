@@ -88,7 +88,7 @@ def test_ml_errors():
 
 def test_block_rejects_non_unit_alleles():
     """Values are checked as given, before the int8 cast that would wrap
-    255 to -1; eps must lie in [0, 0.5] and M be at least 1."""
+    255 to -1; eps must lie in [0, 0.5], and M and kappa be at least 1."""
     for bad in (0, 2, 127, -128):
         obs = np.array([[1, -1], [bad, 1]], np.int8)
         with pytest.raises(ValidationError, match="-1/\\+1"):
@@ -103,6 +103,9 @@ def test_block_rejects_non_unit_alleles():
     for M in (0, -1):
         with pytest.raises(ValidationError, match="M must be"):
             DenoiseBlock(kappa=2, observations=[[1, -1]], M=M, eps=0.1)
+    for obs in (np.empty((3, 0), np.int8), np.empty((0, 0), np.int8)):
+        with pytest.raises(ValidationError, match="kappa must be"):
+            DenoiseBlock(kappa=0, observations=obs, M=2, eps=0.1)
     DenoiseBlock(kappa=2, observations=np.array([[1, -1]], np.int8), M=2,
                  eps=0.1)
 

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from poolseq_limits._util import unpack_rows
+from poolseq_limits._util import poisson_weights, unpack_rows
 from poolseq_limits.core import (CapacityError, FixedEta, ModelConfig,
                                  ValidationError)
 from poolseq_limits.noisy_bounds import (SegmentationPlan,
@@ -321,6 +321,16 @@ def test_noisy_upper_spectral_vacuous_without_coverage():
     cfg = _config(L=2e5, lam=2e-3, eps=0.1)
     val, _ = noisy_upper_spectral(cfg, SegmentationPlan(D=2e5 - 1e-6, d=5e3))
     assert val == 1.0
+
+
+@pytest.mark.parametrize("mu", [901, 903, 910, 1009, 1010, 1044, 1099])
+def test_poisson_weights_stops_where_rounding_stalls_the_total(mu):
+    """At these means the rounded total never reaches 1 - 1e-12; the
+    support must still end after a few hundred terms, not at the cap."""
+    ks, ws = poisson_weights(float(mu))
+    assert len(ks) < 1000
+    assert ws.sum() >= 1.0 - 2e-12
+    assert ks[0] < mu < ks[-1]
 
 
 def test_exponent_table_capacity_guard():
