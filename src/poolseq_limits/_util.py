@@ -72,11 +72,6 @@ def integral_u_exp(alpha: float, upper: float) -> float:
     return (1.0 - (1.0 + a) * math.exp(-a)) / (alpha * alpha)
 
 
-# set-bit count of every integer below 2^16; hamming sums it over 16-bit chunks
-_POPCOUNT16 = sum((np.arange(1 << 16, dtype=np.int64) >> b) & 1 for b in range(16))
-_POPCOUNT16.flags.writeable = False
-
-
 def _bit_weights(kappa: int) -> np.ndarray:
     return np.left_shift(1, np.arange(kappa - 1, -1, -1, dtype=np.int64))
 
@@ -95,11 +90,10 @@ def unpack_rows(codes, kappa: int) -> np.ndarray:
     return np.where(bits != 0, 1, -1).astype(np.int8)
 
 
-def hamming(a, b, kappa: int) -> np.ndarray:
-    """Hamming distances between every code of a and every code of b."""
-    diff = np.bitwise_xor.outer(a, b)
-    return sum(_POPCOUNT16[(diff >> s) & 0xFFFF]
-               for s in range(0, max(kappa, 1), 16))
+def hamming(a, b) -> np.ndarray:
+    """Hamming distances between every code of a and every code of b, as
+    uint8 counts."""
+    return np.bitwise_count(np.bitwise_xor.outer(a, b))
 
 
 def candidate_sets(kappa: int, M: int, chunk: int):

@@ -7,8 +7,10 @@ bridging estimator. Output is CSV (schema tagged `#poolseq-limits v1`)
 plus optional JSON summaries. Runs are deterministic for a fixed seed
 regardless of worker count.
 
-Exit codes: 0 success, 2 malformed configuration, 3 capacity refusal,
-4 empty region (critical-l target unreachable).
+Exit codes: 0 success, 2 malformed option, config file or output path,
+3 capacity refusal, 4 empty region (critical-l target unreachable). Every
+command raises core.ValidationError or core.CapacityError, and the command
+group alone turns them into exit codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ import numpy as np
 from ._util import bisect_decreasing, format_g, wilson_interval
 from .core import (CapacityError, FixedBiallelic, FixedEta, ModelConfig,
                    RandomStream, ValidationError)
-from .denoise import DenoiseBlock, ml_denoise, spectral_denoise
+from .denoise import DenoiseBlock
 from .exact_bridging import estimate_bridging
 from .noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
                                bridging_bounds, coverage_bounds)
 from .noisy_bounds import (SegmentationPlan, den_ml_upper, exponent_closed,
                            exponent_table, noisy_upper_ml,
                            noisy_upper_spectral)
-from .pipeline import (TrialResult, estimate_trial_bytes,
+from .pipeline import (TrialResult, decode_block, estimate_trial_bytes,
                        run_noiseless_trial, run_noisy_trial)
 
 SCHEMA_TAG = "#poolseq-limits v1"
@@ -43,36 +45,33 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_EMPTY_REGION = 4
 
-_INT_KEYS = {"G", "M", "trials", "seed"}
-_FLOAT_KEYS = {"p", "L", "lambda", "eta", "maf", "eps", "D", "d", "c_const"}
-_STR_KEYS = {"nu_min_mode"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# config key -> value parser, in CSV column order
+_KEYS = {"D": float, "G": int, "L": float, "M": int, "c_const": float,
+         "d": float, "eps": float, "eta": float, "lambda": float,
+         "maf": float, "nu_min_mode": str, "p": float, "seed": int,
+         "trials": int}
+
+# denoise-bench refuses a block expected to hold more observations than this
+BENCH_MAX_OBSERVATIONS = 1e8
 
 # per-trial failure flags; their field order is the CSV column order
 _TRIAL_FLAGS = tuple(f.name for f in dataclasses.fields(TrialResult)
                      if f.name != "success")
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _parse_item(item: str, where: str) -> tuple[str, object]:
     """Split a KEY=VALUE item, check the key and parse the value; `where`
     prefixes every error message."""
     if "=" not in item:
-        raise ConfigError(f"{where}: expected KEY=VALUE")
+        raise ValidationError(f"{where}: expected KEY=VALUE")
     key, raw = (t.strip() for t in item.split("=", 1))
-    if key not in _ALL_KEYS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+    if key not in _KEYS:
+        raise ValidationError(f"{where}: unknown key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return key, int(raw)
-        if key in _FLOAT_KEYS:
-            return key, float(raw)
-        return key, raw
+        return key, _KEYS[key](raw)
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}")
+        raise ValidationError(
+            f"{where}: cannot parse value {raw!r} for key {key!r}")
 
 
 def load_config_file(path: str) -> dict:
@@ -80,8 +79,8 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as e:
-        raise ConfigError(f"{path}: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"{path}: {e}")
     for ln, line in enumerate(lines, start=1):
         item = line.split("#", 1)[0].strip()
         if item:
@@ -98,17 +97,14 @@ def apply_overrides(params: dict, overrides: tuple[str, ...]) -> dict:
 def build_model(params: dict) -> ModelConfig:
     for key in ("G", "M", "p", "lambda", "L"):
         if key not in params:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ValidationError(f"missing required key {key!r}")
     if ("eta" in params) == ("maf" in params):
-        raise ConfigError("exactly one of 'eta' or 'maf' must be given")
+        raise ValidationError("exactly one of 'eta' or 'maf' must be given")
     law = FixedEta(params["eta"]) if "eta" in params \
         else FixedBiallelic(params["maf"])
-    try:
-        return ModelConfig(G=params["G"], M=params["M"], p=params["p"],
-                           L=params["L"], lam=params["lambda"],
-                           law=law, eps=params.get("eps", 0.0))
-    except ValidationError as e:
-        raise ConfigError(str(e))
+    return ModelConfig(G=params["G"], M=params["M"], p=params["p"],
+                       L=params["L"], lam=params["lambda"],
+                       law=law, eps=params.get("eps", 0.0))
 
 
 def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
@@ -120,25 +116,25 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
             scale = parts[3] if len(parts) > 3 else "linear"
         except (ValueError, IndexError):
-            raise ConfigError(
+            raise ValidationError(
                 f"sweep {spec!r}: expected NAME=MIN:MAX:COUNT[:log]")
         name = name.strip()
-        if name not in _ALL_KEYS:
-            raise ConfigError(f"sweep {spec!r}: unknown parameter {name!r}")
+        if name not in _KEYS:
+            raise ValidationError(f"sweep {spec!r}: unknown parameter {name!r}")
         if count < 1:
-            raise ConfigError(f"sweep {spec!r}: count must be >= 1")
+            raise ValidationError(f"sweep {spec!r}: count must be >= 1")
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"sweep {spec!r}: MIN and MAX must be finite")
+            raise ValidationError(f"sweep {spec!r}: MIN and MAX must be finite")
         if scale == "log":
             if lo <= 0.0 or hi <= 0.0:
-                raise ConfigError(
+                raise ValidationError(
                     f"sweep {spec!r}: a log axis needs MIN and MAX > 0")
             vals = np.geomspace(lo, hi, count)
         elif scale == "linear":
             vals = np.linspace(lo, hi, count)
         else:
-            raise ConfigError(f"sweep {spec!r}: scale must be linear or log")
-        if name in _INT_KEYS:
+            raise ValidationError(f"sweep {spec!r}: scale must be linear or log")
+        if _KEYS[name] is int:
             vals = np.unique(np.round(vals).astype(int))
         axes.append((name, vals))
     return axes
@@ -147,7 +143,10 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as e:
+        raise ValidationError(f"{path}: {e}")
 
 
 def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -176,7 +175,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConfigError, ValidationError) as e:
+        except ValidationError as e:
             code, message = EXIT_CONFIG, str(e)
         except CapacityError as e:
             code, message = EXIT_CAPACITY, str(e)
@@ -209,10 +208,7 @@ def _load_params(config_path, overrides) -> dict:
 
 
 def _echo_params(params: dict) -> dict:
-    row = {}
-    for key in sorted(_ALL_KEYS):
-        row[key] = params.get(key, "")
-    return row
+    return {key: params.get(key, "") for key in _KEYS}
 
 
 def _plan(params: dict) -> SegmentationPlan | None:
@@ -295,8 +291,8 @@ def bounds(config_path, overrides, sweeps, out):
             if applies(config):
                 row.update(evaluate(config, params))
         rows.append(row)
-    fieldnames = sorted({k for r in rows for k in r},
-                        key=lambda k: (k not in _ALL_KEYS, k))
+    columns = {k for r in rows for k in r}.difference(_KEYS)
+    fieldnames = [*_KEYS, *sorted(columns)]
     write_csv(out, fieldnames, rows)
 
 
@@ -338,11 +334,11 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     if seed is None:
         seed = int(params.get("seed", 0))
     if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     RandomStream(seed)  # rejects a bad seed before any trial runs
     config = build_model(params)
     if config.eps > 0.0 and not ("D" in params and "d" in params):
-        raise ConfigError("noisy simulation needs D and d")
+        raise ValidationError("noisy simulation needs D and d")
     est = estimate_trial_bytes(config)
     if est > mem_cap_mb * 1024 * 1024:
         raise CapacityError(
@@ -359,7 +355,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     echo = _echo_params(params)
     for row in rows:
         row.update(echo)
-    fieldnames = sorted(_ALL_KEYS) + ["trial", *_TRIAL_FLAGS, "success"]
+    fieldnames = [*_KEYS, "trial", *_TRIAL_FLAGS, "success"]
     write_csv(out, fieldnames, rows)
     summary = {"trials": trials, "seed": seed}
     for flag in (*_TRIAL_FLAGS, "success"):
@@ -390,9 +386,9 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
     params = {k: v for k, v in _load_params(config_path, overrides).items()
               if k not in ("D", "d")}
     if math.isnan(target):
-        raise ConfigError("--target must be a number, got nan")
+        raise ValidationError("--target must be a number, got nan")
     if l_min > l_max:
-        raise ConfigError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
+        raise ValidationError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
     family, column = _BOUNDS[bound]
     evaluate = _FAMILIES[family][0]
 
@@ -402,7 +398,7 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
         return evaluate(build_model({**params, "L": L}), params)[column]
 
     if f(l_min) < f(l_max):
-        raise ConfigError("bound is not non-increasing on the bracket")
+        raise ValidationError("bound is not non-increasing on the bracket")
     value, iters = bisect_decreasing(f, target, l_min, l_max)
     if value is None:
         if as_json:
@@ -433,7 +429,7 @@ def exponent(m_individuals, kappa, eps_list, out):
     try:
         eps_values = [float(t) for t in eps_list.split(",") if t.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse eps list {eps_list!r}")
+        raise ValidationError(f"cannot parse eps list {eps_list!r}")
     rows = []
     for eps in eps_values:
         tbl = exponent_table(m_individuals, kappa, eps)
@@ -462,45 +458,35 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                   out):
     """Benchmark block denoisers against planted truths."""
     if not math.isfinite(coverage):
-        raise ConfigError(f"--coverage must be finite, got {coverage}")
+        raise ValidationError(f"--coverage must be finite, got {coverage}")
     if math.isnan(eta):
-        raise ConfigError("--eta must be a number, got nan")
+        raise ValidationError("--eta must be a number, got nan")
+    if coverage * kappa > BENCH_MAX_OBSERVATIONS:
+        raise CapacityError(
+            f"--coverage {coverage} at --kappa {kappa} expects more than "
+            f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
     stream = RandomStream(seed)
     minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []
     algos = ["ml", "spectral"] if algo == "both" else [algo]
     for name in algos:
         fails = 0
-        used = 0
         for b in range(blocks):
             gen = stream.child("bench", b).gen
             truth = _plant_truth(gen, m_individuals, kappa, minor)
-            n = int(gen.poisson(coverage))
-            if n == 0 or (name == "spectral" and n < m_individuals):
-                fails += 1
-                used += 1
-                continue
-            who = gen.integers(0, m_individuals, size=n)
-            obs = truth[who]
+            obs = truth[gen.integers(0, m_individuals,
+                                     size=gen.poisson(coverage))]
             flips = gen.random(obs.shape) < eps
-            obs = np.where(flips, -obs, obs).astype(np.int8)
-            block = DenoiseBlock(kappa=kappa, observations=obs,
-                                 M=m_individuals, eps=eps)
-            if name == "ml":
-                decoded = ml_denoise(block)
-            else:
-                decoded = spectral_denoise(block, mode="average_case",
-                                           eta=eta,
-                                           stream=stream.child("sp", b)
-                                           ).sequences
-            same = {r.tobytes() for r in decoded} == \
-                {r.tobytes() for r in truth}
-            fails += int(not same)
-            used += 1
-        lo, hi = wilson_interval(fails, used)
+            block = DenoiseBlock(kappa=kappa, M=m_individuals, eps=eps,
+                                 observations=np.where(flips, -obs, obs))
+            decoded = decode_block(block, name, stream.child("sp", b),
+                                   "average_case", eta)
+            fails += decoded is None or \
+                {r.tobytes() for r in decoded} != {r.tobytes() for r in truth}
+        lo, hi = wilson_interval(fails, blocks)
         row = {"algo": name, "M": m_individuals, "kappa": kappa,
-               "eps": eps, "coverage": coverage, "blocks": used,
-               "failure_rate": fails / used, "ci_low": lo, "ci_high": hi}
+               "eps": eps, "coverage": coverage, "blocks": blocks,
+               "failure_rate": fails / blocks, "ci_low": lo, "ci_high": hi}
         if name == "ml":
             row["ml_bound"] = den_ml_upper(m_individuals, coverage, eps,
                                            kappa=kappa)

@@ -123,7 +123,7 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
         return unpack_rows(best, kappa)
     distinct, counts = np.unique(pack_rows(block.observations),
                                  return_counts=True)
-    xpow = x ** hamming(distinct, np.arange(1 << kappa), kappa).astype(float)
+    xpow = x ** hamming(distinct, np.arange(1 << kappa)).astype(float)
     margin = _ml_margin(xpow, block.n, M)
     rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
     chunk = max(1, ML_CHUNK_VALUES // len(distinct))

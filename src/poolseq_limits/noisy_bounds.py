@@ -112,7 +112,7 @@ def _mixtures(sets: np.ndarray, kappa: int, eps: float) -> np.ndarray:
     x^hamming(phi, psi_j) with x = eps / (1 - eps)."""
     codes, members = np.unique(sets, return_inverse=True)
     x = eps / (1.0 - eps)
-    rows = x ** hamming(codes, np.arange(1 << kappa), kappa).astype(np.float64)
+    rows = x ** hamming(codes, np.arange(1 << kappa)).astype(np.float64)
     mix = set_sums(rows, members.reshape(sets.shape))
     mix *= (1.0 - eps) ** kappa / sets.shape[1]
     return mix
@@ -210,7 +210,7 @@ def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     for perm in permutations(range(M)):
         d = np.zeros((n, n), dtype=np.int64)
         for j in range(M):
-            d += hamming(members[:, j], members[:, perm[j]], kappa)
+            d += hamming(members[:, j], members[:, perm[j]])
         dist = d if dist is None else np.minimum(dist, d)
     return dist
 

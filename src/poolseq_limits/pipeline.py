@@ -25,12 +25,12 @@ import numpy as np
 
 from .assemble import check_bridging, check_coverage, greedy_assemble, score_assembly
 from .core import ModelConfig, RandomStream, ValidationError
-from .denoise import extract_block, ml_denoise, spectral_denoise
+from .denoise import DenoiseBlock, extract_block, ml_denoise, spectral_denoise
 from .noisy_bounds import SegmentationPlan
 from .simulate import apply_noise, generate_population, generate_reads
 
 __all__ = ["TrialResult", "run_noiseless_trial", "run_noisy_trial",
-           "estimate_trial_bytes"]
+           "decode_block", "estimate_trial_bytes"]
 
 
 @dataclass
@@ -79,6 +79,23 @@ def _match_rows(prev: np.ndarray, cur: np.ndarray) -> list[int] | None:
     return mapping
 
 
+def decode_block(block: DenoiseBlock, denoiser: str, stream: RandomStream,
+                 mode: str, eta: float) -> np.ndarray | None:
+    """Decode a block with the "ml" or "spectral" denoiser into its (M,
+    kappa) rows, or None when the block cannot be decoded: for ML an empty
+    block or one whose kappa SNPs carry fewer than M sequences, for spectral
+    one with fewer than M reads. Spectral decoding draws only from
+    `stream`, in `mode` with match probability `eta`."""
+    if denoiser == "ml":
+        try:
+            return ml_denoise(block)
+        except ValidationError:
+            return None
+    if block.n < block.M:
+        return None
+    return spectral_denoise(block, mode=mode, eta=eta, stream=stream).sequences
+
+
 def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
                     stream: RandomStream, denoiser: str = "ml",
                     nu_min_mode: str = "average_case") -> TrialResult:
@@ -106,17 +123,9 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
         shared = c_hi[k - 1] if k else a  # overlap columns are [a, shared)
         truth = out = pop.alleles[:, a:b]  # nothing to decode without SNPs
         if b > a:
-            block = extract_block(noisy, window, config.eps)
-            out = None
-            if denoiser == "ml":
-                try:
-                    out = ml_denoise(block)
-                except ValidationError:  # empty block, or 2^kappa < M sequences
-                    pass
-            elif block.n >= M:
-                out = spectral_denoise(block, mode=nu_min_mode, eta=config.eta,
-                                       stream=stream.child("spectral", k)
-                                       ).sequences
+            out = decode_block(extract_block(noisy, window, config.eps),
+                               denoiser, stream.child("spectral", k),
+                               nu_min_mode, config.eta)
         if out is None or set(_rows(out)) != set(_rows(truth)):
             res.denoise_fail = True
         if k and len(set(_rows(pop.alleles[:, a:shared]))) < M:

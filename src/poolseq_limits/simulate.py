@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    AlleleLaw,
     Empirical,
     FixedBiallelic,
     FixedEta,
@@ -44,7 +43,6 @@ class Population:
 
     snp_positions: np.ndarray  # (S,) float64, ascending, in [0, G)
     alleles: np.ndarray        # (M, S) int8
-    law: AlleleLaw
 
     @property
     def S(self) -> int:
@@ -118,7 +116,7 @@ def generate_population(config: ModelConfig, stream: RandomStream) -> Population
         cum = np.cumsum(table[which], axis=1)  # (S, 4)
         u = gen.random((config.M, S))
         alleles = (u[:, :, None] > cum[None, :, :]).sum(axis=2).astype(np.int8)
-    return Population(snp_positions=positions, alleles=alleles, law=config.law)
+    return Population(snp_positions=positions, alleles=alleles)
 
 
 def _count_below(pos: np.ndarray, points: np.ndarray) -> np.ndarray:

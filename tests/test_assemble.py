@@ -38,8 +38,7 @@ def fig_scenario():
     """Discriminating SNPs at 10, 50, 90 on G=100 with L=60 reads at 0, 35."""
     config = _config()
     pop = Population(snp_positions=np.array([10.0, 50.0, 90.0]),
-                     alleles=np.array([[1, 1, 1], [-1, -1, -1]], dtype=np.int8),
-                     law=LAW)
+                     alleles=np.array([[1, 1, 1], [-1, -1, -1]], dtype=np.int8))
     rs = make_readset(config, pop, [0.0, 35.0, 0.0, 35.0], [0, 0, 1, 1])
     return config, pop, rs
 
@@ -56,7 +55,7 @@ def test_empty_readset_violates_every_pair():
 def test_single_read_covers_lone_snp():
     config = _config(M=1)
     pop = Population(snp_positions=np.array([30.0]),
-                     alleles=np.array([[1]], dtype=np.int8), law=LAW)
+                     alleles=np.array([[1]], dtype=np.int8))
     rs = make_readset(config, pop, [10.0], [0])
     assert check_coverage(pop, rs).ok
 
@@ -64,7 +63,7 @@ def test_single_read_covers_lone_snp():
 def test_bridging_vacuous_without_two_discriminating_snps():
     config = _config()
     pop = Population(snp_positions=np.array([10.0, 50.0]),
-                     alleles=np.array([[1, 1], [1, 1]], dtype=np.int8), law=LAW)
+                     alleles=np.array([[1, 1], [1, 1]], dtype=np.int8))
     rs = make_readset(config, pop, [], [])
     assert check_bridging(pop, rs).ok
 
@@ -72,8 +71,7 @@ def test_bridging_vacuous_without_two_discriminating_snps():
 def test_region_longer_than_read_is_unbridgeable():
     config = _config(L=30.0)
     pop = Population(snp_positions=np.array([10.0, 90.0]),
-                     alleles=np.array([[1, 1], [-1, -1]], dtype=np.int8),
-                     law=LAW)
+                     alleles=np.array([[1, 1], [-1, -1]], dtype=np.int8))
     rs = make_readset(config, pop, [0.0, 5.0, 60.0, 65.0], [0, 1, 0, 1])
     rep = check_bridging(pop, rs)
     assert not rep.ok
@@ -162,8 +160,7 @@ def test_uniqueness_oracle_counts_coverage_gaps():
     """With one individual's SNP uncovered no complete assembly exists."""
     config = _config(L=30.0)
     pop = Population(snp_positions=np.array([10.0, 50.0]),
-                     alleles=np.array([[1, 1], [-1, -1]], dtype=np.int8),
-                     law=LAW)
+                     alleles=np.array([[1, 1], [-1, -1]], dtype=np.int8))
     rs = make_readset(config, pop, [5.0, 30.0, 5.0], [0, 0, 1])
     assert not check_coverage(pop, rs).ok
     assert enumerate_assemblies(pop, rs) == []

@@ -348,6 +348,44 @@ def test_out_of_range_inputs_exit_config(args):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("case,code", [
+    ("non-utf8-config", 2),
+    ("bounds-out", 2),
+    ("exponent-out", 2),
+    ("simulate-out", 2),
+    ("bench-out", 2),
+    ("bridging-out", 2),
+    ("bench-coverage-1e19", 3),
+    ("bench-coverage-1e12", 3),
+])
+def test_unreadable_inputs_and_huge_blocks_exit_cleanly(tmp_path, case, code):
+    """A config file that is not UTF-8 and an --out path that cannot be
+    opened exit 2; a denoise-bench block expected to hold more than 1e8
+    observations is refused with exit 3 before any block is drawn. Each
+    prints one error line and no traceback."""
+    bad_cfg = tmp_path / "cfg"
+    bad_cfg.write_bytes(b"G=1\xff\xfe\n")
+    missing = ["--out", str(tmp_path / "missing" / "x.csv")]
+    args = {
+        "non-utf8-config": ["bounds", "-c", str(bad_cfg)],
+        "bounds-out": ["bounds", *BASE, "-O", "L=110000", *missing],
+        "exponent-out": ["exponent", "--m", "2", "--kappa", "3", "--eps",
+                         "0.1", *missing],
+        "simulate-out": [*_SIM, *missing],
+        "bench-out": [*_BENCH, *missing],
+        "bridging-out": [*_BRIDGE, *missing],
+        "bench-coverage-1e19": [*_BENCH, "--coverage", "1e19"],
+        "bench-coverage-1e12": [*_BENCH, "--coverage", "1e12"],
+    }[case]
+    res = run(args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.exit_code == code
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("bound,column,point", [
     ("assembly-upper", "e_upper", BASE),
     ("assembly-lower", "e_lower", BASE),

@@ -52,4 +52,4 @@ def test_codec_matches_reference_loops(case):
         for j in range(len(rows)):
             assert (codes_a[i] < codes_a[j]) == (rows[i] < rows[j])
     want = (a[:, None, :] != b[None, :, :]).sum(axis=2)
-    np.testing.assert_array_equal(hamming(codes_a, codes_b, kappa), want)
+    np.testing.assert_array_equal(hamming(codes_a, codes_b), want)

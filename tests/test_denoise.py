@@ -167,7 +167,7 @@ def scalar_ml_denoise(block: DenoiseBlock) -> np.ndarray:
     x = block.eps / (1.0 - block.eps)
     distinct, counts = np.unique(pack_rows(block.observations),
                                  return_counts=True)
-    xpow = x ** hamming(distinct, np.arange(1 << kappa), kappa).astype(float)
+    xpow = x ** hamming(distinct, np.arange(1 << kappa)).astype(float)
     best_ll = -np.inf
     best: tuple[int, ...] | None = None
     with np.errstate(divide="ignore"):

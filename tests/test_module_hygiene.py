@@ -56,3 +56,18 @@ def test_package_exports_are_module_exports():
             stray += [f"{node.module}.{a.name}" for a in node.names
                       if a.name not in mod.__all__]
     assert not stray, f"__init__ imports names missing from __all__: {stray}"
+
+
+def test_exception_classes_live_in_core():
+    """Every exception class the package defines is defined in `core`, so
+    the command group's one mapping from exception to exit code covers
+    them all."""
+    stray = []
+    for module in MODULES:
+        name = "poolseq_limits" if module == "__init__" else f"poolseq_limits.{module}"
+        for obj in vars(importlib.import_module(name)).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) \
+                    and obj.__module__.startswith("poolseq_limits") \
+                    and obj.__module__ != "poolseq_limits.core":
+                stray.append(f"{obj.__module__}.{obj.__qualname__}")
+    assert not stray, f"exception classes outside core: {stray}"

@@ -123,7 +123,7 @@ def test_read_covers_match_searchsorted(M, p, lam, L, seed):
     _assert_covers_match_searchsorted(rs)
     tied = np.unique(np.concatenate([pop.snp_positions, rs.starts[::3],
                                      (rs.starts + L)[1::3]]))
-    tied_pop = Population(tied, np.ones((M, tied.size), np.int8), LAW)
+    tied_pop = Population(tied, np.ones((M, tied.size), np.int8))
     tied_rs = generate_reads(tied_pop, cfg, root.child("reads"))
     assert tied_rs.starts.tobytes() == rs.starts.tobytes()
     _assert_covers_match_searchsorted(tied_rs)
