@@ -105,6 +105,11 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     conditions hold) joins the contig agreeing on the most SNPs. A read
     with no SNPs joins a uniformly drawn contig.
 
+    Read values come from rs.value_source(). For a noiseless set that
+    source indexes the population rows by the read's hidden label, only
+    to fetch its observation without a flat copy; every decision uses the
+    values alone, so a noisy set with the same values assembles the same.
+
     Reads must arrive in start order, as generate_reads sorts them, so
     cover_lo and cover_hi are both non-decreasing. Then the SNPs contig m
     has determined inside a new read's window [lo, hi) are exactly the
@@ -129,11 +134,12 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     """
     M = rs.config.M
     S = rs.population.S
-    offsets, values = rs.observations()
-    off = offsets.tolist()
+    bufs, which, base = rs.value_source()
     los = rs.cover_lo.tolist()
     his = rs.cover_hi.tolist()
-    obs = values.tobytes()
+    src = which.tolist()
+    # a noiseless read starts at cover_lo in its row: share los
+    off = los if base is rs.cover_lo else base.tolist()
     consensus = [bytearray(UNSET.tobytes() * S) for _ in range(M)]
     frontier = [0] * M
     assigned: list[list[int]] = [[] for _ in range(M)]
@@ -148,7 +154,8 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
             continue
         if run != (lo, hi):
             run, pools = (lo, hi), {}
-        v = obs[off[r]:off[r + 1]]
+        b = off[r]
+        v = bufs[src[r]][b:b + hi - lo]
         pool = pools.get(v)
         if pool is not None:
             # every member's window already holds v: the merge writes nothing

@@ -140,25 +140,28 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _open_out(path: str):
+def _output(path: str):
+    """Stdout for "-", else the file at `path` opened for writing, which
+    click closes when the command returns. Commands that run trials or
+    blocks open it once their options are checked and before the first
+    trial, so a path that cannot be opened exits 2 at once."""
     if path == "-":
-        return sys.stdout, False
+        return sys.stdout
     try:
-        return open(path, "w"), True
+        fh = open(path, "w")
     except OSError as e:
         raise ValidationError(f"{path}: {e}")
+    return click.get_current_context().with_resource(fh)
 
 
-def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    fh, close = _open_out(path)
-    try:
-        fh.write(SCHEMA_TAG + "\n")
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(format_g(row.get(f, "")) for f in fieldnames) + "\n")
-    finally:
-        if close:
-            fh.close()
+def write_csv(fh, fieldnames: list[str], rows: list[dict]) -> None:
+    fh.write(SCHEMA_TAG + "\n")
+    fh.write(",".join(fieldnames) + "\n")
+    for row in rows:
+        fh.write(",".join(format_g(row.get(f, "")) for f in fieldnames) + "\n")
+    # the rows precede anything the command prints next, as when --out
+    # names the same stream as stdout
+    fh.flush()
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -293,7 +296,7 @@ def bounds(config_path, overrides, sweeps, out):
         rows.append(row)
     columns = {k for r in rows for k in r}.difference(_KEYS)
     fieldnames = [*_KEYS, *sorted(columns)]
-    write_csv(out, fieldnames, rows)
+    write_csv(_output(out), fieldnames, rows)
 
 
 def _simulate_one(args) -> dict:
@@ -344,6 +347,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
         raise CapacityError(
             f"estimated {est / 1e6:.0f} MB per trial exceeds the cap; "
             f"reduce G, lambda, or p, or raise --mem-cap-mb")
+    fh = _output(out)
     jobs = [(params, seed, t, denoiser) for t in range(trials)]
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -356,7 +360,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     for row in rows:
         row.update(echo)
     fieldnames = [*_KEYS, "trial", *_TRIAL_FLAGS, "success"]
-    write_csv(out, fieldnames, rows)
+    write_csv(fh, fieldnames, rows)
     summary = {"trials": trials, "seed": seed}
     for flag in (*_TRIAL_FLAGS, "success"):
         vals = [r[flag] for r in rows if r[flag] != ""]
@@ -437,7 +441,8 @@ def exponent(m_individuals, kappa, eps_list, out):
         for i, d_i in enumerate(tbl, start=1):
             rows.append({"M": m_individuals, "kappa": kappa, "eps": eps,
                          "i": i, "exponent": d_i, "d1_closed": closed})
-    write_csv(out, ["M", "kappa", "eps", "i", "exponent", "d1_closed"], rows)
+    write_csv(_output(out), ["M", "kappa", "eps", "i", "exponent", "d1_closed"],
+              rows)
 
 
 @main.command("denoise-bench")
@@ -465,6 +470,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
         raise CapacityError(
             f"--coverage {coverage} at --kappa {kappa} expects more than "
             f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
+    fh = _output(out)
     stream = RandomStream(seed)
     minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []
@@ -491,8 +497,8 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             row["ml_bound"] = den_ml_upper(m_individuals, coverage, eps,
                                            kappa=kappa)
         rows.append(row)
-    write_csv(out, ["algo", "M", "kappa", "eps", "coverage", "blocks",
-                    "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)
+    write_csv(fh, ["algo", "M", "kappa", "eps", "coverage", "blocks",
+                   "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)
 
 
 def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
@@ -516,6 +522,7 @@ def exact_bridging_cmd(config_path, overrides, trials, seed, out):
     if seed is None:
         seed = int(params.get("seed", 0))
     config = build_model(params)
+    fh = _output(out)
     res = estimate_bridging(config.G, config.L, config.lam, config.p,
                             config.eta, trials, RandomStream(seed))
     row = _echo_params(params)
@@ -524,7 +531,7 @@ def exact_bridging_cmd(config_path, overrides, trials, seed, out):
                 "trials": res.trials, "failures": res.failures,
                 "mean_steps": res.mean_steps,
                 "capped_trials": res.capped_trials})
-    write_csv(out, list(row.keys()), [row])
+    write_csv(fh, list(row.keys()), [row])
 
 
 if __name__ == "__main__":

@@ -45,11 +45,24 @@ class TrialResult:
 
 
 def estimate_trial_bytes(config: ModelConfig) -> int:
-    """Rough per-trial memory footprint for the capacity guard."""
+    """Upper estimate of one trial's peak allocated bytes, for the capacity
+    guard; calibrated against tracemalloc peaks of single trials.
+
+    Both kinds of trial hold the population (positions, uniform draws and
+    allele rows: 16 + 24 M bytes per SNP) and the read arrays. A noiseless
+    trial never builds a flat observation array: its greedy pass holds
+    Python lists of cover indices, labels and read numbers, about 200 bytes
+    per read. A noisy trial builds one: int32 rows, int64 columns and their
+    temporaries, the int8 values, and apply_noise's float64 draws, 32 bytes
+    per observed allele, plus about 80 bytes per read.
+    """
     S = config.G * config.p
     n_reads = config.M * config.lam * (config.G + config.L)
-    obs = n_reads * config.p * config.L
-    return int(S * config.M + n_reads * 24 + obs * 10) + 1_000_000
+    if config.eps > 0.0:
+        per_read = 80 + 32 * config.p * config.L
+    else:
+        per_read = 200
+    return int(n_reads * per_read + (16 + 24 * config.M) * S) + 2_000_000
 
 
 def run_noiseless_trial(config: ModelConfig, stream: RandomStream) -> TrialResult:

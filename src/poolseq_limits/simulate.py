@@ -62,10 +62,12 @@ class ReadSet:
     """Aligned reads stored columnar, sorted by start position.
 
     Each read covers SNP indices [cover_lo[r], cover_hi[r]). The hidden
-    individual labels exist for ground-truth condition checking only; the
-    assembler must not consult them. Observed allele values are derived
-    lazily from the population for noiseless sets and stored explicitly
-    once noise has been applied.
+    individual labels exist for ground-truth condition checking and for
+    fetching a noiseless read's alleles; the assembler must not base a
+    decision on them. A noiseless set stores no values: read r observes
+    the row slice alleles[hidden[r], cover_lo[r]:cover_hi[r]], which
+    value_source hands out without copying it into a flat array. Stored
+    values exist only after noise, written by apply_noise.
     """
 
     starts: np.ndarray     # (N,) float64 ascending, in [-L, G)
@@ -83,18 +85,30 @@ class ReadSet:
 
     def observations(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (offsets, values): values[offsets[r]:offsets[r+1]] are the
-        observed alleles of read r at SNP indices cover_lo[r]..cover_hi[r]."""
-        if self._offsets is None:
-            lengths = self.cover_hi - self.cover_lo
-            self._offsets = np.concatenate(([0], np.cumsum(lengths)))
+        observed alleles of read r at SNP indices cover_lo[r]..cover_hi[r].
+        A noiseless set builds the flat array afresh on every call and
+        keeps no copy."""
+        if self._values is not None:
+            return self._offsets, self._values
+        lengths = self.cover_hi - self.cover_lo
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        rows = np.repeat(self.hidden, lengths)
+        # flat entry i of read r sits at column cover_lo[r] + i - offsets[r]
+        cols = np.arange(int(offsets[-1])) - np.repeat(
+            offsets[:-1] - self.cover_lo, lengths)
+        return offsets, self.population.alleles[rows, cols]
+
+    def value_source(self) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+        """Return (bufs, which, base): the observed alleles of read r are the
+        bytes bufs[which[r]][base[r]:base[r] + cover_hi[r] - cover_lo[r]].
+        A noiseless set gives the M population rows, indexed by hidden and
+        starting at cover_lo; a set with stored values gives its one flat
+        buffer, starting at the read's offset."""
         if self._values is None:
-            lengths = self.cover_hi - self.cover_lo
-            rows = np.repeat(self.hidden, lengths)
-            # flat entry i of read r sits at column cover_lo[r] + i - offsets[r]
-            cols = np.arange(int(self._offsets[-1])) - np.repeat(
-                self._offsets[:-1] - self.cover_lo, lengths)
-            self._values = self.population.alleles[rows, cols]
-        return self._offsets, self._values
+            return ([row.tobytes() for row in self.population.alleles],
+                    self.hidden, self.cover_lo)
+        return ([self._values.tobytes()], np.zeros(self.n_reads, np.intp),
+                self._offsets[:-1])
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:

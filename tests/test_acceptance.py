@@ -35,6 +35,7 @@ from poolseq_limits.noisy_bounds import (canonical_adjacent_pair, den_ml_upper,
                                          noisy_upper_ml,
                                          spectral_noise_ceiling,
                                          spectral_quantities)
+from poolseq_limits.pipeline import run_noiseless_trial
 from poolseq_limits.simulate import (discriminating_positions,
                                      generate_population, generate_reads)
 
@@ -379,6 +380,35 @@ def test_criterion_09_noiseless_phase_transition():
     # the full fall happens within one decade of read length
     assert upper_crit / 10.0 < lower_crit <= upper_crit
     assert elapsed < 60.0
+
+
+def test_criterion_09_monte_carlo_at_one_hundredth_scale():
+    """Criterion 09's regime at G = 3e7: at lam L = 43 the noiseless trial
+    failure rate inside the transition band (L = 40 and 50 kbp) has a 99.9%
+    Wilson interval that meets [assembly lower, assembly upper]."""
+    t0 = time.time()
+    G, M, p = 3 * 10**7, 2, 1e-3
+    z = float(stats.norm.ppf(1 - 0.0005))
+    details = []
+    all_ok = True
+    for L in (4e4, 5e4):
+        cfg = ModelConfig(G=G, M=M, p=p, L=L, lam=43.0 / L, law=MAF_LAW)
+        bound = assembly_bounds(cfg)
+        root = RandomStream(309)
+        trials = 40
+        fails = sum(not run_noiseless_trial(cfg, root.child(t, "trial")).success
+                    for t in range(trials))
+        lo_ci, hi_ci = wilson_interval(fails, trials, z)
+        ok = lo_ci <= bound.upper and bound.lower <= hi_ci
+        all_ok &= ok
+        details.append(f"L={L:.0f}: {fails}/{trials} failed, "
+                       f"CI=[{lo_ci:.3f},{hi_ci:.3f}] "
+                       f"bounds=[{bound.lower:.3f},{bound.upper:.3f}]")
+        assert ok, details[-1]
+    elapsed = time.time() - t0
+    report(9, "monte carlo at 1/100 scale", all_ok and elapsed < 120.0,
+           "; ".join(details), t0)
+    assert elapsed < 120.0
 
 
 def test_criterion_10_noisy_ml_region_convergence():

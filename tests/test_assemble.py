@@ -361,3 +361,44 @@ def test_frontier_greedy_matches_reference_on_dense_runs():
         snp_reads, repeats = snp_reads + n, repeats + n - len(keys)
     # most SNP-carrying reads repeat an earlier read's window and values
     assert repeats > 0.5 * snp_reads
+
+
+def test_row_slices_and_stored_values_assemble_alike():
+    """A noiseless set hands greedy_assemble slices of the population rows;
+    after apply_noise at eps = 0 it reads the same values from the stored
+    flat buffer. Both sources must give equal read assignments, consensus
+    bytes and generator state, over M 1-4, both allele laws, p = 0,
+    lambda = 0 and SNP-free reads, and the noiseless pass stores no flat
+    values."""
+    rng = np.random.default_rng(59)
+    root = RandomStream(61)
+    seen = {"M1": 0, "p0": 0, "lam0": 0, "empty_read": 0, "four_ary": 0}
+    for t in range(200):
+        M = 1 + t % 4
+        G = int(rng.integers(200, 3000))
+        p = 0.0 if t % 13 == 0 else float(rng.uniform(0.005, 0.08))
+        lam = 0.0 if t % 17 == 0 else float(rng.uniform(0.002, 0.05))
+        L = float(rng.uniform(5.0, 0.3 * G))
+        law = EMPIRICAL if t % 5 == 0 else \
+            FixedBiallelic(float(rng.uniform(0.05, 0.5)))
+        config = ModelConfig(G=G, M=M, p=p, L=L, lam=lam, law=law)
+        st = root.child(t)
+        pop = generate_population(config, st.child("pop"))
+        rs = generate_reads(pop, config, st.child("reads"))
+        stored = apply_noise(rs, 0.0, st.child("noise"))
+        rows_stream, flat_stream = st.child("greedy"), st.child("greedy")
+        got = greedy_assemble(rs, rows_stream)
+        assert rs._values is None, t
+        want = greedy_assemble(stored, flat_stream)
+        for g, w in zip(got, want, strict=True):
+            assert g.read_indices == w.read_indices, t
+            assert g.consensus.tobytes() == w.consensus.tobytes(), t
+        np.testing.assert_equal(rows_stream.gen.bit_generator.state,
+                                flat_stream.gen.bit_generator.state, err_msg=t)
+        seen["M1"] += M == 1
+        seen["p0"] += p == 0.0
+        seen["lam0"] += lam == 0.0
+        seen["empty_read"] += bool((rs.cover_hi == rs.cover_lo).any()
+                                   and pop.S > 0)
+        seen["four_ary"] += law is EMPIRICAL
+    assert all(seen.values()), seen

@@ -386,6 +386,45 @@ def test_unreadable_inputs_and_huge_blocks_exit_cleanly(tmp_path, case, code):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args,work", [
+    (_SIM, "run_noiseless_trial"),
+    (_BRIDGE, "estimate_bridging"),
+    (_BENCH, "decode_block"),
+])
+def test_unopenable_out_exits_before_any_work(tmp_path, monkeypatch, args,
+                                              work):
+    """An --out path in a missing directory exits 2 before the first trial,
+    chain walk or block decode runs."""
+    from poolseq_limits import cli
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    res = run([*args, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert res.exit_code == 2
+    assert calls == []
+
+
+def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
+    """Opening --out before the trials leaves its bytes as they were: the
+    file holds exactly the CSV that stdout gets without --out, all of it
+    by the time the summary is printed, as when --out names stdout's own
+    stream."""
+    from poolseq_limits import cli
+    to_stdout = run([*_SIM, "--seed", "3"])
+    out = tmp_path / "rows.csv"
+    at_summary = []
+    echo = cli._echo
+
+    def recording(message, err=False):
+        at_summary.append(out.read_text())
+        echo(message, err)
+
+    monkeypatch.setattr(cli, "_echo", recording)
+    to_file = run([*_SIM, "--seed", "3", "--out", str(out)])
+    assert to_file.exit_code == to_stdout.exit_code == 0
+    assert to_stdout.stdout == out.read_text() + to_file.stdout
+    assert at_summary and set(at_summary) == {out.read_text()}
+
+
 @pytest.mark.parametrize("bound,column,point", [
     ("assembly-upper", "e_upper", BASE),
     ("assembly-lower", "e_lower", BASE),

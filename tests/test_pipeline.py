@@ -1,7 +1,9 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from poolseq_limits import pipeline
 from poolseq_limits.core import (FixedBiallelic, ModelConfig, RandomStream,
@@ -284,3 +286,28 @@ def test_spectral_trial_flags_pinned():
                                          (True, True, True, False)}
     digest = hashlib.sha256(json.dumps(flags).encode()).hexdigest()[:16]
     assert digest == "7032e439b821a3ec"
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("G,M,p,depth,L", [
+    (10**6, 2, 1e-3, 20.0, 2e3),       # many short reads
+    (10**7, 2, 1e-3, 43.0, 1.1e5),     # criterion 09's depth and read length
+    (2 * 10**6, 4, 1e-2, 43.0, 1e4),   # many SNPs, four individuals
+])
+def test_trial_estimate_bounds_traced_peak(G, M, p, depth, L, eps):
+    """The capacity guard's estimate is at least the tracemalloc peak of one
+    trial, noiseless (no flat observation array) and noisy (one flat array
+    plus the noise draws)."""
+    config = ModelConfig(G=G, M=M, p=p, L=L, lam=depth / L, law=LAW, eps=eps)
+    stream = RandomStream(7).child(0, "trial")
+    tracemalloc.start()
+    try:
+        if eps > 0.0:
+            run_noisy_trial(config, SegmentationPlan(D=L / 2, d=L / 4), stream,
+                            "spectral")
+        else:
+            run_noiseless_trial(config, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pipeline.estimate_trial_bytes(config) >= peak
