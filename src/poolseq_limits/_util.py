@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -30,12 +31,11 @@ def wilson_interval(k: int, n: int, z: float = Z_95) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-ish f on [lo, hi].
-
-    Returns (argmax, max). Endpoints are also evaluated, so the result is
-    never worse than the better endpoint even if f is not unimodal.
-    """
+def _golden_search(f, lo: float, hi: float, iters: int, better,
+                   best) -> tuple[float, float]:
+    """Golden-section search on [lo, hi] for the point whose f value is
+    `better` (operator.gt or lt) than the rest; `best` (max or min) picks
+    among the final bracket and both endpoints."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
@@ -44,7 +44,7 @@ def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]
     for _ in range(iters):
         if b - a < 1e-14 * max(1.0, abs(a)):
             break
-        if fc > fd:
+        if better(fc, fd):
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
@@ -53,12 +53,21 @@ def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]
             d = a + invphi * (b - a)
             fd = f(d)
     cands = [(lo, f(lo)), (hi, f(hi)), (c, fc), (d, fd)]
-    return max(cands, key=lambda t: t[1])
+    return best(cands, key=lambda t: t[1])
+
+
+def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal-ish f on [lo, hi].
+
+    Returns (argmax, max). Endpoints are also evaluated, so the result is
+    never worse than the better endpoint even if f is not unimodal.
+    """
+    return _golden_search(f, lo, hi, iters, operator.gt, max)
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
-    x, fx = golden_max(lambda t: -f(t), lo, hi, iters)
-    return x, -fx
+    """Golden-section minimization: (argmin, min), as golden_max."""
+    return _golden_search(f, lo, hi, iters, operator.lt, min)
 
 
 def integral_u_exp(alpha: float, upper: float) -> float:

@@ -26,13 +26,15 @@ from concurrent.futures import ProcessPoolExecutor
 import click
 import numpy as np
 
-from ._util import bisect_decreasing, format_g, wilson_interval
+from ._util import bisect_decreasing, clamp01, format_g, wilson_interval
 from .core import (CapacityError, FixedBiallelic, FixedEta, ModelConfig,
                    RandomStream, ValidationError)
 from .denoise import DenoiseBlock
 from .exact_bridging import estimate_bridging
 from .noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
-                               bridging_bounds, coverage_bounds)
+                               assembly_upper, bridging_bounds,
+                               bridging_upper, coverage_bounds,
+                               coverage_upper)
 from .noisy_bounds import (SegmentationPlan, den_ml_upper, exponent_closed,
                            exponent_table, noisy_upper_ml,
                            noisy_upper_spectral)
@@ -263,15 +265,18 @@ _FAMILIES = {
     "spectral": (_spectral, lambda config: config.eps > 0.0),
 }
 
-# critical-l --bound name -> (family, column)
+# critical-l --bound name -> the one value it bisects, bit for bit the
+# `bounds` column of that name; upper columns skip the lower bounds
 _BOUNDS = {
-    "assembly-upper": ("assembly", "e_upper"),
-    "assembly-lower": ("assembly", "e_lower"),
-    "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
-    "coverage-upper": ("coverage", "esc_upper"),
-    "bridging-upper": ("bridging", "eb_upper"),
-    "ml-upper": ("ml", "en_ml_upper"),
-    "spectral-upper": ("spectral", "en_sd_upper"),
+    "assembly-upper": lambda config, params: clamp01(assembly_upper(config)),
+    "assembly-lower": lambda config, params: assembly_bounds(config).lower,
+    "assembly-upper-asym":
+        lambda config, params: assembly_bounds(config, VARIANT_ASYMPTOTIC).upper,
+    "coverage-upper": lambda config, params: clamp01(coverage_upper(config)),
+    "bridging-upper": lambda config, params: clamp01(bridging_upper(config)),
+    "ml-upper": lambda config, params: _ml(config, params)["en_ml_upper"],
+    "spectral-upper":
+        lambda config, params: _spectral(config, params)["en_sd_upper"],
 }
 
 
@@ -393,13 +398,12 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
         raise ValidationError("--target must be a number, got nan")
     if l_min > l_max:
         raise ValidationError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
-    family, column = _BOUNDS[bound]
-    evaluate = _FAMILIES[family][0]
+    evaluate = _BOUNDS[bound]
 
     # cached so that bisection reuses the endpoint values checked here
     @functools.cache
     def f(L: float) -> float:
-        return evaluate(build_model({**params, "L": L}), params)[column]
+        return evaluate(build_model({**params, "L": L}), params)
 
     if f(l_min) < f(l_max):
         raise ValidationError("bound is not non-increasing on the bracket")

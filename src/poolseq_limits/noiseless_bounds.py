@@ -23,11 +23,14 @@ __all__ = [
     "coverage_single",
     "optimal_gap_seed",
     "coverage_lower_segmented",
+    "coverage_upper",
     "coverage_bounds",
     "p_m",
     "delta_m",
     "lambda_lower",
+    "bridging_upper",
     "bridging_bounds",
+    "assembly_upper",
     "assembly_bounds",
 ]
 
@@ -91,6 +94,14 @@ def coverage_lower_segmented(G: float, p: float, lam: float, L: float,
     return -expm1(n_seg * log1p(-q))
 
 
+def coverage_upper(config: ModelConfig) -> float:
+    """Raw exact upper bound on snp_coverage: the union bound
+    M * coverage_single, and 0 without SNPs."""
+    if config.p <= 0.0:
+        return 0.0
+    return config.M * coverage_single(config.G, config.p, config.lam, config.L)
+
+
 def coverage_bounds(config: ModelConfig,
                     variant: str = VARIANT_EXACT) -> BoundReport:
     """Bounds on the snp_coverage error event for M individuals.
@@ -112,8 +123,8 @@ def coverage_bounds(config: ModelConfig,
         raw_upper = base
         return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
                            raw_lower, raw_upper)
+    raw_upper = coverage_upper(config)
     single = coverage_single(G, p, lam, L)
-    raw_upper = M * single
     if lam > 0.0:
         seed = optimal_gap_seed(p, lam)
         _, seg = golden_max(
@@ -197,6 +208,17 @@ def lambda_lower(q: float, G: float, L: float, p: float, eta: float) -> float:
     return clamp01(1.0 - c1 - ez)
 
 
+def bridging_upper(config: ModelConfig) -> float:
+    """Raw exact upper bound on the bridging event: the union bound
+    C(M,2) G p (1-eta) p_2 over pairs, and 0 without two individuals or
+    without discriminating SNPs."""
+    r = config.disc_rate
+    if config.M < 2 or r <= 0.0:
+        return 0.0
+    return comb(config.M, 2) * config.G * r * p_m(2, config.lam, config.p,
+                                                  config.eta, config.L)
+
+
 def bridging_bounds(config: ModelConfig,
                     variant: str = VARIANT_EXACT) -> BoundReport:
     """Bounds on the bridging error event for M individuals.
@@ -229,9 +251,15 @@ def bridging_bounds(config: ModelConfig,
                            raw_lower, raw_upper)
     delta = delta_m(M, lam, p, eta, L)
     raw_lower = lambda_lower(delta, G, L, p, eta)
-    raw_upper = comb(M, 2) * G * r * p_m(2, lam, p, eta, L)
+    raw_upper = bridging_upper(config)
     return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
                        raw_lower, raw_upper)
+
+
+def assembly_upper(config: ModelConfig) -> float:
+    """Raw exact upper bound on total assembly error: the sum of the two
+    event upper bounds."""
+    return coverage_upper(config) + bridging_upper(config)
 
 
 def assembly_bounds(config: ModelConfig,

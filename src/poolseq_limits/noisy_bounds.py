@@ -15,6 +15,7 @@ its own bound from community-detection recovery plus majority-vote error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import permutations
@@ -72,33 +73,65 @@ class SpectralBoundParams:
     zeta: float       # community-recovery exponent; 0 means vacuous
 
 
+# The alternating sum's rounding error is about DBL_EPSILON times the sum of
+# its term sizes, at most 2^pairs e^(-p w (1 - eta)) at overlap width w. Up
+# to 40 pairs it is summed wherever that bound stays under the Poisson
+# form's 1e-12 tail: always up to 10 pairs, and at more once the terms have
+# decayed. Against the exact average over widths 1-1e5 at p = 1e-3, summing
+# at any width was 2.4e-12 off at 15 pairs, 1.3e-10 at 21 and 3.2e-6 too
+# low at 36. Where the bound is far below 1e-12, as at the ML optimum, the
+# sum keeps its relative accuracy and the truncated Poisson form does not.
+DISC_SUM_MAX_PAIRS = 40
+DISC_SUM_ERROR = 1e-12
+
+
+def _disc_term(M: int, p: float, eta: float):
+    """The discrimination bound as a function of (D, d) for fixed (M, p,
+    eta), with the pair coefficients and the rates 1 - eta^m computed once;
+    see `disc_upper`."""
+    if M < 2:
+        raise ValidationError("discrimination bound needs M >= 2")
+    pairs = comb(M, 2)
+    # the sum's error bound is under DISC_SUM_ERROR once p w (1 - eta)
+    # reaches min_decay
+    terms, min_decay = (), math.inf
+    if pairs <= DISC_SUM_MAX_PAIRS:
+        terms = [(comb(pairs, m) * (-1.0) ** (m - 1), 1.0 - eta ** m)
+                 for m in range(1, pairs + 1)]
+        min_decay = pairs * log(2.0) + log(sys.float_info.epsilon
+                                           / DISC_SUM_ERROR)
+    always_sum = min_decay <= 0.0
+
+    def disc(D: float, d: float) -> float:
+        if d > D:
+            raise ValidationError("need d <= D")
+        width = D - d
+        total = 0.0
+        if always_sum or p * width * (1.0 - eta) >= min_decay:
+            neg_mean = -p * width
+            for coef, rate in terms:
+                total += coef * exp(neg_mean * rate)
+            return clamp01(total)
+        ks, ws = poisson_weights(p * width)
+        for n, w in zip(ks, ws):
+            en = eta ** n
+            total += w * (-math.expm1(pairs * math.log1p(-en)) if en < 1.0
+                          else 1.0)
+        return clamp01(total)
+
+    return disc
+
+
 def disc_upper(M: int, p: float, eta: float, D: float, d: float) -> float:
     """Upper bound on some pair being indistinguishable on a D - d overlap.
 
     Alternating sum over m of C(C(M,2), m) (-1)^(m-1) exp(-p (D-d) (1-eta^m)),
     clamped to [0, 1]. At d == D the overlap is empty and the bound is 1.
-    Beyond a few dozen pairs the alternating sum cancels catastrophically,
-    so the equivalent Poisson average E[1 - (1 - eta^n)^pairs] over the
-    overlap SNP count n is evaluated directly instead.
+    Where that sum would cancel by more than DISC_SUM_ERROR, the
+    equivalent Poisson average E[1 - (1 - eta^n)^pairs] over the overlap
+    SNP count n is evaluated directly instead.
     """
-    if M < 2:
-        raise ValidationError("discrimination bound needs M >= 2")
-    if d > D:
-        raise ValidationError("need d <= D")
-    pairs = comb(M, 2)
-    width = D - d
-    if pairs <= 40:
-        total = 0.0
-        for m in range(1, pairs + 1):
-            total += comb(pairs, m) * (-1.0) ** (m - 1) \
-                * exp(-p * width * (1.0 - eta ** m))
-        return clamp01(total)
-    ks, ws = poisson_weights(p * width)
-    total = 0.0
-    for n, w in zip(ks, ws):
-        en = eta ** n
-        total += w * (-math.expm1(pairs * math.log1p(-en)) if en < 1.0 else 1.0)
-    return clamp01(total)
+    return _disc_term(M, p, eta)(D, d)
 
 
 def _check_eps(eps: float) -> None:
@@ -344,11 +377,12 @@ def noisy_upper_ml(config: ModelConfig,
     G, L, lam, p, M = config.G, config.L, config.lam, config.p, config.M
     eta = config.eta
     d1_rate = -expm1(-exponent_closed(M, config.eps))
+    disc_term = _disc_term(M, p, eta)
+    mp, neg_lam_m = M * p, -lam * M
 
     def objective(D: float, d: float) -> float:
-        disc = disc_upper(M, p, eta, D, d)
-        den = M * p * D * exp(-lam * M * max(L - D, 0.0) * d1_rate)
-        return (G / d) * (disc + den)
+        den = mp * D * exp(neg_lam_m * max(L - D, 0.0) * d1_rate)
+        return (G / d) * (disc_term(D, d) + den)
 
     return _bound_at_plan(objective, config, plan)
 
@@ -428,9 +462,10 @@ def noisy_upper_spectral(config: ModelConfig,
         # collapse the bound through a vacuous corner
         return exp(-coverage) + coverage * total
 
+    disc_term = _disc_term(M, p, eta)
+
     def objective(D: float, d: float) -> float:
-        disc = disc_upper(M, p, eta, D, d)
         mv = M * D * p * exp(-lam * M * D * mv_rate)
-        return (G / d) * (disc + mv + community_term(D))
+        return (G / d) * (disc_term(D, d) + mv + community_term(D))
 
     return _bound_at_plan(objective, config, plan)

@@ -6,6 +6,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolseq_limits.cli import main
 
@@ -127,16 +129,17 @@ def test_critical_l_ml_upper_default_bracket():
 
 def test_critical_l_evaluates_each_length_once(monkeypatch):
     """The monotonicity check and the bisection share the endpoint values:
-    one bound evaluation per reported iteration."""
+    one bound evaluation per reported iteration. Each evaluation builds
+    the model at its length once."""
     from poolseq_limits import cli
     lengths = []
-    assembly_bounds = cli.assembly_bounds
+    build_model = cli.build_model
 
-    def counting(config, *args):
-        lengths.append(config.L)
-        return assembly_bounds(config, *args)
+    def counting(params):
+        lengths.append(params["L"])
+        return build_model(params)
 
-    monkeypatch.setattr(cli, "assembly_bounds", counting)
+    monkeypatch.setattr(cli, "build_model", counting)
     res = run(["critical-l", *BASE, "--target", "1e-3",
                "--bound", "assembly-upper", "--l-min", "1000",
                "--l-max", "1000000", "--json"])
@@ -476,3 +479,164 @@ def test_repeated_invocations_hold_no_click_objects():
         args, code = (ok, 0) if i % 2 else (bad, 2)
         assert run(args).exit_code == code
     assert _live_click_objects() <= before
+
+
+# the `bounds` family and column each critical-l bound bisects
+_BOUND_COLUMNS = {
+    "assembly-upper": ("assembly", "e_upper"),
+    "assembly-lower": ("assembly", "e_lower"),
+    "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
+    "coverage-upper": ("coverage", "esc_upper"),
+    "bridging-upper": ("bridging", "eb_upper"),
+    "ml-upper": ("ml", "en_ml_upper"),
+    "spectral-upper": ("spectral", "en_sd_upper"),
+}
+_NOISELESS = [b for b, (family, _) in _BOUND_COLUMNS.items()
+              if family not in ("ml", "spectral")]
+
+
+def _outcome(fn):
+    """A float as its exact bits, or the exception it raised."""
+    try:
+        return float(fn()).hex()
+    except Exception as e:  # compared with the other side's outcome
+        return type(e), str(e)
+
+
+@st.composite
+def bound_points(draw, noisy: bool):
+    """Bound parameters with G in [1e3, 3e9], M in 1..12, p = 0 or in
+    [1e-5, 1e-2], lambda = 0 or lambda L in [0.3, 80] (both sides of the
+    coverage transition), L log-uniform over three or four decades, and
+    eps in {0.01, 0.1, 0.5}. Noisy points keep p L <= 200 so each
+    spectral optimisation stays cheap."""
+    L = 10 ** draw(st.floats(2.0, 5.0 if noisy else 6.0))
+    p_max = min(1e-2, 200.0 / L) if noisy else 1e-2
+    return {
+        "G": int(10 ** draw(st.floats(3.0, math.log10(3e9)))),
+        "M": draw(st.integers(1, 12)),
+        "p": draw(st.one_of(st.just(0.0), st.floats(1e-5, p_max))),
+        "eta": draw(st.sampled_from([0.5, 0.82, 0.99, 1.0])),
+        "lambda": draw(st.one_of(st.just(0.0),
+                                 st.floats(0.3, 80.0).map(lambda c: c / L))),
+        "L": L,
+        "eps": draw(st.sampled_from([0.01, 0.1, 0.5])),
+    }
+
+
+def _check_evaluators(params, names):
+    from poolseq_limits import cli
+    config = cli.build_model(params)
+    for name in names:
+        family, column = _BOUND_COLUMNS[name]
+        want = _outcome(lambda: cli._FAMILIES[family][0](config, params)[column])
+        got = _outcome(lambda: cli._BOUNDS[name](config, params))
+        assert got == want, (name, params)
+
+
+def test_bound_columns_cover_every_critical_l_bound():
+    from poolseq_limits import cli
+    assert set(cli._BOUNDS) == set(_BOUND_COLUMNS)
+
+
+@settings(max_examples=300)
+@given(bound_points(noisy=False))
+def test_noiseless_evaluators_equal_their_bounds_columns(params):
+    """Each noiseless critical-l evaluator returns its `bounds` column bit
+    for bit, or raises what the family evaluation raises."""
+    _check_evaluators(params, _NOISELESS)
+
+
+@settings(max_examples=25)
+@given(bound_points(noisy=True))
+def test_noisy_evaluators_equal_their_bounds_columns(params):
+    """As above for ml-upper and spectral-upper, which minimise over (D, d)
+    at every evaluation."""
+    _check_evaluators(params, ["ml-upper", "spectral-upper"])
+
+
+# critical-l at the model's edges, on a 1e8 genome at eps = 0.1: the exit
+# code and a digest of stdout, which each bound's evaluator must keep
+@pytest.mark.parametrize("edge,bound,code,digest", [
+    ("M=1", "assembly-upper", 0, "98ba886088495275"),
+    ("M=1", "assembly-lower", 0, "c531e8c7bc1b3a4a"),
+    ("M=1", "assembly-upper-asym", 0, "642ce4ced184af29"),
+    ("M=1", "coverage-upper", 0, "0fefe046c91b6f6a"),
+    ("M=1", "bridging-upper", 0, "d51e23be19fc703f"),
+    ("M=1", "ml-upper", 2, "e3b0c44298fc1c14"),
+    ("M=1", "spectral-upper", 2, "e3b0c44298fc1c14"),
+    ("lambda=0", "assembly-upper", 4, "c921d3dee6c7b9ae"),
+    ("lambda=0", "assembly-lower", 4, "15327feb0b51219e"),
+    ("lambda=0", "assembly-upper-asym", 2, "e3b0c44298fc1c14"),
+    ("lambda=0", "coverage-upper", 4, "7d4ec637f327c6d4"),
+    ("lambda=0", "bridging-upper", 4, "59579c844ead04e0"),
+    ("lambda=0", "ml-upper", 4, "232eecaaaf5da4df"),
+    ("lambda=0", "spectral-upper", 4, "97fa3eb03f0cbec7"),
+    ("p=0", "assembly-upper", 0, "7bec244f8e2e2592"),
+    ("p=0", "assembly-lower", 0, "ff3d394754924347"),
+    ("p=0", "assembly-upper-asym", 0, "f88af37019110427"),
+    ("p=0", "coverage-upper", 0, "1f3ea7f612f8a140"),
+    ("p=0", "bridging-upper", 0, "d51e23be19fc703f"),
+    ("p=0", "ml-upper", 4, "232eecaaaf5da4df"),
+    ("p=0", "spectral-upper", 4, "97fa3eb03f0cbec7"),
+    ("eps=0.5", "assembly-upper", 0, "aa24e3e905cda0f5"),
+    ("eps=0.5", "assembly-lower", 0, "61c2b1831495c8f0"),
+    ("eps=0.5", "assembly-upper-asym", 0, "75439c3e95f0e9bd"),
+    ("eps=0.5", "coverage-upper", 0, "f2f019483f128e2e"),
+    ("eps=0.5", "bridging-upper", 0, "2d014a1c0ea22836"),
+    ("eps=0.5", "ml-upper", 4, "232eecaaaf5da4df"),
+    ("eps=0.5", "spectral-upper", 4, "97fa3eb03f0cbec7"),
+])
+def test_critical_l_edges_keep_exit_code_and_stdout(edge, bound, code, digest):
+    res = run(["critical-l", *_NOISY, "-O", edge, "--target", "1e-3",
+               "--bound", bound, "--l-min", "1000", "--l-max", "1000000",
+               "--json"])
+    assert res.exit_code == code, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
+
+
+@st.composite
+def monotone_grids(draw, noisy: bool):
+    """A bound point and a sorted grid of 2-5 values of L or of lambda, at
+    least 1% apart: over a step of one ulp, rounding moves these closed
+    forms either way. lambda L >= 1: below it the union coverage bound can
+    rise with lambda when an individual has few reads, a defect kept in
+    test_noiseless_bounds.py::test_recorded_bound_defects."""
+    params = draw(bound_points(noisy))
+    params["lambda"] = draw(st.floats(1.0, 80.0)) / params["L"]
+    axis = draw(st.sampled_from(["L", "lambda"]))
+    lo = params[axis]
+    factors = draw(st.lists(st.floats(1.01, 4.0), min_size=1, max_size=4,
+                            unique=True))
+    return params, axis, sorted({lo * f for f in factors} | {lo})
+
+
+def _check_non_increasing(params, axis, grid, names):
+    from poolseq_limits import cli
+    for name in names:
+        vals = []
+        for v in grid:
+            point = {**params, axis: v}
+            vals.append(cli._BOUNDS[name](cli.build_model(point), point))
+        assert all(b <= a for a, b in zip(vals, vals[1:])), (name, axis, vals)
+
+
+@settings(max_examples=200)
+@given(monotone_grids(noisy=False))
+def test_noiseless_upper_evaluators_non_increasing_in_L_and_lambda(case):
+    """No tolerance. assembly-lower is left out: its golden search lands on
+    different peaks of a sawtooth in the gap length, and below about 1e-13
+    it is rounding noise, so it can rise (both kept as expected failures
+    in test_recorded_bound_defects)."""
+    params, axis, grid = case
+    _check_non_increasing(params, axis, grid,
+                          [b for b in _NOISELESS if b != "assembly-lower"])
+
+
+@settings(max_examples=15)
+@given(monotone_grids(noisy=True))
+def test_noisy_evaluators_non_increasing_in_L_and_lambda(case):
+    params, axis, grid = case
+    # noisy bounds need M >= 2, and the ML exponent refuses M >= 8
+    params["M"] = min(max(params["M"], 2), 7)
+    _check_non_increasing(params, axis, grid, ["ml-upper", "spectral-upper"])

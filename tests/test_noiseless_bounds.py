@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poolseq_limits._util import golden_max
+from poolseq_limits._util import bisect_decreasing, golden_max
 from poolseq_limits.core import FixedEta, ModelConfig, RandomStream
 from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, VARIANT_EXACT,
                                              assembly_bounds,
@@ -273,3 +275,120 @@ def test_delta_large_population_matches_simulation():
 def test_bridging_bounds_large_population_ordered():
     rep = bridging_bounds(_config(3e9, 20, 1e-3, 1e-2, 1.3e5))
     assert 0.0 < rep.lower < rep.upper < 1.0
+
+
+@st.composite
+def exact_configs(draw):
+    """G in [1e3, 3e9], M in 1..12, p = 0 or up to 1e-2, lambda = 0 or
+    lambda L in [1, 80], L over 1e2-1e6 and eta in [0, 1]. Below lambda L
+    = 1, few reads per individual can put the union coverage bound under
+    the segmented lower one (kept in test_recorded_bound_defects)."""
+    L = 10 ** draw(st.floats(2.0, 6.0))
+    return ModelConfig(
+        G=int(10 ** draw(st.floats(3.0, math.log10(3e9)))),
+        M=draw(st.integers(1, 12)),
+        p=draw(st.one_of(st.just(0.0), st.floats(1e-5, 1e-2))),
+        L=L,
+        lam=draw(st.one_of(st.just(0.0),
+                           st.floats(1.0, 80.0).map(lambda c: c / L))),
+        law=FixedEta(draw(st.floats(0.0, 1.0))))
+
+
+@settings(max_examples=300)
+@given(exact_configs())
+def test_exact_lower_at_most_upper(cfg):
+    """Each exact-variant event has lower <= upper, clamped and raw."""
+    for bounds in (coverage_bounds, bridging_bounds, assembly_bounds):
+        rep = bounds(cfg)
+        assert rep.lower <= rep.upper, bounds.__name__
+        assert rep.raw_lower <= rep.raw_upper, bounds.__name__
+
+
+@settings(max_examples=300)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e6),
+       cut=st.floats(0.0, 1.0), target=st.floats(-2.0, 2.0),
+       rtol=st.sampled_from([1e-3, 1e-6]))
+def test_bisect_decreasing_contract(lo, width, cut, target, rtol):
+    """On a non-increasing step function (1 below the step, -1 from it on),
+    bisection returns None only when f stays above the target, lo when f
+    already meets it there, and otherwise a b with f(b) <= target whose
+    final bracket [a, b] has f(a) > target and b - a <= rtol max(|b|, 1)."""
+    hi = lo + width
+    step = lo + cut * width
+    seen = {}
+
+    def f(x):
+        seen[x] = 1.0 if x < step else -1.0
+        return seen[x]
+
+    b, iters = bisect_decreasing(f, target, lo, hi, rtol=rtol)
+    assert iters == len(seen) or lo == hi
+    if f(hi) > target:
+        assert b is None
+        return
+    assert f(b) <= target
+    if b == lo:
+        assert f(lo) <= target
+        return
+    a = max(x for x, v in seen.items() if v > target)
+    assert a < b and b - a <= rtol * max(abs(b), 1.0)
+
+
+def _few_reads_coverage_ordered():
+    """Ten reads per individual over the genome (G lambda = 10): the union
+    bound counts uncovered gaps after read ends only, and misses the one
+    at the left edge of the genome."""
+    rep = coverage_bounds(_config(100000, 1, 1e-2, 1e-4, 1e4, eta=0.5))
+    assert rep.lower <= rep.upper  # 0.9787 > 0.9738
+
+
+def _few_reads_coverage_falls_in_lambda():
+    low, high = (coverage_bounds(_config(1000, 1, 0.0078125, lam, 100.0,
+                                         eta=0.5)).upper
+                 for lam in (0.00375, 0.0075))
+    assert high <= low  # 0.8247 -> 0.8359
+
+
+def _segmented_lower_falls_in_L():
+    """The segmented coverage bound is a sawtooth in the gap x (floor(G /
+    (L + x)) segments), and golden_max stops on a lower peak at L = 1075."""
+    short, long = (assembly_bounds(_config(95600, 10, 1e-5, 9.4e-4, L,
+                                           eta=0.5)).lower
+                   for L in (1075.0, 1087.0))
+    assert long <= short  # 0.30012 -> 0.30064
+
+
+def _bridging_lower_falls_in_L():
+    """lambda_lower's 1 - c1 - ez cancels to a few ulps of 1 here."""
+    short, long = (assembly_bounds(_config(20000, 4, 0.0076, 0.003, L)).lower
+                   for L in (24900.0, 24925.0))
+    assert long <= short  # 1.78e-15 -> 2.11e-15
+
+
+def _tiny_lambda_evaluates():
+    """exp(-lam (L + x)) rounds to 1 in the segmented coverage bound."""
+    rep = assembly_bounds(_config(3 * 10**9, 2, 1e-3, 1e-20, 1000.0))
+    assert rep.lower <= rep.upper
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_few_reads_coverage_ordered, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="union coverage bound misses the edge gap")),
+    pytest.param(_few_reads_coverage_falls_in_lambda, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="union coverage bound misses the edge gap")),
+    pytest.param(_segmented_lower_falls_in_L, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="golden_max misses the segmented bound's best peak")),
+    pytest.param(_bridging_lower_falls_in_L, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="lambda_lower cancels below ~1e-13")),
+    pytest.param(_tiny_lambda_evaluates, marks=pytest.mark.xfail(
+        strict=True, raises=ValueError,
+        reason="log1p(-1) in coverage_lower_segmented")),
+], ids=lambda f: f.__name__.strip("_"))
+def test_recorded_bound_defects(case):
+    """Counterexamples to the bound invariants above, kept as strict
+    expected failures until the defects in CHANGES.md are mended."""
+    case()

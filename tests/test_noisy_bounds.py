@@ -3,6 +3,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolseq_limits._util import poisson_weights, unpack_rows
 from poolseq_limits.core import (CapacityError, FixedEta, ModelConfig,
@@ -401,3 +403,49 @@ def test_disc_upper_large_population_stable():
             for D in (4000.0, 12000.0, 40000.0, 120000.0)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _disc_reference(M: int, p: float, eta: float, width: float) -> float:
+    """E[1 - (1 - eta^n)^pairs] over n ~ Poisson(p width), which does not
+    cancel: every weight from its log-pmf and the sum by math.fsum, out to
+    a tail far below 1e-15."""
+    mu, pairs = p * width, math.comb(M, 2)
+    terms = []
+    for n in range(int(mu + 40.0 * math.sqrt(mu) + 60.0)):
+        w = math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0))
+        en = eta ** n
+        terms.append(w * (-math.expm1(pairs * math.log1p(-en)) if en < 1.0
+                          else 1.0))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("M", range(2, 13))
+def test_disc_upper_matches_poisson_average(M):
+    """Over overlap widths 1-1e5 at p = 1e-3, disc_upper stays within the
+    Poisson form's 1e-12 tail mass (plus rounding) of the exact average:
+    the alternating sum once cancelled to 1e-6 too low at 36 pairs (M = 9,
+    width 300 gave 0.9999988 against 0.999999999996). Up to 40 pairs, the
+    values far below 1e-12 that the ML optimum reaches also keep their
+    relative accuracy."""
+    for eta in (0.5, 0.82, 0.95):
+        for k in range(0, 201):
+            width = 10 ** (k / 40)
+            got = disc_upper(M, 1e-3, eta, width + 1.0, 1.0)
+            want = _disc_reference(M, 1e-3, eta, width)
+            assert abs(got - want) <= 1.1e-12, (eta, width, got, want)
+            if math.comb(M, 2) <= 40 and want < 1e-9:
+                assert abs(got - want) <= 1e-9 * want, (eta, width, got, want)
+
+
+@settings(max_examples=300)
+@given(M=st.integers(-3, 40), kappa=st.integers(-3, 6),
+       eps=st.one_of(st.floats(-1.0, 1.5), st.just(math.nan),
+                     st.just(math.inf), st.just(-math.inf)))
+def test_exponent_table_rejects_invalid_inputs(M, kappa, eps):
+    """Every (M, kappa, eps) outside kappa >= 1, 1 <= M <= 2^kappa and
+    0 <= eps <= 0.5 raises ValidationError, before any enumeration."""
+    valid_eps = 0.0 <= eps <= 0.5
+    if kappa >= 1 and 1 <= M <= 1 << kappa and valid_eps:
+        return
+    with pytest.raises(ValidationError):
+        exponent_table(M, kappa, eps)
