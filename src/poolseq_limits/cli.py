@@ -29,7 +29,7 @@ import numpy as np
 from ._util import bisect_decreasing, clamp01, format_g, wilson_interval
 from .core import (CapacityError, FixedBiallelic, FixedEta, ModelConfig,
                    RandomStream, ValidationError)
-from .denoise import DenoiseBlock
+from .denoise import AVERAGE_CASE, DenoiseBlock
 from .exact_bridging import estimate_bridging
 from .noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
                                assembly_upper, bridging_bounds,
@@ -222,25 +222,14 @@ def _plan(params: dict) -> SegmentationPlan | None:
     return None
 
 
-def _coverage(config: ModelConfig, params: dict) -> dict:
-    cov = coverage_bounds(config)
-    return {"esc_lower": cov.lower, "esc_upper": cov.upper}
-
-
-def _assembly(config: ModelConfig, params: dict) -> dict:
-    asm = assembly_bounds(config)
-    return {"e_lower": asm.lower, "e_upper": asm.upper}
-
-
 def _assembly_asym(config: ModelConfig, params: dict) -> dict:
     asm = assembly_bounds(config, VARIANT_ASYMPTOTIC)
     return {"e_lower_asym": asm.lower, "e_upper_asym": asm.upper}
 
 
-def _bridging(config: ModelConfig, params: dict) -> dict:
+def _bridging_lower(config: ModelConfig, params: dict) -> dict:
     br = bridging_bounds(config)
-    return {"eb_lower": br.lower, "eb_upper": br.upper,
-            "eb_degenerate": int(br.degenerate)}
+    return {"eb_lower": br.lower, "eb_degenerate": int(br.degenerate)}
 
 
 def _ml(config: ModelConfig, params: dict) -> dict:
@@ -250,33 +239,45 @@ def _ml(config: ModelConfig, params: dict) -> dict:
 
 def _spectral(config: ModelConfig, params: dict) -> dict:
     value, plan = noisy_upper_spectral(
-        config, _plan(params), mode=params.get("nu_min_mode", "average_case"),
+        config, _plan(params), mode=params.get("nu_min_mode", AVERAGE_CASE),
         c_const=params.get("c_const", 1.0))
     return {"en_sd_upper": value, "en_sd_D": plan.D, "en_sd_d": plan.d}
 
 
-# bound family -> (evaluate to CSV columns, whether `bounds` writes them)
+def _always(config: ModelConfig) -> bool:
+    return True
+
+
+# bound family -> (evaluate to CSV columns, whether `bounds` writes them).
+# Lower and upper bounds are separate families, so an upper bound never
+# pays for a lower bound's search.
 _FAMILIES = {
-    "coverage": (_coverage, lambda config: True),
-    "assembly": (_assembly, lambda config: True),
+    "coverage-lower": (lambda config, params:
+                       {"esc_lower": coverage_bounds(config).lower}, _always),
+    "coverage-upper": (lambda config, params:
+                       {"esc_upper": clamp01(coverage_upper(config))}, _always),
+    "assembly-lower": (lambda config, params:
+                       {"e_lower": assembly_bounds(config).lower}, _always),
+    "assembly-upper": (lambda config, params:
+                       {"e_upper": clamp01(assembly_upper(config))}, _always),
     "assembly-asym": (_assembly_asym, lambda config: config.lam > 0),
-    "bridging": (_bridging, lambda config: config.M >= 2),
+    "bridging-lower": (_bridging_lower, lambda config: config.M >= 2),
+    "bridging-upper": (lambda config, params:
+                       {"eb_upper": clamp01(bridging_upper(config))},
+                       lambda config: config.M >= 2),
     "ml": (_ml, lambda config: config.eps > 0.0),
     "spectral": (_spectral, lambda config: config.eps > 0.0),
 }
 
-# critical-l --bound name -> the one value it bisects, bit for bit the
-# `bounds` column of that name; upper columns skip the lower bounds
+# critical-l --bound name -> the family and `bounds` column it bisects
 _BOUNDS = {
-    "assembly-upper": lambda config, params: clamp01(assembly_upper(config)),
-    "assembly-lower": lambda config, params: assembly_bounds(config).lower,
-    "assembly-upper-asym":
-        lambda config, params: assembly_bounds(config, VARIANT_ASYMPTOTIC).upper,
-    "coverage-upper": lambda config, params: clamp01(coverage_upper(config)),
-    "bridging-upper": lambda config, params: clamp01(bridging_upper(config)),
-    "ml-upper": lambda config, params: _ml(config, params)["en_ml_upper"],
-    "spectral-upper":
-        lambda config, params: _spectral(config, params)["en_sd_upper"],
+    "assembly-upper": ("assembly-upper", "e_upper"),
+    "assembly-lower": ("assembly-lower", "e_lower"),
+    "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
+    "coverage-upper": ("coverage-upper", "esc_upper"),
+    "bridging-upper": ("bridging-upper", "eb_upper"),
+    "ml-upper": ("ml", "en_ml_upper"),
+    "spectral-upper": ("spectral", "en_sd_upper"),
 }
 
 
@@ -311,7 +312,7 @@ def _simulate_one(args) -> dict:
     if config.eps > 0.0:
         plan = SegmentationPlan(D=params["D"], d=params["d"])
         res = run_noisy_trial(config, plan, stream, denoiser,
-                              params.get("nu_min_mode", "average_case"))
+                              params.get("nu_min_mode", AVERAGE_CASE))
     else:
         res = run_noiseless_trial(config, stream)
     row = {"trial": trial}
@@ -398,12 +399,13 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
         raise ValidationError("--target must be a number, got nan")
     if l_min > l_max:
         raise ValidationError(f"reversed bracket: --l-min {l_min} > --l-max {l_max}")
-    evaluate = _BOUNDS[bound]
+    family, column = _BOUNDS[bound]
+    evaluate = _FAMILIES[family][0]
 
     # cached so that bisection reuses the endpoint values checked here
     @functools.cache
     def f(L: float) -> float:
-        return evaluate(build_model({**params, "L": L}), params)
+        return evaluate(build_model({**params, "L": L}), params)[column]
 
     if f(l_min) < f(l_max):
         raise ValidationError("bound is not non-increasing on the bracket")
@@ -490,7 +492,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             block = DenoiseBlock(kappa=kappa, M=m_individuals, eps=eps,
                                  observations=np.where(flips, -obs, obs))
             decoded = decode_block(block, name, stream.child("sp", b),
-                                   "average_case", eta)
+                                   AVERAGE_CASE, eta)
             fails += decoded is None or \
                 {r.tobytes() for r in decoded} != {r.tobytes() for r in truth}
         lo, hi = wilson_interval(fails, blocks)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, exp, expm1, log1p
+from math import comb, exp, expm1, log, log1p
 
 from ._util import clamp01, golden_max, integral_u_exp
 from .core import ModelConfig, ValidationError
@@ -40,13 +40,20 @@ VARIANT_ASYMPTOTIC = "asymptotic"
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower/upper bound pair for one error event."""
+    """Lower/upper bound pair for one error event: the raw values, and
+    `lower` and `upper` clamped to [0, 1]."""
 
-    lower: float
-    upper: float
     raw_lower: float
     raw_upper: float
     degenerate: bool = False
+
+    @property
+    def lower(self) -> float:
+        return clamp01(self.raw_lower)
+
+    @property
+    def upper(self) -> float:
+        return clamp01(self.raw_upper)
 
 
 def _require_positive(**kwargs) -> None:
@@ -73,7 +80,10 @@ def coverage_single(G: float, p: float, lam: float, L: float) -> float:
 def optimal_gap_seed(p: float, lam: float) -> float:
     """Near-optimal uncovered-gap length x for the segmented lower bound."""
     _require_positive(p=p, lam=lam)
-    return log1p(p / lam) / p
+    ratio = p / lam
+    # below lam = p / DBL_MAX the ratio overflows, where log1p(ratio) is
+    # log(ratio) to rounding
+    return (log1p(ratio) if ratio < math.inf else log(p) - log(lam)) / p
 
 
 def coverage_lower_segmented(G: float, p: float, lam: float, L: float,
@@ -87,7 +97,10 @@ def coverage_lower_segmented(G: float, p: float, lam: float, L: float,
     n_seg = int(G // (L + x))
     if n_seg == 0 or p <= 0.0:
         return 0.0
-    p_x = -expm1(M * log1p(-exp(-lam * (L + x)))) if lam > 0 else 1.0
+    # an individual has no read starting in the segment with probability
+    # miss, which rounds to 1 once lam (L + x) is under half an ulp of 1
+    miss = exp(-lam * (L + x))
+    p_x = -expm1(M * log1p(-miss)) if miss < 1.0 else 1.0
     q = p_x * (-expm1(-p * x))
     if q >= 1.0:
         return 1.0
@@ -113,7 +126,7 @@ def coverage_bounds(config: ModelConfig,
     """
     G, p, lam, L, M = config.G, config.p, config.lam, config.L, config.M
     if p <= 0.0:
-        return BoundReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return BoundReport(0.0, 0.0, degenerate=True)
     if variant == VARIANT_ASYMPTOTIC:
         _require_positive(lam=lam)
         base = G * M * exp(-lam * L) * p * lam / (p + lam)
@@ -121,8 +134,7 @@ def coverage_bounds(config: ModelConfig,
         alt = ratio / (lam * L + (lam / p) * log1p(p / lam))
         raw_lower = base * max(1.0 / M, alt)
         raw_upper = base
-        return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
-                           raw_lower, raw_upper)
+        return BoundReport(raw_lower, raw_upper)
     raw_upper = coverage_upper(config)
     single = coverage_single(G, p, lam, L)
     if lam > 0.0:
@@ -132,9 +144,7 @@ def coverage_bounds(config: ModelConfig,
             seed / 10.0, seed * 10.0)
     else:
         seg = 0.0
-    raw_lower = max(single, seg)
-    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
-                       raw_lower, raw_upper)
+    return BoundReport(max(single, seg), raw_upper)
 
 
 def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
@@ -231,7 +241,7 @@ def bridging_bounds(config: ModelConfig,
     eta = config.eta
     r = p * (1.0 - eta)
     if M < 2 or r <= 0.0:
-        return BoundReport(0.0, 0.0, 0.0, 0.0, degenerate=True)
+        return BoundReport(0.0, 0.0, degenerate=True)
     if variant == VARIANT_ASYMPTOTIC:
         _require_positive(lam=lam)
         raw_lower = 0.0
@@ -247,13 +257,10 @@ def bridging_bounds(config: ModelConfig,
             raw_upper = (G * M * M * r / (2.0 * (1.0 - lo2 / hi2))) * exp(-lo2 * L)
         else:
             raw_upper = (G * M * M * r / 2.0) * (1.0 + r * L) * exp(-r * L)
-        return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
-                           raw_lower, raw_upper)
+        return BoundReport(raw_lower, raw_upper)
     delta = delta_m(M, lam, p, eta, L)
-    raw_lower = lambda_lower(delta, G, L, p, eta)
-    raw_upper = bridging_upper(config)
-    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
-                       raw_lower, raw_upper)
+    return BoundReport(lambda_lower(delta, G, L, p, eta),
+                       bridging_upper(config))
 
 
 def assembly_upper(config: ModelConfig) -> float:
@@ -268,8 +275,6 @@ def assembly_bounds(config: ModelConfig,
     their sum from above."""
     cov = coverage_bounds(config, variant)
     br = bridging_bounds(config, variant)
-    raw_lower = max(cov.raw_lower, br.raw_lower)
-    raw_upper = cov.raw_upper + br.raw_upper
-    return BoundReport(clamp01(raw_lower), clamp01(raw_upper),
-                       raw_lower, raw_upper,
+    return BoundReport(max(cov.raw_lower, br.raw_lower),
+                       cov.raw_upper + br.raw_upper,
                        degenerate=cov.degenerate and br.degenerate)

@@ -36,7 +36,6 @@ __all__ = [
     "exponent_numeric",
     "exponent_closed",
     "canonical_adjacent_pair",
-    "min_exponent",
     "exponent_table",
     "den_ml_upper",
     "ml_plan_seed",
@@ -85,10 +84,17 @@ DISC_SUM_MAX_PAIRS = 40
 DISC_SUM_ERROR = 1e-12
 
 
-def _disc_term(M: int, p: float, eta: float):
-    """The discrimination bound as a function of (D, d) for fixed (M, p,
-    eta), with the pair coefficients and the rates 1 - eta^m computed once;
-    see `disc_upper`."""
+def disc_upper(M: int, p: float, eta: float):
+    """Upper bound on some pair being indistinguishable on a D - d overlap,
+    as a function of (D, d) for fixed (M, p, eta), with the pair
+    coefficients and the rates 1 - eta^m computed once.
+
+    Alternating sum over m of C(C(M,2), m) (-1)^(m-1) exp(-p (D-d) (1-eta^m)),
+    clamped to [0, 1]. At d == D the overlap is empty and the bound is 1.
+    Where that sum would cancel by more than DISC_SUM_ERROR, the
+    equivalent Poisson average E[1 - (1 - eta^n)^pairs] over the overlap
+    SNP count n is evaluated directly instead.
+    """
     if M < 2:
         raise ValidationError("discrimination bound needs M >= 2")
     pairs = comb(M, 2)
@@ -120,18 +126,6 @@ def _disc_term(M: int, p: float, eta: float):
         return clamp01(total)
 
     return disc
-
-
-def disc_upper(M: int, p: float, eta: float, D: float, d: float) -> float:
-    """Upper bound on some pair being indistinguishable on a D - d overlap.
-
-    Alternating sum over m of C(C(M,2), m) (-1)^(m-1) exp(-p (D-d) (1-eta^m)),
-    clamped to [0, 1]. At d == D the overlap is empty and the bound is 1.
-    Where that sum would cancel by more than DISC_SUM_ERROR, the
-    equivalent Poisson average E[1 - (1 - eta^n)^pairs] over the overlap
-    SNP count n is evaluated directly instead.
-    """
-    return _disc_term(M, p, eta)(D, d)
 
 
 def _check_eps(eps: float) -> None:
@@ -204,7 +198,7 @@ def exponent_closed(M: int, eps: float) -> float:
             + sqrt(2.0 * e * (1.0 - e) + (1.0 - e) ** 2))
         return max(0.0, -log(min(val, 1.0)))
     kappa = max(2, math.ceil(math.log2(M + 1)))
-    return min_exponent(M, kappa, eps, distance=1)
+    return exponent_table(M, kappa, eps)[0]
 
 
 def canonical_adjacent_pair(M: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +250,6 @@ def _pairwise_exponents(members: np.ndarray, kappa: int,
     with np.errstate(divide="ignore", invalid="ignore"):
         exps = -np.log(np.minimum(bc, 1.0))
     return np.maximum(exps, 0.0)
-
-
-def min_exponent(M: int, kappa: int, eps: float, distance: int = 1) -> float:
-    """Exhaustive minimum confusion exponent over all hypothesis pairs at a
-    given set distance. This is the oracle the closed forms must match."""
-    values = exponent_table(M, kappa, eps)
-    return values[distance - 1] if 1 <= distance <= len(values) else math.inf
 
 
 @lru_cache(maxsize=256)
@@ -377,7 +364,7 @@ def noisy_upper_ml(config: ModelConfig,
     G, L, lam, p, M = config.G, config.L, config.lam, config.p, config.M
     eta = config.eta
     d1_rate = -expm1(-exponent_closed(M, config.eps))
-    disc_term = _disc_term(M, p, eta)
+    disc_term = disc_upper(M, p, eta)
     mp, neg_lam_m = M * p, -lam * M
 
     def objective(D: float, d: float) -> float:
@@ -462,7 +449,7 @@ def noisy_upper_spectral(config: ModelConfig,
         # collapse the bound through a vacuous corner
         return exp(-coverage) + coverage * total
 
-    disc_term = _disc_term(M, p, eta)
+    disc_term = disc_upper(M, p, eta)
 
     def objective(D: float, d: float) -> float:
         mv = M * D * p * exp(-lam * M * D * mv_rate)

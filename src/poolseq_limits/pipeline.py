@@ -25,7 +25,8 @@ import numpy as np
 
 from .assemble import check_bridging, check_coverage, greedy_assemble, score_assembly
 from .core import ModelConfig, RandomStream, ValidationError
-from .denoise import DenoiseBlock, extract_block, ml_denoise, spectral_denoise
+from .denoise import (AVERAGE_CASE, DenoiseBlock, extract_block, ml_denoise,
+                      spectral_denoise)
 from .noisy_bounds import SegmentationPlan
 from .simulate import apply_noise, generate_population, generate_reads
 
@@ -111,7 +112,7 @@ def decode_block(block: DenoiseBlock, denoiser: str, stream: RandomStream,
 
 def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
                     stream: RandomStream, denoiser: str = "ml",
-                    nu_min_mode: str = "average_case") -> TrialResult:
+                    nu_min_mode: str = AVERAGE_CASE) -> TrialResult:
     """Segment, denoise, stitch, and compare against the true genomes.
 
     Every segment is decoded and checked; stitching stops at the first

@@ -2,13 +2,16 @@ import gc
 import hashlib
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolseq_limits import cli
 from poolseq_limits.cli import main
 
 BASE = ["-O", "G=3000000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
@@ -428,15 +431,13 @@ def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
     assert at_summary and set(at_summary) == {out.read_text()}
 
 
+# the noisy families, which need eps > 0 and minimise over (D, d)
+_NOISY_FAMILIES = ("ml", "spectral")
+
+
 @pytest.mark.parametrize("bound,column,point", [
-    ("assembly-upper", "e_upper", BASE),
-    ("assembly-lower", "e_lower", BASE),
-    ("assembly-upper-asym", "e_upper_asym", BASE),
-    ("coverage-upper", "esc_upper", BASE),
-    ("bridging-upper", "eb_upper", BASE),
-    ("ml-upper", "en_ml_upper", _NOISY),
-    ("spectral-upper", "en_sd_upper", _NOISY),
-])
+    (bound, column, _NOISY if family in _NOISY_FAMILIES else BASE)
+    for bound, (family, column) in cli._BOUNDS.items()])
 def test_critical_l_agrees_with_bounds(bound, column, point):
     """The solved length meets the target on the `bounds` column it names,
     and a length 2 rtol shorter (rtol = 1e-3, the bisection tolerance)
@@ -457,6 +458,24 @@ def test_critical_l_agrees_with_bounds(bound, column, point):
         [crit * (1 - 2e-3), crit], rel=1e-11)
     assert float(rows[1][column]) <= target
     assert float(rows[0][column]) > target
+
+
+@pytest.mark.parametrize("lam", ["1e-20", "1e-300", "5e-324"])
+def test_bounds_evaluates_at_tiny_lambda(lam):
+    """A row, not a traceback: at 1e-20 exp(-lambda (L + x)) rounds to 1 in
+    the segmented coverage bound, and below p / DBL_MAX the gap seed's
+    p / lambda overflows."""
+    res = run(["bounds", *BASE, "-O", f"lambda={lam}", "-O", "L=1000"])
+    assert res.exit_code == 0, res.output
+    row = dict(zip(*(ln.split(",") for ln in res.output.splitlines()[1:3])))
+    assert float(row["e_lower"]) == float(row["e_upper"]) == 1.0
+
+
+def test_critical_l_at_tiny_lambda_finds_the_region_empty():
+    res = run(["critical-l", *BASE, "-O", "lambda=1e-20", "--target", "1e-3",
+               "--bound", "assembly-lower"])
+    assert res.exit_code == 4, res.output
+    assert res.output.startswith("region empty: assembly-lower")
 
 
 def _live_click_objects() -> int:
@@ -481,18 +500,8 @@ def test_repeated_invocations_hold_no_click_objects():
     assert _live_click_objects() <= before
 
 
-# the `bounds` family and column each critical-l bound bisects
-_BOUND_COLUMNS = {
-    "assembly-upper": ("assembly", "e_upper"),
-    "assembly-lower": ("assembly", "e_lower"),
-    "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
-    "coverage-upper": ("coverage", "esc_upper"),
-    "bridging-upper": ("bridging", "eb_upper"),
-    "ml-upper": ("ml", "en_ml_upper"),
-    "spectral-upper": ("spectral", "en_sd_upper"),
-}
-_NOISELESS = [b for b, (family, _) in _BOUND_COLUMNS.items()
-              if family not in ("ml", "spectral")]
+_NOISELESS = [bound for bound, (family, _) in cli._BOUNDS.items()
+              if family not in _NOISY_FAMILIES]
 
 
 def _outcome(fn):
@@ -524,27 +533,59 @@ def bound_points(draw, noisy: bool):
     }
 
 
-def _check_evaluators(params, names):
-    from poolseq_limits import cli
+def _check_evaluators(params, names, families):
+    """Each named bound's evaluation in critical-l equals what `bounds`
+    writes in its column: the applicable `families`, evaluated and merged
+    in table order as the command merges them, where a family that raises
+    stands for its columns with its exception."""
     config = cli.build_model(params)
+    written, raised = {}, {}
+    for family in families:
+        evaluate, applies = cli._FAMILIES[family]
+        if applies(config):
+            try:
+                written.update((column, float(value).hex()) for column, value
+                               in evaluate(config, params).items())
+            except Exception as e:  # compared with critical-l's outcome
+                raised[family] = type(e), str(e)
     for name in names:
-        family, column = _BOUND_COLUMNS[name]
-        want = _outcome(lambda: cli._FAMILIES[family][0](config, params)[column])
-        got = _outcome(lambda: cli._BOUNDS[name](config, params))
-        assert got == want, (name, params)
+        family, column = cli._BOUNDS[name]
+        if not cli._FAMILIES[family][1](config):
+            continue  # `bounds` leaves the column empty here
+        got = _outcome(lambda: cli._FAMILIES[family][0](config, params)[column])
+        assert got == raised.get(family, written.get(column)), (name, params)
 
 
 def test_bound_columns_cover_every_critical_l_bound():
-    from poolseq_limits import cli
-    assert set(cli._BOUNDS) == set(_BOUND_COLUMNS)
+    """At a point where every family applies, each critical-l bound's
+    column is written by the family it names and by no other."""
+    params = {"G": 10**6, "M": 3, "p": 1e-3, "eta": 0.82, "lambda": 0.01,
+              "L": 20000.0, "eps": 0.1}
+    config = cli.build_model(params)
+    columns = {family: set(evaluate(config, params))
+               for family, (evaluate, applies) in cli._FAMILIES.items()
+               if applies(config)}
+    assert list(columns) == list(cli._FAMILIES)
+    for name, (family, column) in cli._BOUNDS.items():
+        assert [f for f, cols in columns.items() if column in cols] == [family]
+
+
+def test_readme_bound_table_matches_cli():
+    """README's critical-l table gives each --bound name, in the order of
+    the choices, with the `bounds` column it bisects."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` +\| `(\w+)` +\|", readme, re.M)
+    assert rows == [(name, column)
+                    for name, (_, column) in cli._BOUNDS.items()]
 
 
 @settings(max_examples=300)
 @given(bound_points(noisy=False))
 def test_noiseless_evaluators_equal_their_bounds_columns(params):
-    """Each noiseless critical-l evaluator returns its `bounds` column bit
-    for bit, or raises what the family evaluation raises."""
-    _check_evaluators(params, _NOISELESS)
+    """Each noiseless critical-l bound evaluates bit for bit to its `bounds`
+    column, or raises what `bounds` raises for the column's family."""
+    _check_evaluators(params, _NOISELESS,
+                      [f for f in cli._FAMILIES if f not in _NOISY_FAMILIES])
 
 
 @settings(max_examples=25)
@@ -552,7 +593,7 @@ def test_noiseless_evaluators_equal_their_bounds_columns(params):
 def test_noisy_evaluators_equal_their_bounds_columns(params):
     """As above for ml-upper and spectral-upper, which minimise over (D, d)
     at every evaluation."""
-    _check_evaluators(params, ["ml-upper", "spectral-upper"])
+    _check_evaluators(params, ["ml-upper", "spectral-upper"], cli._FAMILIES)
 
 
 # critical-l at the model's edges, on a 1e8 genome at eps = 0.1: the exit
@@ -612,12 +653,13 @@ def monotone_grids(draw, noisy: bool):
 
 
 def _check_non_increasing(params, axis, grid, names):
-    from poolseq_limits import cli
     for name in names:
+        family, column = cli._BOUNDS[name]
         vals = []
         for v in grid:
             point = {**params, axis: v}
-            vals.append(cli._BOUNDS[name](cli.build_model(point), point))
+            vals.append(cli._FAMILIES[family][0](cli.build_model(point),
+                                                 point)[column])
         assert all(b <= a for a, b in zip(vals, vals[1:])), (name, axis, vals)
 
 

@@ -1,6 +1,7 @@
-"""Static checks on the package source: every module-level import is used
-and every `__all__` entry resolves. No linter ships with the project, so
-these guard against dead imports and stale export lists."""
+"""Static checks on the package source: every module-level import is used,
+every `__all__` entry resolves and has a caller. No linter ships with the
+project, so these guard against dead imports, stale export lists and
+public names that nothing uses."""
 
 import ast
 import importlib
@@ -71,3 +72,42 @@ def test_exception_classes_live_in_core():
                     and obj.__module__ != "poolseq_limits.core":
                 stray.append(f"{obj.__module__}.{obj.__qualname__}")
     assert not stray, f"exception classes outside core: {stray}"
+
+
+# public names kept for library users and the tests, with no caller in the
+# package: the assembly referee, the exact exponent oracle, its canonical
+# pair, and the spectral ceiling criterion 08 checks
+UNCALLED_PUBLIC = {"unique_and_correct", "exponent_numeric",
+                   "canonical_adjacent_pair", "spectral_noise_ceiling"}
+
+
+def _references(trees: dict, name: str, home: str) -> int:
+    """Loads of `name`, as a name or an attribute, anywhere in the package
+    outside the body of its own definition in module `home`."""
+    count = 0
+    for module, tree in trees.items():
+        skip = set()
+        if module == home:
+            skip = {id(n) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name == name for n in ast.walk(node)}
+        count += sum(1 for n in ast.walk(tree) if id(n) not in skip and (
+            isinstance(n, ast.Name) and n.id == name
+            or isinstance(n, ast.Attribute) and n.attr == name))
+    return count
+
+
+def test_public_names_have_callers():
+    """Every `__all__` entry is used somewhere in the package outside its
+    own definition, or is listed in UNCALLED_PUBLIC; an import or an
+    `__all__` string does not count as a use."""
+    trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text())
+             for m in MODULES}
+    uncalled = set()
+    for module in MODULES:
+        if module == "__init__":
+            continue
+        mod = importlib.import_module(f"poolseq_limits.{module}")
+        uncalled |= {name for name in getattr(mod, "__all__", ())
+                     if not _references(trees, name, module)}
+    assert uncalled == UNCALLED_PUBLIC

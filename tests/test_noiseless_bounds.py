@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolseq_limits._util import bisect_decreasing, golden_max
+from poolseq_limits._util import bisect_decreasing, golden_max, golden_min
 from poolseq_limits.core import FixedEta, ModelConfig, RandomStream
 from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, VARIANT_EXACT,
                                              assembly_bounds,
@@ -277,6 +277,15 @@ def test_bridging_bounds_large_population_ordered():
     assert 0.0 < rep.lower < rep.upper < 1.0
 
 
+@pytest.mark.parametrize("lam", [1e-20, 5e-324])
+def test_tiny_lambda_evaluates(lam):
+    """At lambda = 1e-20, exp(-lam (L + x)) rounds to 1 in the segmented
+    coverage bound; at 5e-324, below p / DBL_MAX, p / lam overflows in the
+    gap seed. Almost no reads arrive, so both bounds are 1."""
+    rep = assembly_bounds(_config(3 * 10**9, 2, 1e-3, lam, 1000.0))
+    assert rep.lower == rep.upper == 1.0
+
+
 @st.composite
 def exact_configs(draw):
     """G in [1e3, 3e9], M in 1..12, p = 0 or up to 1e-2, lambda = 0 or
@@ -334,6 +343,34 @@ def test_bisect_decreasing_contract(lo, width, cut, target, rtol):
     assert a < b and b - a <= rtol * max(abs(b), 1.0)
 
 
+@settings(max_examples=500)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e6),
+       at=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3),
+       wiggle=st.sampled_from([0.0, 0.1, 10.0]), freq=st.floats(0.0, 50.0))
+def test_golden_search_contract(lo, width, at, scale, wiggle, freq):
+    """golden_max on [lo, hi] returns a point it evaluated, in [lo, hi],
+    with the value f has there and no worse than either endpoint's, also
+    where a sine wiggle makes f multimodal. Without the wiggle f is a
+    concave quadratic, whose peak it finds to within the bracket's
+    stopping width. golden_min(-f) returns the same point."""
+    hi = lo + width
+    peak = lo + at * width
+    seen = {}
+
+    def f(x):
+        seen[x] = -scale * (x - peak) ** 2 + wiggle * scale * math.sin(freq * x)
+        return seen[x]
+
+    x, value = golden_max(f, lo, hi)
+    assert lo <= x <= hi
+    assert seen.get(x) == value
+    assert value >= max(f(lo), f(hi))
+    if wiggle == 0.0:
+        assert abs(x - peak) <= 1e-13 * max(1.0, abs(lo), abs(hi))
+    x_min, value_min = golden_min(lambda t: -f(t), lo, hi)
+    assert (x_min, value_min) == (x, -value)
+
+
 def _few_reads_coverage_ordered():
     """Ten reads per individual over the genome (G lambda = 10): the union
     bound counts uncovered gaps after read ends only, and misses the one
@@ -365,12 +402,6 @@ def _bridging_lower_falls_in_L():
     assert long <= short  # 1.78e-15 -> 2.11e-15
 
 
-def _tiny_lambda_evaluates():
-    """exp(-lam (L + x)) rounds to 1 in the segmented coverage bound."""
-    rep = assembly_bounds(_config(3 * 10**9, 2, 1e-3, 1e-20, 1000.0))
-    assert rep.lower <= rep.upper
-
-
 @pytest.mark.parametrize("case", [
     pytest.param(_few_reads_coverage_ordered, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
@@ -384,9 +415,6 @@ def _tiny_lambda_evaluates():
     pytest.param(_bridging_lower_falls_in_L, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="lambda_lower cancels below ~1e-13")),
-    pytest.param(_tiny_lambda_evaluates, marks=pytest.mark.xfail(
-        strict=True, raises=ValueError,
-        reason="log1p(-1) in coverage_lower_segmented")),
 ], ids=lambda f: f.__name__.strip("_"))
 def test_recorded_bound_defects(case):
     """Counterexamples to the bound invariants above, kept as strict

@@ -13,7 +13,7 @@ from poolseq_limits.noisy_bounds import (SegmentationPlan,
                                          canonical_adjacent_pair, den_ml_upper,
                                          disc_upper, exponent_closed,
                                          exponent_numeric, exponent_table,
-                                         min_exponent, ml_plan_seed,
+                                         ml_plan_seed,
                                          noisy_upper_ml,
                                          noisy_upper_spectral,
                                          spectral_noise_ceiling,
@@ -37,9 +37,9 @@ def test_plan_validation():
 
 
 def test_disc_upper_edges():
-    assert disc_upper(2, 1e-3, ETA, 100.0, 100.0) == 1.0
+    assert disc_upper(2, 1e-3, ETA)(100.0, 100.0) == 1.0
     width = 1.0 / (1e-3 * (1 - ETA))
-    val = disc_upper(2, 1e-3, ETA, width + 1.0, 1.0)
+    val = disc_upper(2, 1e-3, ETA)(width + 1.0, 1.0)
     assert val == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
@@ -50,7 +50,7 @@ def test_disc_upper_matches_pair_simulation():
     trials = 200000
     n = rng.poisson(p * (D - d), size=trials)
     emp = (ETA ** n).mean()
-    val = disc_upper(2, p, ETA, D, d)
+    val = disc_upper(2, p, ETA)(D, d)
     sigma = (ETA ** n).std(ddof=1) / trials ** 0.5
     assert abs(emp - val) < 3 * sigma
 
@@ -143,9 +143,6 @@ def test_exponent_table_ordering_and_positivity():
         tbl = exponent_table(M, kappa, 0.2)
         finite = [v for v in tbl if math.isfinite(v)]
         assert min(finite) >= 0.99 * tbl[0]
-        assert tbl[0] == min_exponent(M, kappa, 0.2, distance=1)
-        assert min_exponent(M, kappa, 0.2, distance=0) == math.inf
-        assert min_exponent(M, kappa, 0.2, distance=M * kappa + 1) == math.inf
         assert all(v > 0 for v in finite)
         tbl_half = exponent_table(M, kappa, 0.5)
         assert all(v == pytest.approx(0.0, abs=1e-12) or math.isinf(v)
@@ -156,7 +153,7 @@ def test_min_exponent_share_one_member_is_worst():
     """The distance-1 family minimum is attained by sets sharing a member,
     and is strictly below the adjacent-pair closed form."""
     for eps in (0.05, 0.2, 0.4):
-        mn = min_exponent(2, 3, eps, distance=1)
+        mn = exponent_table(2, 3, eps)[0]
         t = np.array([[-1, -1, -1], [1, 1, -1]])
         a = np.array([[-1, -1, -1], [1, -1, -1]])
         assert mn == pytest.approx(exponent_numeric(t, a, eps), rel=1e-9)
@@ -169,7 +166,7 @@ def test_exponent_kappa_independence():
     for two individuals, kappa >= 3 for three)."""
     for M, kappas in ((2, (2, 3, 4)), (3, (3, 4))):
         for eps in (0.1, 0.3):
-            vals = [min_exponent(M, k, eps, distance=1) for k in kappas]
+            vals = [exponent_table(M, k, eps)[0] for k in kappas]
             assert max(vals) - min(vals) < 1e-9
 
 
@@ -182,7 +179,7 @@ def test_den_ml_upper_shapes():
     plan = SegmentationPlan(D=1e5, d=5e3)
     cov = 1e-3 * 2 * (2e5 - 1e5)
     dominant = 2 * 1e-3 * 1e5 * math.exp(-cov * 0.5)
-    expect = (1e6 / 5e3) * (disc_upper(2, 1e-3, ETA, 1e5, 5e3) + dominant)
+    expect = (1e6 / 5e3) * (disc_upper(2, 1e-3, ETA)(1e5, 5e3) + dominant)
     got, _ = noisy_upper_ml(cfg, plan)
     assert got == pytest.approx(expect, rel=1e-12)
     assert got == pytest.approx(7.49e-6, rel=1e-3)
@@ -390,7 +387,7 @@ def test_disc_upper_large_population_stable():
     from math import comb, exp
 
     # M = 4 (6 pairs): closed alternating sum, exact
-    closed = disc_upper(4, 1e-3, ETA, 8000.0, 2000.0)
+    closed = disc_upper(4, 1e-3, ETA)(8000.0, 2000.0)
     # recompute via the Poisson average independently
     from scipy import stats
     mu = 1e-3 * 6000.0
@@ -399,8 +396,8 @@ def test_disc_upper_large_population_stable():
                        * (1 - (1 - ETA ** ks) ** comb(4, 2))))
     assert closed == pytest.approx(avg, rel=1e-9)
     # M = 20 (190 pairs): must be a sane probability, monotone in width
-    vals = [disc_upper(20, 1e-3, ETA, D, 2000.0)
-            for D in (4000.0, 12000.0, 40000.0, 120000.0)]
+    disc = disc_upper(20, 1e-3, ETA)
+    vals = [disc(D, 2000.0) for D in (4000.0, 12000.0, 40000.0, 120000.0)]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -428,9 +425,10 @@ def test_disc_upper_matches_poisson_average(M):
     values far below 1e-12 that the ML optimum reaches also keep their
     relative accuracy."""
     for eta in (0.5, 0.82, 0.95):
+        disc = disc_upper(M, 1e-3, eta)
         for k in range(0, 201):
             width = 10 ** (k / 40)
-            got = disc_upper(M, 1e-3, eta, width + 1.0, 1.0)
+            got = disc(width + 1.0, 1.0)
             want = _disc_reference(M, 1e-3, eta, width)
             assert abs(got - want) <= 1.1e-12, (eta, width, got, want)
             if math.comb(M, 2) <= 40 and want < 1e-9:
