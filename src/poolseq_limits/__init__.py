@@ -9,8 +9,11 @@ from .simulate import (Population, ReadSet, apply_noise,
                        generate_reads)
 from .assemble import (Contig, check_bridging, check_coverage,
                        greedy_assemble, score_assembly, unique_and_correct)
-from .noiseless_bounds import (BoundReport, assembly_bounds, bridging_bounds,
-                               coverage_bounds, coverage_single, delta_m,
+from .noiseless_bounds import (assembly_asymptotic, assembly_lower,
+                               assembly_upper, bridging_asymptotic,
+                               bridging_lower, bridging_upper,
+                               coverage_asymptotic, coverage_lower,
+                               coverage_single, coverage_upper, delta_m,
                                lambda_lower, p_m)
 from .denoise import (DenoiseBlock, build_correlation_graph, majority_vote,
                       ml_denoise, spectral_denoise)

@@ -15,11 +15,6 @@ def clamp01(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
-def binomial_sigma(p: float, n: int) -> float:
-    """Standard deviation of a binomial proportion estimate at true rate p."""
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def wilson_interval(k: int, n: int, z: float = Z_95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (95% by default)."""
     if n == 0:

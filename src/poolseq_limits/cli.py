@@ -29,11 +29,11 @@ import numpy as np
 from ._util import bisect_decreasing, clamp01, format_g, wilson_interval
 from .core import (CapacityError, FixedBiallelic, FixedEta, ModelConfig,
                    RandomStream, ValidationError)
-from .denoise import AVERAGE_CASE, DenoiseBlock
+from .denoise import AVERAGE_CASE, WORST_CASE, DenoiseBlock
 from .exact_bridging import estimate_bridging
-from .noiseless_bounds import (VARIANT_ASYMPTOTIC, assembly_bounds,
-                               assembly_upper, bridging_bounds,
-                               bridging_upper, coverage_bounds,
+from .noiseless_bounds import (assembly_asymptotic, assembly_lower,
+                               assembly_upper, bridging_lower,
+                               bridging_upper, coverage_lower,
                                coverage_upper)
 from .noisy_bounds import (SegmentationPlan, den_ml_upper, exponent_closed,
                            exponent_table, noisy_upper_ml,
@@ -47,10 +47,18 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_EMPTY_REGION = 4
 
+
+def _nu_min_mode(raw: str) -> str:
+    """The spectral analysis mode, one of the two `denoise` defines."""
+    if raw not in (WORST_CASE, AVERAGE_CASE):
+        raise ValueError(raw)
+    return raw
+
+
 # config key -> value parser, in CSV column order
 _KEYS = {"D": float, "G": int, "L": float, "M": int, "c_const": float,
          "d": float, "eps": float, "eta": float, "lambda": float,
-         "maf": float, "nu_min_mode": str, "p": float, "seed": int,
+         "maf": float, "nu_min_mode": _nu_min_mode, "p": float, "seed": int,
          "trials": int}
 
 # denoise-bench refuses a block expected to hold more observations than this
@@ -123,6 +131,8 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
         name = name.strip()
         if name not in _KEYS:
             raise ValidationError(f"sweep {spec!r}: unknown parameter {name!r}")
+        if _KEYS[name] not in (int, float):
+            raise ValidationError(f"sweep {spec!r}: {name!r} is not numeric")
         if count < 1:
             raise ValidationError(f"sweep {spec!r}: count must be >= 1")
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -223,13 +233,8 @@ def _plan(params: dict) -> SegmentationPlan | None:
 
 
 def _assembly_asym(config: ModelConfig, params: dict) -> dict:
-    asm = assembly_bounds(config, VARIANT_ASYMPTOTIC)
-    return {"e_lower_asym": asm.lower, "e_upper_asym": asm.upper}
-
-
-def _bridging_lower(config: ModelConfig, params: dict) -> dict:
-    br = bridging_bounds(config)
-    return {"eb_lower": br.lower, "eb_degenerate": int(br.degenerate)}
+    lower, upper = assembly_asymptotic(config)
+    return {"e_lower_asym": clamp01(lower), "e_upper_asym": clamp01(upper)}
 
 
 def _ml(config: ModelConfig, params: dict) -> dict:
@@ -253,15 +258,20 @@ def _always(config: ModelConfig) -> bool:
 # pays for a lower bound's search.
 _FAMILIES = {
     "coverage-lower": (lambda config, params:
-                       {"esc_lower": coverage_bounds(config).lower}, _always),
+                       {"esc_lower": clamp01(coverage_lower(config))}, _always),
     "coverage-upper": (lambda config, params:
                        {"esc_upper": clamp01(coverage_upper(config))}, _always),
     "assembly-lower": (lambda config, params:
-                       {"e_lower": assembly_bounds(config).lower}, _always),
+                       {"e_lower": clamp01(assembly_lower(config))}, _always),
     "assembly-upper": (lambda config, params:
                        {"e_upper": clamp01(assembly_upper(config))}, _always),
     "assembly-asym": (_assembly_asym, lambda config: config.lam > 0),
-    "bridging-lower": (_bridging_lower, lambda config: config.M >= 2),
+    # the bridging event is degenerate (bounded by 0 from both sides)
+    # without discriminating SNPs
+    "bridging-lower": (lambda config, params:
+                       {"eb_lower": clamp01(bridging_lower(config)),
+                        "eb_degenerate": int(config.disc_rate <= 0.0)},
+                       lambda config: config.M >= 2),
     "bridging-upper": (lambda config, params:
                        {"eb_upper": clamp01(bridging_upper(config))},
                        lambda config: config.M >= 2),

@@ -2,58 +2,40 @@
 
 Three error events are bounded: snp_coverage (some SNP of some individual
 uncovered), bridging (some identical region between a pair unbridged), and
-assembly (their union). Exact variants evaluate the full finite-G
-expressions; asymptotic variants use the large-depth simplifications. All
-reported bounds are clamped to [0, 1]; raw unclamped values are kept for
-decay-exponent checks. Values far outside each formula's validity regime
-are still evaluated faithfully, hence the clamping.
+assembly (their union). For each event, `*_lower` and `*_upper` evaluate
+the exact finite-G bounds, and `*_asymptotic` returns the (lower, upper)
+pair of the large-depth simplifications. Every function takes a
+`ModelConfig` and returns raw, unclamped values, which decay-exponent checks
+read; callers clamp to [0, 1] (`_util.clamp01`). Values far outside each
+formula's validity regime are still evaluated faithfully, hence the
+clamping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb, exp, expm1, log, log1p
 
 from ._util import clamp01, golden_max, integral_u_exp
 from .core import ModelConfig, ValidationError
 
 __all__ = [
-    "BoundReport",
     "coverage_single",
     "optimal_gap_seed",
     "coverage_lower_segmented",
+    "coverage_lower",
     "coverage_upper",
-    "coverage_bounds",
+    "coverage_asymptotic",
     "p_m",
     "delta_m",
     "lambda_lower",
+    "bridging_lower",
     "bridging_upper",
-    "bridging_bounds",
+    "bridging_asymptotic",
+    "assembly_lower",
     "assembly_upper",
-    "assembly_bounds",
+    "assembly_asymptotic",
 ]
-
-VARIANT_EXACT = "exact"
-VARIANT_ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Lower/upper bound pair for one error event: the raw values, and
-    `lower` and `upper` clamped to [0, 1]."""
-
-    raw_lower: float
-    raw_upper: float
-    degenerate: bool = False
-
-    @property
-    def lower(self) -> float:
-        return clamp01(self.raw_lower)
-
-    @property
-    def upper(self) -> float:
-        return clamp01(self.raw_upper)
 
 
 def _require_positive(**kwargs) -> None:
@@ -115,27 +97,13 @@ def coverage_upper(config: ModelConfig) -> float:
     return config.M * coverage_single(config.G, config.p, config.lam, config.L)
 
 
-def coverage_bounds(config: ModelConfig,
-                    variant: str = VARIANT_EXACT) -> BoundReport:
-    """Bounds on the snp_coverage error event for M individuals.
-
-    Exact: upper is the union bound M * coverage_single; lower is the best
-    of the single-individual bound and the segmented bound maximized over
-    the gap length (golden search around the analytic seed). Asymptotic:
-    the shared-exponent sandwich valid for lam * L >> 1.
-    """
+def coverage_lower(config: ModelConfig) -> float:
+    """Raw exact lower bound on snp_coverage: the best of the
+    single-individual bound and the segmented bound maximized over the gap
+    length (golden search around the analytic seed), and 0 without SNPs."""
     G, p, lam, L, M = config.G, config.p, config.lam, config.L, config.M
     if p <= 0.0:
-        return BoundReport(0.0, 0.0, degenerate=True)
-    if variant == VARIANT_ASYMPTOTIC:
-        _require_positive(lam=lam)
-        base = G * M * exp(-lam * L) * p * lam / (p + lam)
-        ratio = (1.0 + p / lam) ** (-lam / p)
-        alt = ratio / (lam * L + (lam / p) * log1p(p / lam))
-        raw_lower = base * max(1.0 / M, alt)
-        raw_upper = base
-        return BoundReport(raw_lower, raw_upper)
-    raw_upper = coverage_upper(config)
+        return 0.0
     single = coverage_single(G, p, lam, L)
     if lam > 0.0:
         seed = optimal_gap_seed(p, lam)
@@ -144,7 +112,20 @@ def coverage_bounds(config: ModelConfig,
             seed / 10.0, seed * 10.0)
     else:
         seg = 0.0
-    return BoundReport(max(single, seg), raw_upper)
+    return max(single, seg)
+
+
+def coverage_asymptotic(config: ModelConfig) -> tuple[float, float]:
+    """Raw asymptotic (lower, upper) on snp_coverage: the shared-exponent
+    sandwich valid for lam * L >> 1, and (0, 0) without SNPs."""
+    G, p, lam, L, M = config.G, config.p, config.lam, config.L, config.M
+    if p <= 0.0:
+        return 0.0, 0.0
+    _require_positive(lam=lam)
+    base = G * M * exp(-lam * L) * p * lam / (p + lam)
+    ratio = (1.0 + p / lam) ** (-lam / p)
+    alt = ratio / (lam * L + (lam / p) * log1p(p / lam))
+    return base * max(1.0 / M, alt), base
 
 
 def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
@@ -229,38 +210,45 @@ def bridging_upper(config: ModelConfig) -> float:
                                                   config.eta, config.L)
 
 
-def bridging_bounds(config: ModelConfig,
-                    variant: str = VARIANT_EXACT) -> BoundReport:
-    """Bounds on the bridging error event for M individuals.
-
-    Exact: lower = lambda_lower(delta_m), upper = C(M,2) G p (1-eta) p_2.
-    Asymptotic: shared-exponent forms with decay min{m lam, p(1-eta)} per
-    term; the upper decay exponent is min{2 lam, p(1-eta)}.
-    """
+def bridging_lower(config: ModelConfig) -> float:
+    """Raw exact lower bound on the bridging event, lambda_lower(delta_m),
+    and 0 without two individuals or without discriminating SNPs."""
     M, G, p, lam, L = config.M, config.G, config.p, config.lam, config.L
-    eta = config.eta
-    r = p * (1.0 - eta)
+    if M < 2 or config.disc_rate <= 0.0:
+        return 0.0
+    return lambda_lower(delta_m(M, lam, p, config.eta, L), G, L, p, config.eta)
+
+
+def bridging_asymptotic(config: ModelConfig) -> tuple[float, float]:
+    """Raw asymptotic (lower, upper) on the bridging event: shared-exponent
+    forms with decay min{m lam, p(1-eta)} per term; the upper decay exponent
+    is min{2 lam, p(1-eta)}. (0, 0) without two individuals or without
+    discriminating SNPs."""
+    M, G, lam, L = config.M, config.G, config.lam, config.L
+    r = config.disc_rate
     if M < 2 or r <= 0.0:
-        return BoundReport(0.0, 0.0, degenerate=True)
-    if variant == VARIANT_ASYMPTOTIC:
-        _require_positive(lam=lam)
-        raw_lower = 0.0
-        for m in range(2, M + 1):
-            a = m * lam
-            lo_rate, hi_rate = min(a, r), max(a, r)
-            term = exp(-lo_rate * L) / (1.0 - lo_rate / hi_rate) \
-                if lo_rate < hi_rate else (1.0 + r * L) * exp(-r * L)
-            raw_lower += (-1.0) ** m * (m - 1) * comb(M, m) * term
-        raw_lower *= G / L
-        lo2, hi2 = min(2.0 * lam, r), max(2.0 * lam, r)
-        if lo2 < hi2:
-            raw_upper = (G * M * M * r / (2.0 * (1.0 - lo2 / hi2))) * exp(-lo2 * L)
-        else:
-            raw_upper = (G * M * M * r / 2.0) * (1.0 + r * L) * exp(-r * L)
-        return BoundReport(raw_lower, raw_upper)
-    delta = delta_m(M, lam, p, eta, L)
-    return BoundReport(lambda_lower(delta, G, L, p, eta),
-                       bridging_upper(config))
+        return 0.0, 0.0
+    _require_positive(lam=lam)
+    raw_lower = 0.0
+    for m in range(2, M + 1):
+        a = m * lam
+        lo_rate, hi_rate = min(a, r), max(a, r)
+        term = exp(-lo_rate * L) / (1.0 - lo_rate / hi_rate) \
+            if lo_rate < hi_rate else (1.0 + r * L) * exp(-r * L)
+        raw_lower += (-1.0) ** m * (m - 1) * comb(M, m) * term
+    raw_lower *= G / L
+    lo2, hi2 = min(2.0 * lam, r), max(2.0 * lam, r)
+    if lo2 < hi2:
+        raw_upper = (G * M * M * r / (2.0 * (1.0 - lo2 / hi2))) * exp(-lo2 * L)
+    else:
+        raw_upper = (G * M * M * r / 2.0) * (1.0 + r * L) * exp(-r * L)
+    return raw_lower, raw_upper
+
+
+def assembly_lower(config: ModelConfig) -> float:
+    """Raw exact lower bound on total assembly error: the larger of the two
+    event lower bounds."""
+    return max(coverage_lower(config), bridging_lower(config))
 
 
 def assembly_upper(config: ModelConfig) -> float:
@@ -269,12 +257,9 @@ def assembly_upper(config: ModelConfig) -> float:
     return coverage_upper(config) + bridging_upper(config)
 
 
-def assembly_bounds(config: ModelConfig,
-                    variant: str = VARIANT_EXACT) -> BoundReport:
-    """Bounds on total assembly error: max of the event bounds from below,
-    their sum from above."""
-    cov = coverage_bounds(config, variant)
-    br = bridging_bounds(config, variant)
-    return BoundReport(max(cov.raw_lower, br.raw_lower),
-                       cov.raw_upper + br.raw_upper,
-                       degenerate=cov.degenerate and br.degenerate)
+def assembly_asymptotic(config: ModelConfig) -> tuple[float, float]:
+    """Raw asymptotic (lower, upper) on total assembly error: the larger of
+    the event lower bounds, the sum of the event upper bounds."""
+    cov_lower, cov_upper = coverage_asymptotic(config)
+    br_lower, br_upper = bridging_asymptotic(config)
+    return max(cov_lower, br_lower), cov_upper + br_upper

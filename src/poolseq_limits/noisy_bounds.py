@@ -307,6 +307,9 @@ def ml_plan_seed(config: ModelConfig) -> SegmentationPlan:
         return SegmentationPlan(D=L, d=L / 2.0)
     inner = (M - 1) * (1.0 - eta) / (2.0 * (1.0 + M * L * lam))
     D = (L + log(inner) / rate) / (1.0 + r / rate)
+    if math.isnan(D):
+        # both quotients overflow at a subnormal rate: inf / inf
+        D = (rate * L + log(inner)) / (rate + r)
     D = min(max(D, 1e-9), L)
     expo = min(-rate * (L - D) - (1.0 - r * D), 700.0)
     d = (1.0 / r) * (1.0 + p * D / ((M - 1) / 2.0) * exp(expo))

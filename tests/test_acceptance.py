@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolseq_limits._util import (binomial_sigma, bisect_decreasing,
-                                  wilson_interval)
+from poolseq_limits._util import bisect_decreasing, clamp01, wilson_interval
 from poolseq_limits.assemble import (check_bridging, check_coverage,
                                      greedy_assemble, score_assembly,
                                      unique_and_correct)
@@ -28,8 +27,9 @@ from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
 from poolseq_limits.denoise import (AVERAGE_CASE, DenoiseBlock, ml_denoise,
                                     spectral_denoise)
 from poolseq_limits.exact_bridging import estimate_bridging
-from poolseq_limits.noiseless_bounds import (assembly_bounds, bridging_bounds,
-                                             coverage_single, delta_m, p_m)
+from poolseq_limits.noiseless_bounds import (assembly_lower, assembly_upper,
+                                             bridging_lower, coverage_single,
+                                             delta_m, p_m)
 from poolseq_limits.noisy_bounds import (canonical_adjacent_pair, den_ml_upper,
                                          exponent_closed, exponent_numeric,
                                          noisy_upper_ml,
@@ -41,6 +41,11 @@ from poolseq_limits.simulate import (discriminating_positions,
 
 ETA = 0.82
 MAF_LAW = FixedBiallelic(0.1)
+
+
+def binomial_sigma(p: float, n: int) -> float:
+    """Standard deviation of a binomial proportion estimate at true rate p."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def report(num: int, name: str, ok: bool, detail: str, t0: float) -> None:
@@ -117,8 +122,9 @@ def test_criterion_03_bridging_sandwich():
         fails, trials = _direct_bridging_rate(cfg, 10000, 303)
         emp = fails / trials
         lo_ci, hi_ci = wilson_interval(fails, trials)
-        lower = bridging_bounds(ModelConfig(G=G, M=2, p=p, L=L, lam=lam,
-                                            law=FixedEta(ETA))).lower
+        lower = clamp01(bridging_lower(ModelConfig(G=G, M=2, p=p, L=L,
+                                                   lam=lam,
+                                                   law=FixedEta(ETA))))
         upper = min(1.0, G * r * p_m(2, lam, p, ETA, L))
         sigma = binomial_sigma(max(emp, 1e-4), trials)
         in_sandwich = lower - 3 * sigma <= emp <= upper + 3 * sigma
@@ -359,24 +365,26 @@ def test_criterion_09_noiseless_phase_transition():
     G, M, p = 3 * 10**9, 2, 1e-3
     law = FixedEta(ETA)
 
-    def bound(L: float):
-        cfg = ModelConfig(G=G, M=M, p=p, L=L, lam=43.0 / L, law=law)
-        return assembly_bounds(cfg)
+    def config(L: float) -> ModelConfig:
+        return ModelConfig(G=G, M=M, p=p, L=L, lam=43.0 / L, law=law)
 
-    upper_crit, _ = bisect_decreasing(lambda L: bound(L).upper, 1e-3,
-                                      1e4, 1e6, rtol=1e-4)
-    lower_crit, _ = bisect_decreasing(lambda L: bound(L).lower, 1e-3,
-                                      1e4, 1e6, rtol=1e-4)
-    rep_low = bound(upper_crit / 10.0)
+    upper_crit, _ = bisect_decreasing(
+        lambda L: clamp01(assembly_upper(config(L))), 1e-3, 1e4, 1e6,
+        rtol=1e-4)
+    lower_crit, _ = bisect_decreasing(
+        lambda L: clamp01(assembly_lower(config(L))), 1e-3, 1e4, 1e6,
+        rtol=1e-4)
+    low_upper = clamp01(assembly_upper(config(upper_crit / 10.0)))
+    low_lower = clamp01(assembly_lower(config(upper_crit / 10.0)))
     elapsed = time.time() - t0
-    ok = (1e5 <= upper_crit <= 1.3e5 and rep_low.upper > 0.9
-          and rep_low.lower > 0.9 and lower_crit > upper_crit / 10.0
+    ok = (1e5 <= upper_crit <= 1.3e5 and low_upper > 0.9
+          and low_lower > 0.9 and lower_crit > upper_crit / 10.0
           and elapsed < 60.0)
     report(9, "noiseless phase transition", ok,
            f"upper crosses 1e-3 at L={upper_crit:.3g}, lower at "
            f"L={lower_crit:.3g}; both > 0.9 at L/10", t0)
     assert 1e5 <= upper_crit <= 1.3e5
-    assert rep_low.upper > 0.9 and rep_low.lower > 0.9
+    assert low_upper > 0.9 and low_lower > 0.9
     # the full fall happens within one decade of read length
     assert upper_crit / 10.0 < lower_crit <= upper_crit
     assert elapsed < 60.0
@@ -393,17 +401,18 @@ def test_criterion_09_monte_carlo_at_one_hundredth_scale():
     all_ok = True
     for L in (4e4, 5e4):
         cfg = ModelConfig(G=G, M=M, p=p, L=L, lam=43.0 / L, law=MAF_LAW)
-        bound = assembly_bounds(cfg)
+        lower = clamp01(assembly_lower(cfg))
+        upper = clamp01(assembly_upper(cfg))
         root = RandomStream(309)
         trials = 40
         fails = sum(not run_noiseless_trial(cfg, root.child(t, "trial")).success
                     for t in range(trials))
         lo_ci, hi_ci = wilson_interval(fails, trials, z)
-        ok = lo_ci <= bound.upper and bound.lower <= hi_ci
+        ok = lo_ci <= upper and lower <= hi_ci
         all_ok &= ok
         details.append(f"L={L:.0f}: {fails}/{trials} failed, "
                        f"CI=[{lo_ci:.3f},{hi_ci:.3f}] "
-                       f"bounds=[{bound.lower:.3f},{bound.upper:.3f}]")
+                       f"bounds=[{lower:.3f},{upper:.3f}]")
         assert ok, details[-1]
     elapsed = time.time() - t0
     report(9, "monte carlo at 1/100 scale", all_ok and elapsed < 120.0,
@@ -445,8 +454,8 @@ def test_criterion_10_noisy_ml_region_convergence():
         lam = mult * (r / 2.0)
 
         def noiseless_upper(L: float) -> float:
-            return assembly_bounds(ModelConfig(G=G, M=M, p=p, L=L, lam=lam,
-                                               law=law)).upper
+            return clamp01(assembly_upper(ModelConfig(G=G, M=M, p=p, L=L,
+                                                      lam=lam, law=law)))
 
         base, _ = bisect_decreasing(noiseless_upper, target, 1e4, 1e6,
                                     rtol=1e-4)

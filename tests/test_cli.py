@@ -71,11 +71,12 @@ def test_config_file_and_overrides(tmp_path):
 
 def test_malformed_config_reports_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("G=1000000\nwhat\n")
-    res = run(["bounds", "-c", str(cfg)])
-    assert res.exit_code == 2
-    err = res.stderr if hasattr(res, "stderr") and res.stderr else res.output
-    assert "bad.cfg:2" in err
+    for line in ("what", "nu_min_mode=bogus"):
+        cfg.write_text(f"G=1000000\n{line}\n")
+        res = run(["bounds", "-c", str(cfg)])
+        assert res.exit_code == 2
+        err = res.stderr if hasattr(res, "stderr") and res.stderr else res.output
+        assert "bad.cfg:2" in err
 
 
 def test_unknown_key_rejected():
@@ -345,13 +346,22 @@ _NOISY = ["-O", "G=100000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
     ["critical-l", *BASE, "--target", "nan", "--bound", "assembly-upper"],
     [*_SIM, "--mem-cap-mb", "-5"],
     [*_BENCH, "--eta", "nan"],
+    ["bounds", *BASE, "-O", "L=1000", "-O", "nu_min_mode=bogus"],
+    ["critical-l", *_NOISY, "-O", "nu_min_mode=bogus", "--target", "0.01",
+     "--bound", "ml-upper"],
+    [*_SIM, "-O", "eps=0.1", "-O", "D=1500", "-O", "d=500", "--denoiser",
+     "spectral", "-O", "nu_min_mode=bogus", "--out", "rows.csv"],
+    ["bounds", *BASE, "-O", "L=1000", "--sweep", "nu_min_mode=1:2:2"],
 ])
-def test_out_of_range_inputs_exit_config(args):
-    """Out-of-range inputs give exit 2, not a traceback or a silent result."""
+def test_out_of_range_inputs_exit_config(args, tmp_path, monkeypatch):
+    """Out-of-range inputs give exit 2, not a traceback or a silent result,
+    and leave no file behind."""
+    monkeypatch.chdir(tmp_path)
     res = run(args)
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
     assert res.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case,code", [
@@ -469,6 +479,43 @@ def test_bounds_evaluates_at_tiny_lambda(lam):
     assert res.exit_code == 0, res.output
     row = dict(zip(*(ln.split(",") for ln in res.output.splitlines()[1:3])))
     assert float(row["e_lower"]) == float(row["e_upper"]) == 1.0
+
+
+@pytest.mark.parametrize("lam", ["1e-318", "1e-314", "1e-323"])
+@pytest.mark.parametrize("M,eta", [("2", "0.82"), ("4", "0.3")])
+def test_noisy_bounds_at_subnormal_lambda(lam, M, eta):
+    """Where the ML plan seed's quotients overflow, `bounds` writes a row
+    with both noisy bounds at 1, and critical-l finds ml-upper's region
+    empty."""
+    point = ["-O", "G=3000000000", "-O", f"M={M}", "-O", "p=0.001",
+             "-O", f"eta={eta}", "-O", "eps=0.1", "-O", f"lambda={lam}"]
+    res = run(["bounds", *point, "-O", "L=1000"])
+    assert res.exit_code == 0, res.output
+    row = dict(zip(*(ln.split(",") for ln in res.output.splitlines()[1:3])))
+    assert float(row["en_ml_upper"]) == float(row["en_sd_upper"]) == 1.0
+    res = run(["critical-l", *point, "--target", "1e-3",
+               "--bound", "ml-upper"])
+    assert res.exit_code == 4, res.output
+
+
+def test_bounds_flags_degenerate_bridging():
+    """eb_degenerate is 1 where no discriminating SNP can arrive (eta = 1
+    or p = 0), 0 otherwise, and empty on M = 1 rows, which have no
+    bridging bounds."""
+    def column(*args):
+        res = run(["bounds", "-O", "G=1000000", "-O", "lambda=0.01",
+                   "-O", "L=10000", *args])
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        header = lines[1].split(",")
+        return [dict(zip(header, ln.split(",")))["eb_degenerate"]
+                for ln in lines[2:]]
+
+    assert column("-O", "M=3", "-O", "p=0.001", "-O", "eta=1.0") == ["1"]
+    assert column("-O", "M=3", "-O", "p=0", "-O", "eta=0.5") == ["1"]
+    assert column("-O", "M=3", "-O", "p=0.001", "-O", "eta=0.82") == ["0"]
+    assert column("-O", "p=0.001", "-O", "eta=0.82",
+                  "--sweep", "M=1:3:3") == ["", "0", "0"]
 
 
 def test_critical_l_at_tiny_lambda_finds_the_region_empty():

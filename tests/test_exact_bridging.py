@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolseq_limits._util import wilson_interval
+from poolseq_limits._util import clamp01, wilson_interval
 from poolseq_limits.core import (FixedEta, ModelConfig, RandomStream,
                                  ValidationError)
 from poolseq_limits.exact_bridging import (BATCH_TRIALS, MAX_CHAIN_STEPS,
                                            BridgingEstimate, _trunc_exp,
                                            estimate_bridging,
                                            sample_region_span)
-from poolseq_limits.noiseless_bounds import bridging_bounds
+from poolseq_limits.noiseless_bounds import bridging_lower, bridging_upper
 
 ETA = 0.82
 P = 1e-3
@@ -199,10 +199,10 @@ def test_estimate_degenerate_cases():
 def test_estimate_within_analytic_sandwich():
     G, L, lam = 2e6, 4.5e4, 1e-2
     res = estimate_bridging(G, L, lam, P, ETA, 20000, RandomStream(13))
-    rep = bridging_bounds(ModelConfig(G=G, M=2, p=P, L=L, lam=lam,
-                                      law=FixedEta(ETA)))
+    cfg = ModelConfig(G=G, M=2, p=P, L=L, lam=lam, law=FixedEta(ETA))
+    lower, upper = clamp01(bridging_lower(cfg)), clamp01(bridging_upper(cfg))
     sigma = (res.ci_high - res.ci_low) / 3.92
-    assert rep.lower - 3 * sigma <= res.estimate <= rep.upper + 3 * sigma
+    assert lower - 3 * sigma <= res.estimate <= upper + 3 * sigma
     assert res.capped_trials == 0
     assert res.mean_steps < 1000
 

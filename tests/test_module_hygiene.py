@@ -1,7 +1,8 @@
 """Static checks on the package source: every module-level import is used,
-every `__all__` entry resolves and has a caller. No linter ships with the
-project, so these guard against dead imports, stale export lists and
-public names that nothing uses."""
+every `__all__` entry resolves and has a caller, and so does every public
+function of `_util`. No linter ships with the project, so these guard
+against dead imports, stale export lists and public names that nothing
+uses."""
 
 import ast
 import importlib
@@ -99,8 +100,9 @@ def _references(trees: dict, name: str, home: str) -> int:
 
 def test_public_names_have_callers():
     """Every `__all__` entry is used somewhere in the package outside its
-    own definition, or is listed in UNCALLED_PUBLIC; an import or an
-    `__all__` string does not count as a use."""
+    own definition, and every public top-level function of `_util` (which
+    has no `__all__`) outside `_util`, or is listed in UNCALLED_PUBLIC; an
+    import or an `__all__` string does not count as a use."""
     trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text())
              for m in MODULES}
     uncalled = set()
@@ -110,4 +112,9 @@ def test_public_names_have_callers():
         mod = importlib.import_module(f"poolseq_limits.{module}")
         uncalled |= {name for name in getattr(mod, "__all__", ())
                      if not _references(trees, name, module)}
+    callers = {m: tree for m, tree in trees.items() if m != "_util"}
+    uncalled |= {node.name for node in trees["_util"].body
+                 if isinstance(node, ast.FunctionDef)
+                 and not node.name.startswith("_")
+                 and not _references(callers, node.name, "_util")}
     assert uncalled == UNCALLED_PUBLIC

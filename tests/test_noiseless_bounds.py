@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolseq_limits._util import bisect_decreasing, golden_max, golden_min
+from poolseq_limits._util import (bisect_decreasing, clamp01, golden_max,
+                                  golden_min)
 from poolseq_limits.core import FixedEta, ModelConfig, RandomStream
-from poolseq_limits.noiseless_bounds import (VARIANT_ASYMPTOTIC, VARIANT_EXACT,
-                                             assembly_bounds,
-                                             bridging_bounds, coverage_bounds,
+from poolseq_limits.noiseless_bounds import (assembly_asymptotic,
+                                             assembly_lower, assembly_upper,
+                                             bridging_asymptotic,
+                                             bridging_lower, bridging_upper,
+                                             coverage_asymptotic,
+                                             coverage_lower,
                                              coverage_lower_segmented,
-                                             coverage_single, delta_m,
-                                             lambda_lower,
+                                             coverage_single, coverage_upper,
+                                             delta_m, lambda_lower,
                                              optimal_gap_seed, p_m)
 
 ETA = 0.82
@@ -49,22 +53,22 @@ def test_gap_seed_value_and_near_optimality():
 
 
 def test_coverage_bounds_single_individual_collapse():
-    rep = coverage_bounds(_config(1e6, 1, 1e-3, 5e-3, 1800.0))
+    cfg = _config(1e6, 1, 1e-3, 5e-3, 1800.0)
     single = coverage_single(1e6, 1e-3, 5e-3, 1800.0)
-    assert rep.upper == pytest.approx(single)
-    assert rep.lower == pytest.approx(single)
+    assert clamp01(coverage_upper(cfg)) == pytest.approx(single)
+    assert clamp01(coverage_lower(cfg)) == pytest.approx(single)
 
 
 def test_coverage_bounds_ordering_and_asymptotic_agreement():
     for M in (1, 2, 20):
         cfg = _config(3e9, M, 1e-3, 4e-4, 1.2e5)
-        exact = coverage_bounds(cfg)
-        asym = coverage_bounds(cfg, VARIANT_ASYMPTOTIC)
-        assert exact.lower <= exact.upper
-        assert asym.lower <= asym.upper
+        exact_lower, exact_upper = coverage_lower(cfg), coverage_upper(cfg)
+        asym_lower, asym_upper = coverage_asymptotic(cfg)
+        assert clamp01(exact_lower) <= clamp01(exact_upper)
+        assert clamp01(asym_lower) <= clamp01(asym_upper)
         # lam * L = 48 >> 1: variants agree closely
-        assert asym.raw_upper == pytest.approx(exact.raw_upper, rel=0.05)
-        assert asym.raw_lower == pytest.approx(exact.raw_lower, rel=0.10)
+        assert asym_upper == pytest.approx(exact_upper, rel=0.05)
+        assert asym_lower == pytest.approx(exact_lower, rel=0.10)
 
 
 def test_p_m_examples():
@@ -146,12 +150,13 @@ def test_lambda_lower_near_singular_branch():
 
 
 def test_bridging_bounds_pair_reduction_and_order():
-    rep = bridging_bounds(_config(2e6, 2, 1e-3, 1e-2, 4.5e4))
+    cfg = _config(2e6, 2, 1e-3, 1e-2, 4.5e4)
+    lower, upper = clamp01(bridging_lower(cfg)), clamp01(bridging_upper(cfg))
     r = 1e-3 * (1 - ETA)
-    assert rep.upper == pytest.approx(
+    assert upper == pytest.approx(
         min(1.0, 2e6 * r * p_m(2, 1e-2, 1e-3, ETA, 4.5e4)))
-    assert rep.lower <= rep.upper
-    assert rep.lower == pytest.approx(
+    assert lower <= upper
+    assert lower == pytest.approx(
         lambda_lower(p_m(2, 1e-2, 1e-3, ETA, 4.5e4), 2e6, 4.5e4, 1e-3, ETA))
 
 
@@ -161,71 +166,69 @@ def test_bridging_upper_decay_exponent():
     r = p * (1 - ETA)
     for lam, expect in ((1e-2, r), (r / 8, 2 * (r / 8))):
         L1, L2 = 4e5, 8e5
-        u1 = bridging_bounds(_config(3e9, 2, p, lam, L1)).raw_upper
-        u2 = bridging_bounds(_config(3e9, 2, p, lam, L2)).raw_upper
+        u1 = bridging_upper(_config(3e9, 2, p, lam, L1))
+        u2 = bridging_upper(_config(3e9, 2, p, lam, L2))
         slope = (math.log(u2) - math.log(u1)) / (L2 - L1)
         assert slope == pytest.approx(-expect, rel=0.01)
 
 
 def test_bridging_degenerate_flagged():
-    rep = bridging_bounds(_config(1e6, 3, 1e-3, 1e-2, 1e4, eta=1.0))
-    assert rep.degenerate and rep.lower == rep.upper == 0.0
+    cfg = _config(1e6, 3, 1e-3, 1e-2, 1e4, eta=1.0)
+    assert clamp01(bridging_lower(cfg)) == clamp01(bridging_upper(cfg)) == 0.0
 
 
 def test_assembly_bounds_single_individual_is_coverage():
     cfg = ModelConfig(G=10**6, M=1, p=1e-3, L=1800.0, lam=5e-3, law=LAW)
-    rep = assembly_bounds(cfg)
-    cov = coverage_bounds(cfg)
-    assert rep.lower == pytest.approx(cov.lower)
-    assert rep.upper == pytest.approx(cov.upper)
+    assert clamp01(assembly_lower(cfg)) == pytest.approx(
+        clamp01(coverage_lower(cfg)))
+    assert clamp01(assembly_upper(cfg)) == pytest.approx(
+        clamp01(coverage_upper(cfg)))
 
 
 def test_assembly_bounds_combines_event_bounds():
     """Assembly is the union of the coverage and bridging events: the max
-    of their raw lower bounds from below, the sum of their raw upper bounds
-    from above, and degenerate only when both are."""
+    of their raw lower bounds from below and the sum of their raw upper
+    bounds from above, exact and asymptotic alike."""
     for M, p in itertools.product((1, 2, 3), (1e-3, 0.0)):
         cfg = _config(1e6, M, p, 5e-3, 1800.0)
-        for variant in (VARIANT_EXACT, VARIANT_ASYMPTOTIC):
-            rep = assembly_bounds(cfg, variant)
-            cov = coverage_bounds(cfg, variant)
-            br = bridging_bounds(cfg, variant)
-            assert rep.raw_lower == max(cov.raw_lower, br.raw_lower)
-            assert rep.raw_upper == cov.raw_upper + br.raw_upper
-            assert rep.degenerate == (cov.degenerate and br.degenerate)
+        assert assembly_lower(cfg) == max(coverage_lower(cfg),
+                                          bridging_lower(cfg))
+        assert assembly_upper(cfg) == coverage_upper(cfg) + bridging_upper(cfg)
+        lower, upper = assembly_asymptotic(cfg)
+        cov, br = coverage_asymptotic(cfg), bridging_asymptotic(cfg)
+        assert lower == max(cov[0], br[0])
+        assert upper == cov[1] + br[1]
 
 
 def test_assembly_bounds_monotone_in_L_and_lambda():
     for lam in (5e-4, 1e-3):
-        vals = [assembly_bounds(ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L,
-                                            lam=lam, law=LAW)) for L in
-                np.linspace(3e4, 3e5, 12)]
-        for a, b in zip(vals, vals[1:]):
-            assert b.upper <= a.upper + 1e-12
-            assert b.lower <= a.lower + 1e-12
+        cfgs = [ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L, lam=lam, law=LAW)
+                for L in np.linspace(3e4, 3e5, 12)]
+        for bound in (assembly_upper, assembly_lower):
+            vals = [clamp01(bound(cfg)) for cfg in cfgs]
+            for a, b in zip(vals, vals[1:]):
+                assert b <= a + 1e-12
     for L in (8e4, 1.2e5):
-        vals = [assembly_bounds(ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L,
-                                            lam=lam, law=LAW)) for lam in
-                np.geomspace(1e-4, 1e-2, 10)]
-        for a, b in zip(vals, vals[1:]):
-            assert b.upper <= a.upper + 1e-12
-            assert b.lower <= a.lower + 1e-12
+        cfgs = [ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L, lam=lam, law=LAW)
+                for lam in np.geomspace(1e-4, 1e-2, 10)]
+        for bound in (assembly_upper, assembly_lower):
+            vals = [clamp01(bound(cfg)) for cfg in cfgs]
+            for a, b in zip(vals, vals[1:]):
+                assert b <= a + 1e-12
 
 
 def test_assembly_exact_vs_asymptotic_agreement_in_regime():
     # G/L > 1e3 and min(p(1-eta), 2 lam) L > 10
     cfg = ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=10**5, lam=5e-3, law=LAW)
-    exact = assembly_bounds(cfg)
-    asym = assembly_bounds(cfg, VARIANT_ASYMPTOTIC)
-    assert asym.raw_lower == pytest.approx(exact.raw_lower, rel=0.10)
+    asym_lower, asym_upper = assembly_asymptotic(cfg)
+    assert asym_lower == pytest.approx(assembly_lower(cfg), rel=0.10)
     # the asymptotic upper carries M^2 where the union bound has M(M-1),
     # so the variants converge as M grows
-    assert asym.raw_upper == pytest.approx(2.0 * exact.raw_upper, rel=0.10)
+    assert asym_upper == pytest.approx(2.0 * assembly_upper(cfg), rel=0.10)
     big = ModelConfig(G=3 * 10**9, M=12, p=1e-3, L=10**5, lam=5e-3, law=LAW)
-    exact12 = assembly_bounds(big)
-    asym12 = assembly_bounds(big, VARIANT_ASYMPTOTIC)
-    assert asym12.raw_upper == pytest.approx(exact12.raw_upper, rel=0.10)
-    assert asym12.raw_lower == pytest.approx(exact12.raw_lower, rel=0.10)
+    asym12_lower, asym12_upper = assembly_asymptotic(big)
+    assert asym12_upper == pytest.approx(assembly_upper(big), rel=0.10)
+    assert asym12_lower == pytest.approx(assembly_lower(big), rel=0.10)
 
 
 def test_assembly_sandwich_against_simulation():
@@ -246,9 +249,9 @@ def test_assembly_sandwich_against_simulation():
         rs = generate_reads(pop, cfg, st.child("reads"))
         fails += not (check_coverage(pop, rs).ok and check_bridging(pop, rs).ok)
     emp = fails / trials
-    rep = assembly_bounds(cfg)
+    lower, upper = clamp01(assembly_lower(cfg)), clamp01(assembly_upper(cfg))
     sigma = (max(emp * (1 - emp), 1e-6) / trials) ** 0.5
-    assert rep.lower - 3 * sigma <= emp <= rep.upper + 3 * sigma
+    assert lower - 3 * sigma <= emp <= upper + 3 * sigma
 
 
 def test_delta_large_population_matches_simulation():
@@ -273,8 +276,9 @@ def test_delta_large_population_matches_simulation():
 
 
 def test_bridging_bounds_large_population_ordered():
-    rep = bridging_bounds(_config(3e9, 20, 1e-3, 1e-2, 1.3e5))
-    assert 0.0 < rep.lower < rep.upper < 1.0
+    cfg = _config(3e9, 20, 1e-3, 1e-2, 1.3e5)
+    lower, upper = clamp01(bridging_lower(cfg)), clamp01(bridging_upper(cfg))
+    assert 0.0 < lower < upper < 1.0
 
 
 @pytest.mark.parametrize("lam", [1e-20, 5e-324])
@@ -282,8 +286,8 @@ def test_tiny_lambda_evaluates(lam):
     """At lambda = 1e-20, exp(-lam (L + x)) rounds to 1 in the segmented
     coverage bound; at 5e-324, below p / DBL_MAX, p / lam overflows in the
     gap seed. Almost no reads arrive, so both bounds are 1."""
-    rep = assembly_bounds(_config(3 * 10**9, 2, 1e-3, lam, 1000.0))
-    assert rep.lower == rep.upper == 1.0
+    cfg = _config(3 * 10**9, 2, 1e-3, lam, 1000.0)
+    assert clamp01(assembly_lower(cfg)) == clamp01(assembly_upper(cfg)) == 1.0
 
 
 @st.composite
@@ -307,10 +311,11 @@ def exact_configs(draw):
 @given(exact_configs())
 def test_exact_lower_at_most_upper(cfg):
     """Each exact-variant event has lower <= upper, clamped and raw."""
-    for bounds in (coverage_bounds, bridging_bounds, assembly_bounds):
-        rep = bounds(cfg)
-        assert rep.lower <= rep.upper, bounds.__name__
-        assert rep.raw_lower <= rep.raw_upper, bounds.__name__
+    for lower, upper in ((coverage_lower, coverage_upper),
+                         (bridging_lower, bridging_upper),
+                         (assembly_lower, assembly_upper)):
+        assert clamp01(lower(cfg)) <= clamp01(upper(cfg)), lower.__name__
+        assert lower(cfg) <= upper(cfg), lower.__name__
 
 
 @settings(max_examples=300)
@@ -375,13 +380,14 @@ def _few_reads_coverage_ordered():
     """Ten reads per individual over the genome (G lambda = 10): the union
     bound counts uncovered gaps after read ends only, and misses the one
     at the left edge of the genome."""
-    rep = coverage_bounds(_config(100000, 1, 1e-2, 1e-4, 1e4, eta=0.5))
-    assert rep.lower <= rep.upper  # 0.9787 > 0.9738
+    cfg = _config(100000, 1, 1e-2, 1e-4, 1e4, eta=0.5)
+    lower, upper = clamp01(coverage_lower(cfg)), clamp01(coverage_upper(cfg))
+    assert lower <= upper  # 0.9787 > 0.9738
 
 
 def _few_reads_coverage_falls_in_lambda():
-    low, high = (coverage_bounds(_config(1000, 1, 0.0078125, lam, 100.0,
-                                         eta=0.5)).upper
+    low, high = (clamp01(coverage_upper(_config(1000, 1, 0.0078125, lam,
+                                                100.0, eta=0.5)))
                  for lam in (0.00375, 0.0075))
     assert high <= low  # 0.8247 -> 0.8359
 
@@ -389,15 +395,15 @@ def _few_reads_coverage_falls_in_lambda():
 def _segmented_lower_falls_in_L():
     """The segmented coverage bound is a sawtooth in the gap x (floor(G /
     (L + x)) segments), and golden_max stops on a lower peak at L = 1075."""
-    short, long = (assembly_bounds(_config(95600, 10, 1e-5, 9.4e-4, L,
-                                           eta=0.5)).lower
+    short, long = (clamp01(assembly_lower(_config(95600, 10, 1e-5, 9.4e-4,
+                                                  L, eta=0.5)))
                    for L in (1075.0, 1087.0))
     assert long <= short  # 0.30012 -> 0.30064
 
 
 def _bridging_lower_falls_in_L():
     """lambda_lower's 1 - c1 - ez cancels to a few ulps of 1 here."""
-    short, long = (assembly_bounds(_config(20000, 4, 0.0076, 0.003, L)).lower
+    short, long = (clamp01(assembly_lower(_config(20000, 4, 0.0076, 0.003, L)))
                    for L in (24900.0, 24925.0))
     assert long <= short  # 1.78e-15 -> 2.11e-15
 

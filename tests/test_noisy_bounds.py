@@ -244,6 +244,18 @@ def test_ml_plan_seed_valid_past_exponential_underflow():
     assert 0.0 < plan.d < plan.D <= cfg.L
 
 
+@pytest.mark.parametrize("lam", [1e-318, 1e-314, 1e-323])
+@pytest.mark.parametrize("M,eta", [(2, ETA), (4, 0.3)])
+def test_ml_plan_seed_valid_at_subnormal_lambda(lam, M, eta):
+    """At a subnormal lambda the read rate is subnormal (or 0 at M = 4,
+    lambda = 1e-323), and log(inner) / rate and r / rate both overflow,
+    with log(inner) < 0 at M = 2 and > 0 at M = 4, eta = 0.3; the seed
+    must still be a valid plan rather than inf / inf."""
+    cfg = _config(lam=lam, L=1000.0, M=M, law=FixedEta(eta))
+    plan = ml_plan_seed(cfg)
+    assert 0.0 < plan.d < plan.D <= cfg.L
+
+
 def test_noisy_upper_ml_finite_past_exponential_underflow():
     val, plan = noisy_upper_ml(_config(lam=1e-2, L=5e6))
     assert math.isfinite(val) and 0.0 <= val <= 1.0
@@ -301,12 +313,12 @@ def test_noisy_upper_spectral_region_empty_at_quarter_noise():
 
 
 def test_noisy_upper_spectral_small_eps_near_noiseless():
-    from poolseq_limits._util import bisect_decreasing
-    from poolseq_limits.noiseless_bounds import assembly_bounds
+    from poolseq_limits._util import bisect_decreasing, clamp01
+    from poolseq_limits.noiseless_bounds import assembly_upper
 
     def noiseless(L):
-        return assembly_bounds(ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L,
-                                           lam=2e-2, law=LAW)).upper
+        return clamp01(assembly_upper(ModelConfig(G=3 * 10**9, M=2, p=1e-3,
+                                                  L=L, lam=2e-2, law=LAW)))
 
     def spectral(L):
         return noisy_upper_spectral(_config(L=L, lam=2e-2, eps=0.02))[0]
@@ -365,12 +377,12 @@ def test_noisy_upper_ml_noise_transition_shifts_with_depth():
 def test_noisy_upper_ml_converges_to_noiseless_at_large_depth():
     """The critical read length approaches the noiseless one as the read
     density grows, for any eps below one half."""
-    from poolseq_limits._util import bisect_decreasing
-    from poolseq_limits.noiseless_bounds import assembly_bounds
+    from poolseq_limits._util import bisect_decreasing, clamp01
+    from poolseq_limits.noiseless_bounds import assembly_upper
 
     def noiseless(L):
-        return assembly_bounds(ModelConfig(G=3 * 10**9, M=2, p=1e-3, L=L,
-                                           lam=1e-2, law=LAW)).upper
+        return clamp01(assembly_upper(ModelConfig(G=3 * 10**9, M=2, p=1e-3,
+                                                  L=L, lam=1e-2, law=LAW)))
 
     base, _ = bisect_decreasing(noiseless, 1e-3, 1e4, 1e6, rtol=1e-4)
     for eps in (0.01, 0.2, 0.4):
