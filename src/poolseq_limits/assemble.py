@@ -105,10 +105,11 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     conditions hold) joins the contig agreeing on the most SNPs. A read
     with no SNPs joins a uniformly drawn contig.
 
-    Read values come from rs.value_source(). For a noiseless set that
-    source indexes the population rows by the read's hidden label, only
-    to fetch its observation without a flat copy; every decision uses the
-    values alone, so a noisy set with the same values assembles the same.
+    Read r's values are the bytes of rs.source[row[r]] from col[r] on. For
+    a noiseless set those rows are the population's, indexed by the hidden
+    label only to fetch the read's observation without a flat copy; every
+    decision uses the values alone, so a noisy set with the same values
+    assembles the same.
 
     Reads must arrive in start order, as generate_reads sorts them, so
     cover_lo and cover_hi are both non-decreasing. Then the SNPs contig m
@@ -134,12 +135,12 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     """
     M = rs.config.M
     S = rs.population.S
-    bufs, which, base = rs.value_source()
+    bufs = [row.tobytes() for row in rs.source]
     los = rs.cover_lo.tolist()
     his = rs.cover_hi.tolist()
-    src = which.tolist()
+    src = rs.row.tolist()
     # a noiseless read starts at cover_lo in its row: share los
-    off = los if base is rs.cover_lo else base.tolist()
+    off = los if rs.col is rs.cover_lo else rs.col.tolist()
     consensus = [bytearray(UNSET.tobytes() * S) for _ in range(M)]
     frontier = [0] * M
     assigned: list[list[int]] = [[] for _ in range(M)]
@@ -248,10 +249,11 @@ def enumerate_assemblies(pop: Population, rs: ReadSet,
     """
     M = pop.M
     S = pop.S
-    offsets, values = rs.observations()
-    reads = [(int(rs.cover_lo[r]), int(rs.cover_hi[r]),
-              values[offsets[r]:offsets[r + 1]])
-             for r in range(rs.n_reads) if rs.cover_hi[r] > rs.cover_lo[r]]
+    reads = [(lo, hi, rs.source[row, col:col + hi - lo])
+             for lo, hi, row, col in zip(rs.cover_lo.tolist(),
+                                         rs.cover_hi.tolist(),
+                                         rs.row.tolist(), rs.col.tolist())
+             if hi > lo]
     outcomes: set[tuple[bytes, ...]] = set()
     seen: set[tuple[int, tuple[bytes, ...]]] = set()
     states_visited = 0

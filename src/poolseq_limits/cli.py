@@ -316,11 +316,10 @@ def bounds(config_path, overrides, sweeps, out):
 
 
 def _simulate_one(args) -> dict:
-    params, seed, trial, denoiser = args
+    params, plan, seed, trial, denoiser = args
     config = build_model(params)
     stream = RandomStream(seed).child(trial, "trial")
-    if config.eps > 0.0:
-        plan = SegmentationPlan(D=params["D"], d=params["d"])
+    if plan is not None:
         res = run_noisy_trial(config, plan, stream, denoiser,
                               params.get("nu_min_mode", AVERAGE_CASE))
     else:
@@ -356,15 +355,18 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
         raise ValidationError(f"trials must be >= 0, got {trials}")
     RandomStream(seed)  # rejects a bad seed before any trial runs
     config = build_model(params)
-    if config.eps > 0.0 and not ("D" in params and "d" in params):
-        raise ValidationError("noisy simulation needs D and d")
+    plan = None  # noiseless trials
+    if config.eps > 0.0:
+        if not ("D" in params and "d" in params):
+            raise ValidationError("noisy simulation needs D and d")
+        plan = SegmentationPlan(D=params["D"], d=params["d"])
     est = estimate_trial_bytes(config)
     if est > mem_cap_mb * 1024 * 1024:
         raise CapacityError(
             f"estimated {est / 1e6:.0f} MB per trial exceeds the cap; "
             f"reduce G, lambda, or p, or raise --mem-cap-mb")
     fh = _output(out)
-    jobs = [(params, seed, t, denoiser) for t in range(trials)]
+    jobs = [(params, plan, seed, t, denoiser) for t in range(trials)]
     if workers > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_simulate_one, jobs,
@@ -482,6 +484,10 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
         raise ValidationError(f"--coverage must be finite, got {coverage}")
     if math.isnan(eta):
         raise ValidationError("--eta must be a number, got nan")
+    if m_individuals > 2 ** kappa:
+        raise ValidationError(
+            f"--m {m_individuals} needs distinct truths, but --kappa {kappa} "
+            f"gives only {2 ** kappa} sequences")
     if coverage * kappa > BENCH_MAX_OBSERVATIONS:
         raise CapacityError(
             f"--coverage {coverage} at --kappa {kappa} expects more than "
@@ -522,7 +528,8 @@ def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
         truth = np.where(gen.random((M, kappa)) < minor, 1, -1).astype(np.int8)
         if len({r.tobytes() for r in truth}) == M:
             return truth
-    raise CapacityError("could not plant distinct truths; raise kappa or minor")
+    raise CapacityError(
+        "could not plant distinct truths; raise --kappa or lower --eta")
 
 
 @main.command("exact-bridging")
@@ -537,10 +544,13 @@ def exact_bridging_cmd(config_path, overrides, trials, seed, out):
         trials = int(params.get("trials", 10000))
     if seed is None:
         seed = int(params.get("seed", 0))
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    stream = RandomStream(seed)
     config = build_model(params)
     fh = _output(out)
     res = estimate_bridging(config.G, config.L, config.lam, config.p,
-                            config.eta, trials, RandomStream(seed))
+                            config.eta, trials, stream)
     row = _echo_params(params)
     row.update({"estimate": res.estimate, "ci_low": res.ci_low,
                 "ci_high": res.ci_high, "prefactor": res.prefactor,

@@ -51,11 +51,12 @@ def estimate_trial_bytes(config: ModelConfig) -> int:
 
     Both kinds of trial hold the population (positions, uniform draws and
     allele rows: 16 + 24 M bytes per SNP) and the read arrays. A noiseless
-    trial never builds a flat observation array: its greedy pass holds
-    Python lists of cover indices, labels and read numbers, about 200 bytes
-    per read. A noisy trial builds one: int32 rows, int64 columns and their
-    temporaries, the int8 values, and apply_noise's float64 draws, 32 bytes
-    per observed allele, plus about 80 bytes per read.
+    read set's allele source is the population's rows themselves: its
+    greedy pass holds Python lists of cover indices, labels and read
+    numbers, about 200 bytes per read. A noisy trial's apply_noise gathers
+    every observed allele into one flat source row: int32 rows, int64
+    columns and their temporaries, the int8 values and the float64 draws,
+    32 bytes per observed allele, plus about 80 bytes per read.
     """
     S = config.G * config.p
     n_reads = config.M * config.lam * (config.G + config.L)

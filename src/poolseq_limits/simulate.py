@@ -11,8 +11,7 @@ bases match the reference by assumption), stored columnar for speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,13 +60,13 @@ class Population:
 class ReadSet:
     """Aligned reads stored columnar, sorted by start position.
 
-    Each read covers SNP indices [cover_lo[r], cover_hi[r]). The hidden
-    individual labels exist for ground-truth condition checking and for
-    fetching a noiseless read's alleles; the assembler must not base a
-    decision on them. A noiseless set stores no values: read r observes
-    the row slice alleles[hidden[r], cover_lo[r]:cover_hi[r]], which
-    value_source hands out without copying it into a flat array. Stored
-    values exist only after noise, written by apply_noise.
+    Each read covers SNP indices [cover_lo[r], cover_hi[r]) and observes
+    the alleles source[row[r], col[r]:col[r] + cover_hi[r] - cover_lo[r]].
+    A noiseless set's source is the population's allele matrix itself,
+    with row = hidden and col = cover_lo, so nothing is copied; a noisy
+    set's source is the one flat row apply_noise writes, in read order.
+    The hidden individual labels exist for ground-truth condition
+    checking; the assembler must not base a decision on them.
     """
 
     starts: np.ndarray     # (N,) float64 ascending, in [-L, G)
@@ -76,39 +75,13 @@ class ReadSet:
     cover_hi: np.ndarray   # (N,) int64
     config: ModelConfig
     population: Population
-    _values: Optional[np.ndarray] = field(default=None, repr=False)
-    _offsets: Optional[np.ndarray] = field(default=None, repr=False)
+    source: np.ndarray     # (rows, cols) int8
+    row: np.ndarray        # (N,) integer row of source per read
+    col: np.ndarray        # (N,) int64 first column of source per read
 
     @property
     def n_reads(self) -> int:
         return int(self.starts.size)
-
-    def observations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (offsets, values): values[offsets[r]:offsets[r+1]] are the
-        observed alleles of read r at SNP indices cover_lo[r]..cover_hi[r].
-        A noiseless set builds the flat array afresh on every call and
-        keeps no copy."""
-        if self._values is not None:
-            return self._offsets, self._values
-        lengths = self.cover_hi - self.cover_lo
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        rows = np.repeat(self.hidden, lengths)
-        # flat entry i of read r sits at column cover_lo[r] + i - offsets[r]
-        cols = np.arange(int(offsets[-1])) - np.repeat(
-            offsets[:-1] - self.cover_lo, lengths)
-        return offsets, self.population.alleles[rows, cols]
-
-    def value_source(self) -> tuple[list[bytes], np.ndarray, np.ndarray]:
-        """Return (bufs, which, base): the observed alleles of read r are the
-        bytes bufs[which[r]][base[r]:base[r] + cover_hi[r] - cover_lo[r]].
-        A noiseless set gives the M population rows, indexed by hidden and
-        starting at cover_lo; a set with stored values gives its one flat
-        buffer, starting at the read's offset."""
-        if self._values is None:
-            return ([row.tobytes() for row in self.population.alleles],
-                    self.hidden, self.cover_lo)
-        return ([self._values.tobytes()], np.zeros(self.n_reads, np.intp),
-                self._offsets[:-1])
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:
@@ -158,27 +131,33 @@ def generate_reads(pop: Population, config: ModelConfig,
                                       float(config.G) + L, reads) - L
     hidden = reads.gen.integers(0, config.M, size=starts.size, dtype=np.int32)
     pos = pop.snp_positions
-    return ReadSet(starts=starts, hidden=hidden,
-                   cover_lo=_count_below(pos, starts),
+    cover_lo = _count_below(pos, starts)
+    return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
                    cover_hi=_count_below(pos, starts + L),
-                   config=config, population=pop)
+                   config=config, population=pop,
+                   source=pop.alleles, row=hidden, col=cover_lo)
 
 
 def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
-    """Flip each observed biallelic allele independently with probability eps."""
+    """Flip each observed biallelic allele independently with probability
+    eps, drawing in read order and then SNP order. The noisy set's source
+    is one row holding every read's alleles back to back."""
     if not (0.0 <= eps <= 0.5):
         raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
     if eps > 0.0 and not rs.population.is_biallelic:
         raise UnsupportedModelError(
             "symmetric flip noise is defined for biallelic populations only")
-    offsets, values = rs.observations()
+    lengths = rs.cover_hi - rs.cover_lo
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    # flat entry i of read r sits at column col[r] + i - offsets[r]
+    cols = np.arange(int(offsets[-1])) - np.repeat(offsets[:-1] - rs.col,
+                                                   lengths)
+    values = rs.source[np.repeat(rs.row, lengths), cols]
     gen = stream.child("noise").gen
     flips = gen.random(values.size) < eps
-    noisy_values = np.where(flips, -values, values).astype(np.int8)
-    return ReadSet(starts=rs.starts, hidden=rs.hidden, cover_lo=rs.cover_lo,
-                   cover_hi=rs.cover_hi, config=rs.config,
-                   population=rs.population, _values=noisy_values,
-                   _offsets=offsets)
+    noisy = np.where(flips, -values, values).astype(np.int8)
+    return replace(rs, source=noisy[None], row=np.zeros(rs.n_reads, np.intp),
+                   col=offsets[:-1])
 
 
 def discriminating_positions(pop: Population, i: int, j: int) -> np.ndarray:

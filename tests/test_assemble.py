@@ -28,10 +28,11 @@ def make_readset(config, pop, starts, hidden):
     order = np.argsort(starts, kind="stable")
     starts, hidden = starts[order], hidden[order]
     pos = pop.snp_positions
-    return ReadSet(starts=starts, hidden=hidden,
-                   cover_lo=np.searchsorted(pos, starts, side="left"),
+    cover_lo = np.searchsorted(pos, starts, side="left")
+    return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
                    cover_hi=np.searchsorted(pos, starts + config.L, side="left"),
-                   config=config, population=pop)
+                   config=config, population=pop,
+                   source=pop.alleles, row=hidden, col=cover_lo)
 
 
 def fig_scenario():
@@ -207,6 +208,12 @@ def test_equivalence_on_random_instances():
             assert not greedy_ok
 
 
+def _read_alleles(rs: ReadSet, r: int) -> np.ndarray:
+    """The alleles read r observes, sliced from its source row."""
+    col = int(rs.col[r])
+    return rs.source[rs.row[r], col:col + rs.cover_hi[r] - rs.cover_lo[r]]
+
+
 def _reference_greedy(rs: ReadSet, stream: RandomStream,
                       M: int | None = None) -> list[Contig]:
     """Masked-array greedy pass that greedy_assemble must reproduce exactly:
@@ -215,13 +222,12 @@ def _reference_greedy(rs: ReadSet, stream: RandomStream,
     if M is None:
         M = rs.config.M
     S = rs.population.S
-    offsets, values = rs.observations()
     consensus = np.full((M, S), UNSET, dtype=np.int8)
     assigned: list[list[int]] = [[] for _ in range(M)]
     gen = stream.gen
     for r in range(rs.n_reads):
         lo, hi = int(rs.cover_lo[r]), int(rs.cover_hi[r])
-        v = values[offsets[r]:offsets[r + 1]]
+        v = _read_alleles(rs, r)
         if hi == lo:
             # no SNP content: assign anywhere without touching consensus
             assigned[int(gen.integers(M))].append(r)
@@ -352,8 +358,7 @@ def test_frontier_greedy_matches_reference_on_dense_runs():
             assert g.consensus.tobytes() == w.consensus.tobytes(), t
         np.testing.assert_equal(got_stream.gen.bit_generator.state,
                                 want_stream.gen.bit_generator.state, err_msg=t)
-        offsets, values = rs.observations()
-        keys = {(lo, hi, values[offsets[r]:offsets[r + 1]].tobytes())
+        keys = {(lo, hi, _read_alleles(rs, r).tobytes())
                 for r, (lo, hi) in enumerate(zip(rs.cover_lo.tolist(),
                                                  rs.cover_hi.tolist()))
                 if hi > lo}
@@ -365,11 +370,11 @@ def test_frontier_greedy_matches_reference_on_dense_runs():
 
 def test_row_slices_and_stored_values_assemble_alike():
     """A noiseless set hands greedy_assemble slices of the population rows;
-    after apply_noise at eps = 0 it reads the same values from the stored
-    flat buffer. Both sources must give equal read assignments, consensus
-    bytes and generator state, over M 1-4, both allele laws, p = 0,
-    lambda = 0 and SNP-free reads, and the noiseless pass stores no flat
-    values."""
+    after apply_noise at eps = 0 it reads the same values from the one
+    flat source row. Both sources must give equal read assignments,
+    consensus bytes and generator state, over M 1-4, both allele laws,
+    p = 0, lambda = 0 and SNP-free reads, and the noiseless set's source is
+    the population's rows themselves, addressed from cover_lo."""
     rng = np.random.default_rng(59)
     root = RandomStream(61)
     seen = {"M1": 0, "p0": 0, "lam0": 0, "empty_read": 0, "four_ary": 0}
@@ -388,7 +393,7 @@ def test_row_slices_and_stored_values_assemble_alike():
         stored = apply_noise(rs, 0.0, st.child("noise"))
         rows_stream, flat_stream = st.child("greedy"), st.child("greedy")
         got = greedy_assemble(rs, rows_stream)
-        assert rs._values is None, t
+        assert rs.source is pop.alleles and rs.col is rs.cover_lo, t
         want = greedy_assemble(stored, flat_stream)
         for g, w in zip(got, want, strict=True):
             assert g.read_indices == w.read_indices, t

@@ -419,6 +419,31 @@ def test_unopenable_out_exits_before_any_work(tmp_path, monkeypatch, args,
     assert calls == []
 
 
+_BAD_PLAN = ["-O", "eps=0.1", "-O", "D=1000", "-O", "d=2000"]
+
+
+@pytest.mark.parametrize("args", [
+    [*_SIM, *_BAD_PLAN],
+    [*_SIM, *_BAD_PLAN, "--trials", "0"],
+    [*_BRIDGE, "--trials", "0"],
+    [*_BRIDGE, "--trials", "-5"],
+    [*_BRIDGE[:-2], "-O", "trials=0"],
+    [*_BRIDGE, "--seed", "-1"],
+    ["denoise-bench", "--m", "5", "--kappa", "2", "--eps", "0.1",
+     "--coverage", "10"],
+])
+def test_refused_inputs_leave_out_untouched(tmp_path, args):
+    """A refused plan, trial count, seed or individual count exits 2 before
+    --out is opened, so an existing file keeps its bytes."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run([*args, "--out", str(out)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.exit_code == 2
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
     """Opening --out before the trials leaves its bytes as they were: the
     file holds exactly the CSV that stdout gets without --out, all of it

@@ -1,12 +1,14 @@
 """Static checks on the package source: every module-level import is used,
 every `__all__` entry resolves and has a caller, and so does every public
-function of `_util`. No linter ships with the project, so these guard
-against dead imports, stale export lists and public names that nothing
-uses."""
+function of `_util` and every public method of a package class. No linter
+ships with the project, so these guard against dead imports, stale export
+lists and public names that nothing uses."""
 
 import ast
+import functools
 import importlib
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -82,6 +84,14 @@ UNCALLED_PUBLIC = {"unique_and_correct", "exponent_numeric",
                    "canonical_adjacent_pair", "spectral_noise_ceiling"}
 
 
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
+
+
 def _references(trees: dict, name: str, home: str) -> int:
     """Loads of `name`, as a name or an attribute, anywhere in the package
     outside the body of its own definition in module `home`."""
@@ -89,7 +99,7 @@ def _references(trees: dict, name: str, home: str) -> int:
     for module, tree in trees.items():
         skip = set()
         if module == home:
-            skip = {id(n) for node in tree.body
+            skip = {id(n) for node in _definitions(tree)
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name == name for n in ast.walk(node)}
         count += sum(1 for n in ast.walk(tree) if id(n) not in skip and (
@@ -98,10 +108,28 @@ def _references(trees: dict, name: str, home: str) -> int:
     return count
 
 
+def _public_methods(module: str) -> set[str]:
+    """Public methods and properties of the classes `module` defines,
+    except those overriding a base class's attribute of the same name,
+    which the base class calls."""
+    mod = importlib.import_module(f"poolseq_limits.{module}")
+    names = set()
+    for cls in vars(mod).values():
+        if not (isinstance(cls, type) and cls.__module__ == mod.__name__):
+            continue
+        names |= {name for name, attr in vars(cls).items()
+                  if not name.startswith("_")
+                  and isinstance(attr, (FunctionType, property,
+                                        functools.cached_property))
+                  and not any(hasattr(base, name) for base in cls.__mro__[1:])}
+    return names
+
+
 def test_public_names_have_callers():
-    """Every `__all__` entry is used somewhere in the package outside its
-    own definition, and every public top-level function of `_util` (which
-    has no `__all__`) outside `_util`, or is listed in UNCALLED_PUBLIC; an
+    """Every `__all__` entry and every public method or property of a
+    package class is used somewhere in the package outside its own
+    definition, and every public top-level function of `_util` (which has
+    no `__all__`) outside `_util`, or is listed in UNCALLED_PUBLIC; an
     import or an `__all__` string does not count as a use."""
     trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text())
              for m in MODULES}
@@ -110,7 +138,8 @@ def test_public_names_have_callers():
         if module == "__init__":
             continue
         mod = importlib.import_module(f"poolseq_limits.{module}")
-        uncalled |= {name for name in getattr(mod, "__all__", ())
+        uncalled |= {name for name in (*getattr(mod, "__all__", ()),
+                                       *_public_methods(module))
                      if not _references(trees, name, module)}
     callers = {m: tree for m, tree in trees.items() if m != "_util"}
     uncalled |= {node.name for node in trees["_util"].body

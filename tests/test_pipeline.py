@@ -115,6 +115,53 @@ def test_extract_block_and_ml_decode_from_simulated_reads():
     assert decoded_ok >= 0.9 * tried
 
 
+def test_extract_block_rows_match_per_read_slices():
+    """Each block row is the covering read's source slice over the window's
+    SNPs, taken read by read, for a noiseless set, its eps = 0 copy and a
+    noisy set, over random windows, including windows longer than a read,
+    whose block is empty. A window holding no SNP is refused."""
+    cfg = ModelConfig(G=4000, M=3, p=0.01, L=600.0, lam=0.01,
+                      law=FixedBiallelic(0.3))
+    rng = np.random.default_rng(71)
+    root = RandomStream(73)
+    windows = empty = snp_free = 0
+    for t in range(20):
+        st = root.child(t)
+        pop = generate_population(cfg, st.child("pop"))
+        rs = generate_reads(pop, cfg, st.child("reads"))
+        sets = [(rs, 0.0), (apply_noise(rs, 0.0, st.child("zero")), 0.0),
+                (apply_noise(rs, 0.1, st.child("noise")), 0.1)]
+        for _ in range(10):
+            lo = float(rng.uniform(0.0, cfg.G))
+            hi = lo + float(rng.uniform(0.0, 1.5 * cfg.L))
+            snp_lo, snp_hi = np.searchsorted(pop.snp_positions, [lo, hi])
+            kappa = int(snp_hi - snp_lo)
+            if kappa == 0:
+                for x, eps in sets:
+                    with pytest.raises(ValidationError):
+                        extract_block(x, (lo, hi), eps)
+                snp_free += 1
+                continue
+            covering = np.flatnonzero((rs.starts <= lo)
+                                      & (rs.starts + cfg.L >= hi))
+            truth = pop.alleles[rs.hidden[covering], snp_lo:snp_hi]
+            blocks = []
+            for x, eps in sets:
+                want = np.empty((0, kappa), np.int8)
+                for r in covering:
+                    a = x.col[r] + snp_lo - x.cover_lo[r]
+                    want = np.vstack([want, x.source[x.row[r], a:a + kappa]])
+                block = extract_block(x, (lo, hi), eps)
+                assert block.kappa == kappa
+                np.testing.assert_array_equal(block.observations, want)
+                blocks.append(block.observations)
+            np.testing.assert_array_equal(blocks[0], truth)
+            np.testing.assert_array_equal(blocks[1], truth)
+            windows += 1
+            empty += covering.size == 0 and hi - lo > cfg.L
+    assert windows >= 100 and empty >= 10 and snp_free >= 5
+
+
 # The three-pass noisy trial that the one-pass `run_noisy_trial` replaced,
 # kept verbatim (but for the names) as the reference for its flags.
 def reference_match_rows(prev_rows: np.ndarray, rows: np.ndarray,

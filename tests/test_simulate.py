@@ -72,9 +72,10 @@ def test_read_covers_exactly_window_snps():
         lo, hi = rs.cover_lo[r], rs.cover_hi[r]
         inside = (pos >= rs.starts[r]) & (pos < rs.starts[r] + cfg.L)
         np.testing.assert_array_equal(np.nonzero(inside)[0], np.arange(lo, hi))
-        off, vals = rs.observations()
+        col = rs.col[r]
         np.testing.assert_array_equal(
-            vals[off[r]:off[r + 1]], pop.alleles[rs.hidden[r], lo:hi])
+            rs.source[rs.row[r], col:col + hi - lo],
+            pop.alleles[rs.hidden[r], lo:hi])
 
 
 def _assert_covers_match_searchsorted(rs) -> None:
@@ -151,12 +152,19 @@ def test_per_individual_read_counts_independent_poisson():
     assert (np.abs(corr) < 4 / len(counts) ** 0.5).all(), corr
 
 
-def _reference_values(rs) -> np.ndarray:
+def _reference_alleles(rs) -> np.ndarray:
     """Per-read loop: read r observes alleles[hidden[r], cover_lo[r]:cover_hi[r]]."""
     alleles = rs.population.alleles
     return np.concatenate([np.empty(0, np.int8)] + [
         alleles[h, lo:hi]
         for h, lo, hi in zip(rs.hidden, rs.cover_lo, rs.cover_hi)])
+
+
+def _read_alleles(rs) -> np.ndarray:
+    """Every read's alleles, sliced from its source row read by read."""
+    return np.concatenate([np.empty(0, np.int8)] + [
+        rs.source[row, col:col + hi - lo]
+        for row, col, lo, hi in zip(rs.row, rs.col, rs.cover_lo, rs.cover_hi)])
 
 
 @settings(max_examples=200)
@@ -169,20 +177,23 @@ def _reference_values(rs) -> np.ndarray:
 @example(M=3, G=500, p=0.02, lam=0.0, L=50.0, eps=0.1, seed=2)    # no reads
 @example(M=2, G=2000, p=0.002, lam=0.05, L=5.0, eps=0.1, seed=3)  # SNP-free reads
 def test_observations_match_per_read_loop(M, G, p, lam, L, eps, seed):
-    """`observations()` gives the per-read loop's offsets and values, and a
-    noisy set gives those values with the noise stream's flips applied."""
+    """A read set's source slices give the per-read loop's values, and
+    apply_noise's one source row holds those values back to back, read
+    after read, with the noise stream's flips applied."""
     cfg = _config(G=G, M=M, p=p, L=L, lam=lam)
     root = RandomStream(seed)
     pop = generate_population(cfg, root.child("pop"))
     rs = generate_reads(pop, cfg, root.child("reads"))
-    want = _reference_values(rs)
-    offsets, values = rs.observations()
-    lengths = (rs.cover_hi - rs.cover_lo).tolist()
-    assert offsets.tolist() == np.cumsum([0] + lengths).tolist()
+    want = _reference_alleles(rs)
+    values = _read_alleles(rs)
     assert values.dtype == np.int8 and values.tobytes() == want.tobytes()
     noisy = apply_noise(rs, eps, root.child("noise"))
+    lengths = (rs.cover_hi - rs.cover_lo).tolist()
+    assert noisy.row.tolist() == [0] * rs.n_reads
+    assert noisy.col.tolist() == np.cumsum([0] + lengths)[:-1].tolist()
     flips = root.child("noise").child("noise").gen.random(want.size) < eps
-    assert noisy.observations()[1].tobytes() == \
+    assert noisy.source.shape == (1, want.size)
+    assert noisy.source.dtype == np.int8 and noisy.source[0].tobytes() == \
         np.where(flips, -want, want).astype(np.int8).tobytes()
 
 
@@ -191,7 +202,7 @@ def test_noise_zero_is_identity():
     pop = generate_population(cfg, RandomStream(8))
     rs = generate_reads(pop, cfg, RandomStream(9))
     noisy = apply_noise(rs, 0.0, RandomStream(10))
-    np.testing.assert_array_equal(noisy.observations()[1], rs.observations()[1])
+    np.testing.assert_array_equal(_read_alleles(noisy), _read_alleles(rs))
 
 
 def test_noise_flip_fraction():
@@ -199,8 +210,9 @@ def test_noise_flip_fraction():
     pop = generate_population(cfg, RandomStream(11))
     rs = generate_reads(pop, cfg, RandomStream(12))
     noisy = apply_noise(rs, 0.2, RandomStream(13))
-    flipped = (noisy.observations()[1] != rs.observations()[1]).mean()
-    n = rs.observations()[1].size
+    truth = _read_alleles(rs)
+    flipped = (_read_alleles(noisy) != truth).mean()
+    n = truth.size
     assert n > 10**4
     assert abs(flipped - 0.2) < 3 * (0.2 * 0.8 / n) ** 0.5
 
@@ -210,8 +222,8 @@ def test_noise_half_is_uninformative():
     pop = generate_population(cfg, RandomStream(14))
     rs = generate_reads(pop, cfg, RandomStream(15))
     noisy = apply_noise(rs, 0.5, RandomStream(16))
-    truth = rs.observations()[1].astype(float)
-    obs = noisy.observations()[1].astype(float)
+    truth = _read_alleles(rs).astype(float)
+    obs = _read_alleles(noisy).astype(float)
     n = truth.size
     corr = float(np.mean(truth * obs))  # +-1 values: correlation estimate
     assert abs(corr) < 3 / n ** 0.5
@@ -254,9 +266,8 @@ def test_noise_commutes_with_read_subsetting():
     pop = generate_population(cfg, RandomStream(22))
     rs = generate_reads(pop, cfg, RandomStream(23))
     noisy = apply_noise(rs, 0.3, RandomStream(24))
-    off, truth = rs.observations()
-    _, obs = noisy.observations()
-    flips = obs != truth
+    off = noisy.col  # where each read's values start in the flat row
+    flips = _read_alleles(noisy) != _read_alleles(rs)
     half = rs.n_reads // 2
     a = flips[:off[half]].mean()
     b = flips[off[half]:].mean()
