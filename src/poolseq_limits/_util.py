@@ -65,17 +65,6 @@ def golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]
     return _golden_search(f, lo, hi, iters, operator.lt, min)
 
 
-def integral_u_exp(alpha: float, upper: float) -> float:
-    """Evaluate the integral of u*exp(-alpha*u) for u in [0, upper].
-
-    Stable for alpha*upper near zero (series branch avoids cancellation).
-    """
-    a = alpha * upper
-    if abs(a) < 1e-6:
-        return upper * upper * (0.5 - a / 3.0 + a * a / 8.0 - a ** 3 / 30.0)
-    return (1.0 - (1.0 + a) * math.exp(-a)) / (alpha * alpha)
-
-
 def _bit_weights(kappa: int) -> np.ndarray:
     return np.left_shift(1, np.arange(kappa - 1, -1, -1, dtype=np.int64))
 

@@ -31,8 +31,7 @@ from .core import (CapacityError, FixedBiallelic, FixedEta, ModelConfig,
                    RandomStream, ValidationError)
 from .denoise import AVERAGE_CASE, WORST_CASE, DenoiseBlock
 from .exact_bridging import estimate_bridging
-from .noiseless_bounds import (assembly_asymptotic, assembly_lower,
-                               assembly_upper, bridging_lower,
+from .noiseless_bounds import (assembly_asymptotic, bridging_lower,
                                bridging_upper, coverage_lower,
                                coverage_upper)
 from .noisy_bounds import (SegmentationPlan, den_ml_upper, exponent_closed,
@@ -63,6 +62,7 @@ _KEYS = {"D": float, "G": int, "L": float, "M": int, "c_const": float,
 
 # denoise-bench refuses a block expected to hold more observations than this
 BENCH_MAX_OBSERVATIONS = 1e8
+_PLANT_REFUSED = "could not plant distinct truths; raise --kappa or lower --eta"
 
 # per-trial failure flags; their field order is the CSV column order
 _TRIAL_FLAGS = tuple(f.name for f in dataclasses.fields(TrialResult)
@@ -232,6 +232,18 @@ def _plan(params: dict) -> SegmentationPlan | None:
     return None
 
 
+def _assembly_lower(config: ModelConfig, params: dict) -> dict:
+    cov = coverage_lower(config)  # as in assembly_lower
+    return {"esc_lower": clamp01(cov),
+            "e_lower": clamp01(max(cov, bridging_lower(config)))}
+
+
+def _assembly_upper(config: ModelConfig, params: dict) -> dict:
+    cov = coverage_upper(config)  # as in assembly_upper
+    return {"esc_upper": clamp01(cov),
+            "e_upper": clamp01(cov + bridging_upper(config))}
+
+
 def _assembly_asym(config: ModelConfig, params: dict) -> dict:
     lower, upper = assembly_asymptotic(config)
     return {"e_lower_asym": clamp01(lower), "e_upper_asym": clamp01(upper)}
@@ -255,16 +267,11 @@ def _always(config: ModelConfig) -> bool:
 
 # bound family -> (evaluate to CSV columns, whether `bounds` writes them).
 # Lower and upper bounds are separate families, so an upper bound never
-# pays for a lower bound's search.
+# pays for a lower bound's search. The assembly families also write the
+# coverage bound they combine, so a row runs each coverage bound once.
 _FAMILIES = {
-    "coverage-lower": (lambda config, params:
-                       {"esc_lower": clamp01(coverage_lower(config))}, _always),
-    "coverage-upper": (lambda config, params:
-                       {"esc_upper": clamp01(coverage_upper(config))}, _always),
-    "assembly-lower": (lambda config, params:
-                       {"e_lower": clamp01(assembly_lower(config))}, _always),
-    "assembly-upper": (lambda config, params:
-                       {"e_upper": clamp01(assembly_upper(config))}, _always),
+    "assembly-lower": (_assembly_lower, _always),
+    "assembly-upper": (_assembly_upper, _always),
     "assembly-asym": (_assembly_asym, lambda config: config.lam > 0),
     # the bridging event is degenerate (bounded by 0 from both sides)
     # without discriminating SNPs
@@ -284,7 +291,7 @@ _BOUNDS = {
     "assembly-upper": ("assembly-upper", "e_upper"),
     "assembly-lower": ("assembly-lower", "e_lower"),
     "assembly-upper-asym": ("assembly-asym", "e_upper_asym"),
-    "coverage-upper": ("coverage-upper", "esc_upper"),
+    "coverage-upper": ("assembly-upper", "esc_upper"),
     "bridging-upper": ("bridging-upper", "eb_upper"),
     "ml-upper": ("ml", "en_ml_upper"),
     "spectral-upper": ("spectral", "en_sd_upper"),
@@ -492,9 +499,11 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
         raise CapacityError(
             f"--coverage {coverage} at --kappa {kappa} expects more than "
             f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
+    minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
+    if m_individuals >= 2 and minor == 0.0:
+        raise CapacityError(_PLANT_REFUSED)  # every planted row is all-major
     fh = _output(out)
     stream = RandomStream(seed)
-    minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
     rows = []
     algos = ["ml", "spectral"] if algo == "both" else [algo]
     for name in algos:
@@ -528,8 +537,7 @@ def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
         truth = np.where(gen.random((M, kappa)) < minor, 1, -1).astype(np.int8)
         if len({r.tobytes() for r in truth}) == M:
             return truth
-    raise CapacityError(
-        "could not plant distinct truths; raise --kappa or lower --eta")
+    raise CapacityError(_PLANT_REFUSED)
 
 
 @main.command("exact-bridging")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from math import comb, exp, expm1, log, log1p
 
-from ._util import clamp01, golden_max, integral_u_exp
+from ._util import clamp01, golden_max
 from .core import ModelConfig, ValidationError
 
 __all__ = [
@@ -192,7 +192,10 @@ def lambda_lower(q: float, G: float, L: float, p: float, eta: float) -> float:
     beta = (G / L) * lnq1
     a = alpha * G
     if abs(a) < 1e-6:
-        ez = r * r * exp(beta) * integral_u_exp(alpha, G)
+        # the integral of u e^(-alpha u) over [0, G] as a series in a,
+        # which the closed form below loses to cancellation
+        ez = r * r * exp(beta) * (
+            G * G * (0.5 - a / 3.0 + a * a / 8.0 - a ** 3 / 30.0))
     else:
         # survival term, grouped to avoid overflow when alpha < 0
         ez = (r * r / (alpha * alpha)) * (exp(beta) - (1.0 + a) * exp(-gr))

@@ -218,15 +218,6 @@ def canonical_adjacent_pair(M: int, kappa: int) -> tuple[np.ndarray, np.ndarray]
                  for s in (true, alt))
 
 
-def _member_arrays(kappa: int, M: int) -> np.ndarray:
-    n_cand = comb(1 << kappa, M)
-    if n_cand > PAIR_ENUM_CAP:
-        raise CapacityError(
-            f"{n_cand} hypothesis sets exceed the enumeration cap {PAIR_ENUM_CAP}")
-    (members,) = candidate_sets(kappa, M, n_cand)
-    return members
-
-
 def _set_distances(members: np.ndarray, kappa: int) -> np.ndarray:
     """Pairwise set distances: minimal total bit flips over member matchings."""
     n, M = members.shape
@@ -261,7 +252,11 @@ def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
         raise ValidationError(f"need kappa >= 1 and 1 <= M <= 2^kappa, "
                               f"got M={M}, kappa={kappa}")
     _check_eps(eps)
-    members = _member_arrays(kappa, M)
+    n_cand = comb(1 << kappa, M)
+    if n_cand > PAIR_ENUM_CAP:
+        raise CapacityError(
+            f"{n_cand} hypothesis sets exceed the enumeration cap {PAIR_ENUM_CAP}")
+    (members,) = candidate_sets(kappa, M, n_cand)
     dist = _set_distances(members, kappa)
     exps = _pairwise_exponents(members, kappa, eps)
     values = []
@@ -327,9 +322,9 @@ def _optimize_plan(objective, L: float, seed: SegmentationPlan,
     for _ in range(iters):
         D, _ = golden_min(lambda t: objective(t, frac * t), 1e-6 * L, L,
                           iters=60)
-        frac, _ = golden_min(lambda t: objective(D, t * D), 1e-7, 0.999,
-                             iters=60)
-        val = objective(D, frac * D)
+        # val is the objective at (D, frac * D)
+        frac, val = golden_min(lambda t: objective(D, t * D), 1e-7, 0.999,
+                               iters=60)
         if best - val <= rtol * max(best, 1e-300):
             best = min(best, val)
             break

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolseq_limits import cli
+from poolseq_limits import cli, noiseless_bounds
+from poolseq_limits._util import clamp01
 from poolseq_limits.cli import main
 
 BASE = ["-O", "G=3000000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
@@ -444,6 +445,26 @@ def test_refused_inputs_leave_out_untouched(tmp_path, args):
     assert out.read_bytes() == b"kept\n"
 
 
+def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
+    """At eta = 1 every planted row is all-major, so two or more distinct
+    truths cannot be planted: exit 3 before --out is opened. One
+    individual needs no distinct rows and still runs."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run(["denoise-bench", "--m", "2", "--kappa", "3", "--eps", "0.1",
+               "--coverage", "10", "--eta", "1", "--out", str(out)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.exit_code == 3
+    assert "could not plant distinct truths" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+    res = run(["denoise-bench", "--m", "1", "--kappa", "3", "--eps", "0.1",
+               "--coverage", "10", "--eta", "1", "--blocks", "5"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] \
+        == "594f09f175b00750"
+
+
 def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
     """Opening --out before the trials leaves its bytes as they were: the
     file holds exactly the CSV that stdout gets without --out, all of it
@@ -658,6 +679,75 @@ def test_noiseless_evaluators_equal_their_bounds_columns(params):
     column, or raises what `bounds` raises for the column's family."""
     _check_evaluators(params, _NOISELESS,
                       [f for f in cli._FAMILIES if f not in _NOISY_FAMILIES])
+
+
+def test_bounds_row_runs_the_coverage_search_once(monkeypatch):
+    """One `bounds` row maximises the segmented coverage bound once: the
+    assembly-lower family writes esc_lower and e_lower from one
+    coverage_lower call."""
+    calls = []
+    golden_max = noiseless_bounds.golden_max
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return golden_max(*args, **kwargs)
+
+    monkeypatch.setattr(noiseless_bounds, "golden_max", counting)
+    res = run(["bounds", *BASE, "-O", "L=100000"])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+
+
+# each noiseless family -> the columns it writes, each with the library
+# bound that column clamps
+_LIBRARY_COLUMNS = {
+    "assembly-lower": [("esc_lower", noiseless_bounds.coverage_lower),
+                       ("e_lower", noiseless_bounds.assembly_lower)],
+    "assembly-upper": [("esc_upper", noiseless_bounds.coverage_upper),
+                       ("e_upper", noiseless_bounds.assembly_upper)],
+    "bridging-lower": [("eb_lower", noiseless_bounds.bridging_lower)],
+    "bridging-upper": [("eb_upper", noiseless_bounds.bridging_upper)],
+}
+
+
+@settings(max_examples=300)
+@given(bound_points(noisy=False))
+def test_noiseless_columns_equal_their_library_bounds(params):
+    """Each noiseless column `bounds` writes is, bit for bit, clamp01 of its
+    library bound, or its family raises what that bound raises. The
+    bridging columns are written at M >= 2 only."""
+    config = cli.build_model(params)
+    for family, columns in _LIBRARY_COLUMNS.items():
+        evaluate, applies = cli._FAMILIES[family]
+        assert applies(config) == (config.M >= 2
+                                   or not family.startswith("bridging"))
+        if not applies(config):
+            continue
+        try:
+            written = {column: float(value).hex() for column, value
+                       in evaluate(config, params).items()}
+        except Exception as e:  # compared with the library's outcome
+            written = {column: (type(e), str(e)) for column, _ in columns}
+        for column, bound in columns:
+            want = _outcome(lambda: clamp01(bound(config)))
+            assert written[column] == want, (column, params)
+
+
+# `bounds` at the model's edges, on a 1e8 genome: the digest of stdout,
+# which fixes each edge's set of columns (M = 1 rows have no eb_* column)
+@pytest.mark.parametrize("edge,digest", [
+    ("M=1", "8fe9f308ea656e69"),
+    ("lambda=0", "2323b13137cb41ea"),
+    ("p=0", "bd38d1e2574f0b0c"),
+    ("eta=1.0", "bb6fcbe992922ae5"),
+    ("M=12", "e90561e348dc5e85"),
+])
+def test_bounds_edges_keep_stdout(edge, digest):
+    res = run(["bounds", "-O", "G=100000000", "-O", "M=2", "-O", "p=0.001",
+               "-O", "eta=0.82", "-O", "lambda=0.01", "-O", edge,
+               "--sweep", "L=1000:1000000:4:log"])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
 
 
 @settings(max_examples=25)

@@ -79,9 +79,13 @@ def test_exception_classes_live_in_core():
 
 # public names kept for library users and the tests, with no caller in the
 # package: the assembly referee, the exact exponent oracle, its canonical
-# pair, and the spectral ceiling criterion 08 checks
+# pair, the spectral ceiling criterion 08 checks, and the exact assembly
+# bounds, which criterion 09 bisects and against which
+# test_noiseless_columns_equal_their_library_bounds checks the `bounds`
+# columns e_lower and e_upper (the CLI combines the event bounds itself)
 UNCALLED_PUBLIC = {"unique_and_correct", "exponent_numeric",
-                   "canonical_adjacent_pair", "spectral_noise_ceiling"}
+                   "canonical_adjacent_pair", "spectral_noise_ceiling",
+                   "assembly_lower", "assembly_upper"}
 
 
 def _definitions(tree: ast.Module):
