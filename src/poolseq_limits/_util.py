@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -26,29 +25,31 @@ def wilson_interval(k: int, n: int, z: float = Z_95) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _golden_search(f, lo: float, hi: float, iters: int, better,
-                   best) -> tuple[float, float]:
-    """Golden-section search on [lo, hi] for the point whose f value is
-    `better` (operator.gt or lt) than the rest; `best` (max or min) picks
-    among the final bracket and both endpoints."""
+def _golden_search(f, lo: float, hi: float, iters: int,
+                   sign: float) -> tuple[float, float]:
+    """Golden-section search on [lo, hi] for the point minimising
+    sign * f (sign is 1.0 or -1.0, an exact negation); the least of the
+    final bracket and both endpoints wins, the first listed on ties."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = sign * f(c), sign * f(d)
     for _ in range(iters):
-        if b - a < 1e-14 * max(1.0, abs(a)):
+        # b - a < 1e-14 * max(1, |a|), which is 1 for a NaN a
+        if b - a < 1e-14 * (a if a > 1.0 else -a if -a > 1.0 else 1.0):
             break
-        if better(fc, fd):
+        if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = sign * f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
-    cands = [(lo, f(lo)), (hi, f(hi)), (c, fc), (d, fd)]
-    return best(cands, key=lambda t: t[1])
+            fd = sign * f(d)
+    x, value = min([(lo, sign * f(lo)), (hi, sign * f(hi)), (c, fc), (d, fd)],
+                   key=lambda t: t[1])
+    return x, sign * value
 
 
 def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
@@ -57,12 +58,12 @@ def golden_max(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]
     Returns (argmax, max). Endpoints are also evaluated, so the result is
     never worse than the better endpoint even if f is not unimodal.
     """
-    return _golden_search(f, lo, hi, iters, operator.gt, max)
+    return _golden_search(f, lo, hi, iters, -1.0)
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 120) -> tuple[float, float]:
     """Golden-section minimization: (argmin, min), as golden_max."""
-    return _golden_search(f, lo, hi, iters, operator.lt, min)
+    return _golden_search(f, lo, hi, iters, 1.0)
 
 
 def _bit_weights(kappa: int) -> np.ndarray:
@@ -122,31 +123,31 @@ def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndar
         return np.array([0]), np.array([1.0])
     mode = int(mu)
     logw_mode = mode * math.log(mu) - mu - math.lgamma(mode + 1)
-    ks = [mode]
-    ws = [math.exp(logw_mode)]
+    total = math.exp(logw_mode)
+    # weights above the mode ascending, from it; below it descending
+    up, down = [total], []
     lo, hi = mode, mode
-    w_lo, w_hi = ws[0], ws[0]
-    total = ws[0]
-    while total < 1.0 - tail:
-        w_up = w_hi * mu / (hi + 1)
-        w_down = w_lo * lo / mu if lo > 0 else 0.0
+    # the next weight on each side, from the last one taken there
+    w_up = total * mu / (hi + 1)
+    w_down = total * lo / mu if lo > 0 else 0.0
+    floor = 1.0 - tail
+    while total < floor:
         if total + (w_up + w_down) == total:
             break
         if w_up >= w_down:
             hi += 1
-            w_hi = w_up
-            ks.append(hi)
-            ws.append(w_hi)
-            total += w_hi
+            up.append(w_up)
+            total += w_up
+            w_up = w_up * mu / (hi + 1)
         else:
             lo -= 1
-            w_lo = w_down
-            ks.insert(0, lo)
-            ws.insert(0, w_lo)
-            total += w_lo
+            down.append(w_down)
+            total += w_down
+            w_down = w_down * lo / mu if lo > 0 else 0.0
         if hi - lo > 100000:
             break
-    return np.asarray(ks), np.asarray(ws)
+    down.reverse()
+    return np.arange(lo, hi + 1), np.asarray(down + up)
 
 
 def bisect_decreasing(f, target: float, lo: float, hi: float,

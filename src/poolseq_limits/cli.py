@@ -500,10 +500,11 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             f"--coverage {coverage} at --kappa {kappa} expects more than "
             f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
     minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
-    if m_individuals >= 2 and minor == 0.0:
-        raise CapacityError(_PLANT_REFUSED)  # every planted row is all-major
-    fh = _output(out)
     stream = RandomStream(seed)
+    # at eta near 1 distinct truths may not plant: refuse before --out
+    # opens. Each block re-derives its stream, so no block's draws move.
+    _plant_truth(stream.child("bench", 0).gen, m_individuals, kappa, minor)
+    fh = _output(out)
     rows = []
     algos = ["ml", "spectral"] if algo == "both" else [algo]
     for name in algos:

@@ -14,6 +14,7 @@ clamping.
 from __future__ import annotations
 
 import math
+from functools import partial
 from math import comb, exp, expm1, log, log1p
 
 from ._util import clamp01, golden_max
@@ -76,12 +77,13 @@ def coverage_lower_segmented(G: float, p: float, lam: float, L: float,
     fails when some individual has no read starting in it and a SNP lands
     in the trailing gap of length x. Any x >= 0 yields a valid lower bound.
     """
-    n_seg = int(G // (L + x))
+    span = L + x
+    n_seg = int(G // span)
     if n_seg == 0 or p <= 0.0:
         return 0.0
     # an individual has no read starting in the segment with probability
     # miss, which rounds to 1 once lam (L + x) is under half an ulp of 1
-    miss = exp(-lam * (L + x))
+    miss = exp(-lam * span)
     p_x = -expm1(M * log1p(-miss)) if miss < 1.0 else 1.0
     q = p_x * (-expm1(-p * x))
     if q >= 1.0:
@@ -107,9 +109,8 @@ def coverage_lower(config: ModelConfig) -> float:
     single = coverage_single(G, p, lam, L)
     if lam > 0.0:
         seed = optimal_gap_seed(p, lam)
-        _, seg = golden_max(
-            lambda x: coverage_lower_segmented(G, p, lam, L, M, x),
-            seed / 10.0, seed * 10.0)
+        _, seg = golden_max(partial(coverage_lower_segmented, G, p, lam, L, M),
+                            seed / 10.0, seed * 10.0)
     else:
         seg = 0.0
     return max(single, seg)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import permutations
-from math import comb, exp, expm1, log, sqrt
+from math import comb, exp, expm1, log, log1p, sqrt
 
 import numpy as np
 
@@ -117,13 +117,17 @@ def disc_upper(M: int, p: float, eta: float):
             neg_mean = -p * width
             for coef, rate in terms:
                 total += coef * exp(neg_mean * rate)
-            return clamp01(total)
-        ks, ws = poisson_weights(p * width)
-        for n, w in zip(ks, ws):
-            en = eta ** n
-            total += w * (-math.expm1(pairs * math.log1p(-en)) if en < 1.0
-                          else 1.0)
-        return clamp01(total)
+        else:
+            ks, ws = poisson_weights(p * width)
+            # eta ** n stays a numpy power: for Python int n it rounds
+            # differently in a few percent of draws
+            for n, w in zip(ks, ws.tolist()):
+                en = eta ** n
+                total += w * (-expm1(pairs * log1p(-en)) if en < 1.0
+                              else 1.0)
+        # clamp01(total) without the call: a NaN total gives 0
+        total = total if total > 0.0 else 0.0
+        return total if total < 1.0 else 1.0
 
     return disc
 
@@ -366,7 +370,10 @@ def noisy_upper_ml(config: ModelConfig,
     mp, neg_lam_m = M * p, -lam * M
 
     def objective(D: float, d: float) -> float:
-        den = mp * D * exp(neg_lam_m * max(L - D, 0.0) * d1_rate)
+        width = L - D
+        # max(width, 0.0), which keeps a NaN width
+        den = mp * D * exp(neg_lam_m * (0.0 if 0.0 > width else width)
+                           * d1_rate)
         return (G / d) * (disc_term(D, d) + den)
 
     return _bound_at_plan(objective, config, plan)
@@ -433,24 +440,34 @@ def noisy_upper_spectral(config: ModelConfig,
     else:
         mv_rate = 1.0
 
+    # kappa -> (e^-zeta, 1 - e^-zeta); zeta depends on kappa alone here
+    zeta_terms = {}
+    lam_m = lam * M
+
     # the optimiser's line over d / D holds D fixed, so most calls repeat
     @cache
     def community_term(D: float) -> float:
-        coverage = lam * M * max(L - D, 0.0)
+        width = L - D
+        # max(width, 0.0), which keeps a NaN width
+        coverage = lam_m * (0.0 if 0.0 > width else width)
+        neg_coverage = -coverage
         ks, ws = poisson_weights(p * D)
         total = 0.0
-        for k, w in zip(ks, ws):
-            zeta = spectral_quantities(int(k), eta, eps, mode, c_const).zeta
-            total += w * exp(-zeta) * exp(-coverage * -expm1(-zeta))
+        for k, w in zip(ks.tolist(), ws.tolist()):
+            terms = zeta_terms.get(k)
+            if terms is None:
+                zeta = spectral_quantities(k, eta, eps, mode, c_const).zeta
+                terms = zeta_terms[k] = (exp(-zeta), -expm1(-zeta))
+            total += w * terms[0] * exp(neg_coverage * terms[1])
         # a segment with no strictly-covering read cannot be denoised at
         # all; without this atom the minimizer could drive D -> L and
         # collapse the bound through a vacuous corner
-        return exp(-coverage) + coverage * total
+        return exp(neg_coverage) + coverage * total
 
     disc_term = disc_upper(M, p, eta)
 
     def objective(D: float, d: float) -> float:
-        mv = M * D * p * exp(-lam * M * D * mv_rate)
+        mv = M * D * p * exp(-lam_m * D * mv_rate)
         return (G / d) * (disc_term(D, d) + mv + community_term(D))
 
     return _bound_at_plan(objective, config, plan)

@@ -446,18 +446,20 @@ def test_refused_inputs_leave_out_untouched(tmp_path, args):
 
 
 def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
-    """At eta = 1 every planted row is all-major, so two or more distinct
-    truths cannot be planted: exit 3 before --out is opened. One
+    """At eta = 1 every planted row is all-major, and just below 1 the
+    minor allele (frequency 5e-11 here) all but never lands, so two or more
+    distinct truths cannot be planted: exit 3 before --out is opened. One
     individual needs no distinct rows and still runs."""
     out = tmp_path / "rows.csv"
     out.write_bytes(b"kept\n")
-    res = run(["denoise-bench", "--m", "2", "--kappa", "3", "--eps", "0.1",
-               "--coverage", "10", "--eta", "1", "--out", str(out)])
-    assert res.exception is None or isinstance(res.exception, SystemExit), \
-        repr(res.exception)
-    assert res.exit_code == 3
-    assert "could not plant distinct truths" in res.stderr
-    assert out.read_bytes() == b"kept\n"
+    for eta in ("1", "0.9999999999"):
+        res = run(["denoise-bench", "--m", "2", "--kappa", "3", "--eps", "0.1",
+                   "--coverage", "10", "--eta", eta, "--out", str(out)])
+        assert res.exception is None \
+            or isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 3
+        assert "could not plant distinct truths" in res.stderr
+        assert out.read_bytes() == b"kept\n"
     res = run(["denoise-bench", "--m", "1", "--kappa", "3", "--eps", "0.1",
                "--coverage", "10", "--eta", "1", "--blocks", "5"])
     assert res.exit_code == 0, res.output

@@ -426,3 +426,14 @@ def test_recorded_bound_defects(case):
     """Counterexamples to the bound invariants above, kept as strict
     expected failures until the defects in CHANGES.md are mended."""
     case()
+
+
+@pytest.mark.parametrize("lam,L,want", [
+    (1e-3, 2e4, "0.0030869559568531824"),
+    (1e-3, 4e4, "6.372531382917079e-12"),
+    (1e-2, 3e4, "1.4040546061123672e-124"),
+])
+def test_coverage_lower_exact_values(lam, L, want):
+    """The segmented search keeps its bits at the bound-solve point (G = 3e9,
+    M = 2, p = 1e-3), which `bounds` prints to 12 digits only."""
+    assert repr(coverage_lower(_config(3 * 10**9, 2, 1e-3, lam, L))) == want

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poolseq_limits import noisy_bounds
 from poolseq_limits._util import poisson_weights, unpack_rows
 from poolseq_limits.core import (CapacityError, FixedEta, ModelConfig,
                                  ValidationError)
@@ -459,3 +461,125 @@ def test_exponent_table_rejects_invalid_inputs(M, kappa, eps):
         return
     with pytest.raises(ValidationError):
         exponent_table(M, kappa, eps)
+
+
+# repr of (value, D, d) from the (D, d) optimiser at the bound-solve points
+# (G = 3e9, M = 2, p = 1e-3, eta = 0.82). `bounds` and `critical-l` print
+# 12 significant digits, which hide a moved last bit; these do not.
+_ML_PINS = {
+    (1e-2, 0.01, 1e5): ("0.040521637516818955", "96820.44332987008",
+                        "5680.201098377809"),
+    (1e-2, 0.1, 1e5): ("0.06949178538077723", "93948.32782546856",
+                       "5804.599091951291"),
+    (1e-3, 0.1, 1e5): ("1.0", "61681.39727145527", "7951.652398725041"),
+    (1e-2, 0.01, 1.8e5): ("3.1400922975055975e-08", "174990.00575074356",
+                          "5680.267091854277"),
+    (1e-2, 0.1, 1.8e5): ("7.388015477960795e-08", "170361.20854494532",
+                         "5804.842010011998"),
+    (1e-3, 0.1, 1.8e5): ("0.002013797895086467", "115808.51879474928",
+                         "7991.533957761674"),
+}
+
+
+def _pin(res):
+    value, plan = res
+    return repr(value), repr(plan.D), repr(plan.d)
+
+
+@pytest.mark.parametrize("lam,eps,L", sorted(_ML_PINS))
+def test_noisy_upper_ml_exact_values(lam, eps, L):
+    assert _pin(noisy_upper_ml(_config(lam=lam, L=L, eps=eps))) \
+        == _ML_PINS[lam, eps, L]
+
+
+@pytest.mark.parametrize("L,mode,c_const,want", [
+    (1e5, "average_case", 1.0,
+     ("1.0", "95110.5660750558", "54755.90045174926")),
+    (1.8e5, "average_case", 1.0,
+     ("2.6479871742996713e-08", "175948.93537538787", "5692.239124155472")),
+    (1e5, "worst_case", 2.0, ("1.0", "100000.0", "85206.36786249014")),
+])
+def test_noisy_upper_spectral_exact_values(L, mode, c_const, want):
+    res = noisy_upper_spectral(_config(lam=1e-2, L=L, eps=0.1), mode=mode,
+                               c_const=c_const)
+    assert _pin(res) == want
+
+
+@pytest.mark.parametrize("M,want", [
+    (2, ("0.9946145537913912", "0.5827482523739895", "0.0045165809426126625",
+         "3.532628572200757e-24")),
+    (5, ("0.999999991218763", "0.9944248382671436", "0.04289695271588412",
+         "3.532628572200757e-23")),
+    (9, ("0.9999999999990131", "0.999983616078387", "0.13599081700063892",
+         "1.2717462859922725e-22")),
+    (12, ("0.9999999999990131", "0.9999996259824746", "0.22086623292576496",
+          "2.3314852526703523e-22")),
+])
+def test_disc_upper_exact_values(M, want):
+    """Both the alternating sum and the Poisson average keep their bits."""
+    disc = disc_upper(M, 1e-3, ETA)
+    assert tuple(repr(disc(w + 1.0, 1.0)) for w in (30.0, 3e3, 3e4, 3e5)) \
+        == want
+
+
+def _poisson_weights_by_insertion(mu, tail=1e-12):
+    """Reference expansion from the mode, each lower-tail term inserted at
+    the front of the lists."""
+    if mu <= 0.0:
+        return np.array([0]), np.array([1.0])
+    mode = int(mu)
+    logw_mode = mode * math.log(mu) - mu - math.lgamma(mode + 1)
+    ks = [mode]
+    ws = [math.exp(logw_mode)]
+    lo, hi = mode, mode
+    w_lo, w_hi = ws[0], ws[0]
+    total = ws[0]
+    while total < 1.0 - tail:
+        w_up = w_hi * mu / (hi + 1)
+        w_down = w_lo * lo / mu if lo > 0 else 0.0
+        if total + (w_up + w_down) == total:
+            break
+        if w_up >= w_down:
+            hi += 1
+            w_hi = w_up
+            ks.append(hi)
+            ws.append(w_hi)
+            total += w_hi
+        else:
+            lo -= 1
+            w_lo = w_down
+            ks.insert(0, lo)
+            ws.insert(0, w_lo)
+            total += w_lo
+        if hi - lo > 100000:
+            break
+    return np.asarray(ks), np.asarray(ws)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.7, 7.0, 180.0, 1.5e4, 5e4, 1e5])
+def test_poisson_weights_equal_insertion_reference(mu):
+    ks, ws = poisson_weights(mu)
+    ref_ks, ref_ws = _poisson_weights_by_insertion(mu)
+    assert ks.dtype == np.int64 and ws.dtype == np.float64
+    assert np.array_equal(ks, ref_ks)
+    assert np.array_equal(ws, ref_ws)
+    assert np.array_equal(ks, np.arange(ks[0], ks[-1] + 1))
+
+
+@pytest.mark.parametrize("plan", [SegmentationPlan(D=9e4, d=6e3), None])
+def test_noisy_upper_spectral_one_zeta_per_kappa(monkeypatch, plan):
+    """One spectral bound, at a plan or optimised over (D, d), asks
+    spectral_quantities about each kappa at most once, through the module
+    name."""
+    asked = Counter()
+    original = noisy_bounds.spectral_quantities
+
+    def counting(kappa, *args, **kwargs):
+        asked[kappa] += 1
+        return original(kappa, *args, **kwargs)
+
+    monkeypatch.setattr(noisy_bounds, "spectral_quantities", counting)
+    noisy_upper_spectral(_config(lam=1e-2, L=1e5, eps=0.1), plan)
+    assert asked and max(asked.values()) == 1
+    if plan is not None:
+        assert sorted(asked) == poisson_weights(1e-3 * plan.D)[0].tolist()
