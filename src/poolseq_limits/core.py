@@ -203,7 +203,9 @@ def sample_poisson_positions(rate: float, length: float,
     """Sample a homogeneous Poisson process on [0, length).
 
     Returns strictly increasing float64 positions; the count is
-    Poisson(rate * length). A zero rate yields an empty array.
+    Poisson(rate * length). A zero rate yields an empty array. The draws
+    are sorted in place and the array is the caller's own, so a caller
+    may shift it in place too, as generate_reads does.
     """
     if rate < 0.0:
         raise ValidationError(f"rate must be >= 0, got {rate}")
@@ -212,7 +214,8 @@ def sample_poisson_positions(rate: float, length: float,
     n = int(stream.gen.poisson(rate * length))
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    pos = np.sort(stream.gen.uniform(0.0, length, n))
+    pos = stream.gen.uniform(0.0, length, n)
+    pos.sort()
     # float collisions are measure-zero but would break strict ordering
     if not (pos[1:] > pos[:-1]).all():
         pos = np.unique(pos)

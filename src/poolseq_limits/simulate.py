@@ -12,6 +12,7 @@ bases match the reference by assumption), stored columnar for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +63,11 @@ class ReadSet:
 
     Each read covers SNP indices [cover_lo[r], cover_hi[r]) and observes
     the alleles source[row[r], col[r]:col[r] + cover_hi[r] - cover_lo[r]].
-    A noiseless set's source is the population's allele matrix itself,
-    with row = hidden and col = cover_lo, so nothing is copied; a noisy
+    The cover indices are derived from the starts on first use, so a
+    check that reads only starts and labels never builds them; a noisy
+    set from apply_noise shares its parent's arrays. A noiseless set's
+    source is the population's allele matrix itself, with row = hidden
+    and col the cover_lo array itself, so nothing is copied; a noisy
     set's source is the one flat row apply_noise writes, in read order.
     The hidden individual labels exist for ground-truth condition
     checking; the assembler must not base a decision on them.
@@ -71,17 +75,31 @@ class ReadSet:
 
     starts: np.ndarray     # (N,) float64 ascending, in [-L, G)
     hidden: np.ndarray     # (N,) int32
-    cover_lo: np.ndarray   # (N,) int64
-    cover_hi: np.ndarray   # (N,) int64
     config: ModelConfig
     population: Population
     source: np.ndarray     # (rows, cols) int8
     row: np.ndarray        # (N,) integer row of source per read
-    col: np.ndarray        # (N,) int64 first column of source per read
 
     @property
     def n_reads(self) -> int:
         return int(self.starts.size)
+
+    @cached_property
+    def cover_lo(self) -> np.ndarray:
+        """(N,) int64: SNPs strictly below each read's start."""
+        return _count_below(self.population.snp_positions, self.starts)
+
+    @cached_property
+    def cover_hi(self) -> np.ndarray:
+        """(N,) int64: SNPs strictly below each read's end, start + L."""
+        return _count_below(self.population.snp_positions,
+                            self.starts + self.config.L)
+
+    @cached_property
+    def col(self) -> np.ndarray:
+        """(N,) int64 first column of source per read; apply_noise sets
+        its own, and a noiseless read starts at cover_lo in its row."""
+        return self.cover_lo
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:
@@ -125,23 +143,20 @@ def generate_reads(pop: Population, config: ModelConfig,
     reads are an independent Poisson(lambda) process, so per-individual
     counts are Poisson(lambda * (G + L)).
     """
-    L = config.L
     reads = stream.child("reads")
     starts = sample_poisson_positions(config.M * config.lam,
-                                      float(config.G) + L, reads) - L
+                                      float(config.G) + config.L, reads)
+    starts -= config.L
     hidden = reads.gen.integers(0, config.M, size=starts.size, dtype=np.int32)
-    pos = pop.snp_positions
-    cover_lo = _count_below(pos, starts)
-    return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
-                   cover_hi=_count_below(pos, starts + L),
-                   config=config, population=pop,
-                   source=pop.alleles, row=hidden, col=cover_lo)
+    return ReadSet(starts=starts, hidden=hidden, config=config, population=pop,
+                   source=pop.alleles, row=hidden)
 
 
 def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     """Flip each observed biallelic allele independently with probability
     eps, drawing in read order and then SNP order. The noisy set's source
-    is one row holding every read's alleles back to back."""
+    is one row holding every read's alleles back to back; it shares the
+    cover indices of rs."""
     if not (0.0 <= eps <= 0.5):
         raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
     if eps > 0.0 and not rs.population.is_biallelic:
@@ -156,8 +171,10 @@ def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     gen = stream.child("noise").gen
     flips = gen.random(values.size) < eps
     noisy = np.where(flips, -values, values).astype(np.int8)
-    return replace(rs, source=noisy[None], row=np.zeros(rs.n_reads, np.intp),
-                   col=offsets[:-1])
+    out = replace(rs, source=noisy[None], row=np.zeros(rs.n_reads, np.intp))
+    # replace() drops cached covers: hand over the ones already built
+    out.cover_lo, out.cover_hi, out.col = rs.cover_lo, rs.cover_hi, offsets[:-1]
+    return out
 
 
 def discriminating_positions(pop: Population, i: int, j: int) -> np.ndarray:

@@ -27,12 +27,15 @@ def make_readset(config, pop, starts, hidden):
     hidden = np.asarray(hidden, dtype=np.int32)
     order = np.argsort(starts, kind="stable")
     starts, hidden = starts[order], hidden[order]
+    rs = ReadSet(starts=starts, hidden=hidden, config=config, population=pop,
+                 source=pop.alleles, row=hidden)
     pos = pop.snp_positions
-    cover_lo = np.searchsorted(pos, starts, side="left")
-    return ReadSet(starts=starts, hidden=hidden, cover_lo=cover_lo,
-                   cover_hi=np.searchsorted(pos, starts + config.L, side="left"),
-                   config=config, population=pop,
-                   source=pop.alleles, row=hidden, col=cover_lo)
+    np.testing.assert_array_equal(
+        rs.cover_lo, np.searchsorted(pos, starts, side="left"))
+    np.testing.assert_array_equal(
+        rs.cover_hi, np.searchsorted(pos, starts + config.L, side="left"))
+    assert rs.col is rs.cover_lo
+    return rs
 
 
 def fig_scenario():

@@ -4,9 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from poolseq_limits import simulate
+from poolseq_limits.assemble import check_bridging, check_coverage
 from poolseq_limits.core import (FixedBiallelic, FixedEta, ModelConfig,
                                  RandomStream, UnsupportedModelError,
                                  ValidationError)
+from poolseq_limits.noisy_bounds import SegmentationPlan
+from poolseq_limits.pipeline import run_noiseless_trial, run_noisy_trial
 from poolseq_limits.simulate import (Population, _count_below, apply_noise,
                                      discriminating_positions,
                                      generate_population, generate_reads)
@@ -114,7 +118,9 @@ def test_count_below_matches_searchsorted(starts, pos, L):
 def test_read_covers_match_searchsorted(M, p, lam, L, seed):
     """generate_reads' cover indices equal searchsorted of the starts and
     the ends in the SNP positions, also with SNPs placed exactly on read
-    starts and ends: the starts do not depend on the population."""
+    starts and ends: the starts do not depend on the population. A
+    noiseless set's col is its cover_lo array, and apply_noise hands both
+    cover arrays to the noisy set instead of building them again."""
     cfg = _config(G=3000, M=M, p=p, L=L, lam=lam)
     root = RandomStream(seed)
     pop = generate_population(cfg, root.child("pop"))
@@ -122,12 +128,44 @@ def test_read_covers_match_searchsorted(M, p, lam, L, seed):
     assert rs.starts.tolist() == sorted(rs.starts.tolist())
     assert ((rs.hidden >= 0) & (rs.hidden < M)).all()
     _assert_covers_match_searchsorted(rs)
+    assert rs.col is rs.cover_lo
+    noisy = apply_noise(rs, 0.1, root.child("noise"))
+    assert noisy.cover_lo is rs.cover_lo and noisy.cover_hi is rs.cover_hi
     tied = np.unique(np.concatenate([pop.snp_positions, rs.starts[::3],
                                      (rs.starts + L)[1::3]]))
     tied_pop = Population(tied, np.ones((M, tied.size), np.int8))
     tied_rs = generate_reads(tied_pop, cfg, root.child("reads"))
     assert tied_rs.starts.tobytes() == rs.starts.tobytes()
     _assert_covers_match_searchsorted(tied_rs)
+
+
+def test_cover_passes_only_where_read(monkeypatch):
+    """Cover indices are built on first use: direct coverage and bridging
+    trials never build them, and a noiseless or noisy trial builds each
+    once, a noisy one in apply_noise, which hands them to the noisy set."""
+    calls = []
+
+    def counting(pos, points):
+        calls.append(points.size)
+        return _count_below(pos, points)
+
+    monkeypatch.setattr(simulate, "_count_below", counting)
+    cfg = _config(G=20000, M=2, p=1e-3, L=6000.0, lam=6e-3, eps=0.1)
+    plan = SegmentationPlan(D=1500.0, d=700.0)
+    root = RandomStream(27)
+
+    def direct(check):
+        pop = generate_population(cfg, root.child("pop"))
+        check(pop, generate_reads(pop, cfg, root.child("reads")))
+
+    for trial, want in ((lambda: direct(check_bridging), 0),
+                        (lambda: direct(check_coverage), 0),
+                        (lambda: run_noiseless_trial(cfg, root), 2),
+                        (lambda: run_noisy_trial(cfg, plan, root, "ml"), 2)):
+        calls.clear()
+        trial()
+        assert len(calls) == want, calls
+    assert min(calls) > 0  # the noisy trial had reads to cover
 
 
 def test_per_individual_read_counts_independent_poisson():
