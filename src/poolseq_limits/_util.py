@@ -8,6 +8,8 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 Z_95 = 1.959963984540054
+POISSON_TAIL = 1e-12  # mass poisson_weights may leave out
+BISECT_MAX_ITER = 200  # evaluations bisect_decreasing makes at most
 
 
 def clamp01(x: float) -> float:
@@ -111,13 +113,13 @@ def set_sums(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return out
 
 
-def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson pmf support truncated to total mass >= 1 - tail.
+def poisson_weights(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson pmf support truncated to total mass >= 1 - POISSON_TAIL.
 
     Returns (ks, weights). Expands outward from the mode so large means do
     not require summing from zero. Also stops once the next two terms
     cannot change the rounded total: rounding in the mode weight, which
-    grows with mu, can keep the total just short of 1 - tail for good.
+    grows with mu, can hold the total below 1 - POISSON_TAIL for good.
     """
     if mu <= 0.0:
         return np.array([0]), np.array([1.0])
@@ -130,7 +132,7 @@ def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndar
     # the next weight on each side, from the last one taken there
     w_up = total * mu / (hi + 1)
     w_down = total * lo / mu if lo > 0 else 0.0
-    floor = 1.0 - tail
+    floor = 1.0 - POISSON_TAIL
     while total < floor:
         if total + (w_up + w_down) == total:
             break
@@ -151,11 +153,12 @@ def poisson_weights(mu: float, tail: float = 1e-12) -> tuple[np.ndarray, np.ndar
 
 
 def bisect_decreasing(f, target: float, lo: float, hi: float,
-                      rtol: float = 1e-3, max_iter: int = 200):
+                      rtol: float = 1e-3):
     """Find x in [lo, hi] with f(x) ~= target for non-increasing f.
 
     Returns (x, iterations) or (None, iterations) when the target is not
-    bracketed (f stays above target on the whole interval).
+    bracketed (f stays above target on the whole interval). Iterations
+    count evaluations of f, at most BISECT_MAX_ITER.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_hi > target:
@@ -164,7 +167,7 @@ def bisect_decreasing(f, target: float, lo: float, hi: float,
         return lo, 2
     it = 2
     a, b = lo, hi
-    while it < max_iter and (b - a) > rtol * max(abs(b), 1.0):
+    while it < BISECT_MAX_ITER and (b - a) > rtol * max(abs(b), 1.0):
         mid = 0.5 * (a + b)
         if f(mid) <= target:
             b = mid

@@ -34,12 +34,18 @@ __all__ = [
 
 # consensus sentinel for "no read determined this SNP yet"
 UNSET = np.int8(-128)
+ENUMERATION_STATE_CAP = 500_000  # states enumerate_assemblies may visit
 
 
 @dataclass
 class CheckReport:
-    ok: bool
+    """A condition check's count of violations; it holds when none is."""
+
     violations: int  # uncovered (individual, SNP) pairs or unbridged regions
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
 
 
 @dataclass
@@ -68,7 +74,7 @@ def check_coverage(pop: Population, rs: ReadSet) -> CheckReport:
         idx = np.searchsorted(starts_m, positions, side="right")
         prev = np.where(idx > 0, starts_m[np.maximum(idx - 1, 0)], -np.inf)
         violations += int(np.count_nonzero(~(prev > positions - L)))
-    return CheckReport(ok=violations == 0, violations=violations)
+    return CheckReport(violations)
 
 
 def check_bridging(pop: Population, rs: ReadSet) -> CheckReport:
@@ -92,7 +98,7 @@ def check_bridging(pop: Population, rs: ReadSet) -> CheckReport:
         hi = np.searchsorted(starts_ij, a, side="right")
         lo = np.searchsorted(starts_ij, b - L, side="left")
         violations += int(np.count_nonzero(hi <= lo))
-    return CheckReport(ok=violations == 0, violations=violations)
+    return CheckReport(violations)
 
 
 def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
@@ -235,8 +241,7 @@ def score_assembly(contigs: list[Contig], pop: Population) -> bool:
 
 
 def enumerate_assemblies(pop: Population, rs: ReadSet,
-                         max_outcomes: int = 2,
-                         max_states: int = 500_000) -> list[tuple[bytes, ...]]:
+                         max_outcomes: int = 2) -> list[tuple[bytes, ...]]:
     """Enumerate all fully determined assemblies reachable by consistent
     read assignments, deduplicated up to contig permutation.
 
@@ -245,7 +250,8 @@ def enumerate_assemblies(pop: Population, rs: ReadSet,
     so it corresponds to a complete reconstruction the read set genuinely
     supports. Enumeration stops early once max_outcomes distinct outcomes
     are found; states are memoized per read index to prune symmetric
-    assignments.
+    assignments. Visiting more than ENUMERATION_STATE_CAP states raises
+    CapacityError.
     """
     M = pop.M
     S = pop.S
@@ -262,7 +268,7 @@ def enumerate_assemblies(pop: Population, rs: ReadSet,
     def dfs(idx: int, consensus: np.ndarray) -> bool:
         nonlocal states_visited
         states_visited += 1
-        if states_visited > max_states:
+        if states_visited > ENUMERATION_STATE_CAP:
             raise CapacityError("assembly enumeration exceeded its state limit")
         key = (idx, tuple(sorted(consensus[m].tobytes() for m in range(M))))
         if key in seen:

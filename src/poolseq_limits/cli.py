@@ -364,14 +364,14 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     config = build_model(params)
     plan = None  # noiseless trials
     if config.eps > 0.0:
-        if not ("D" in params and "d" in params):
+        plan = _plan(params)
+        if plan is None:
             raise ValidationError("noisy simulation needs D and d")
-        plan = SegmentationPlan(D=params["D"], d=params["d"])
-    est = estimate_trial_bytes(config)
+    est = estimate_trial_bytes(config, plan)
     if est > mem_cap_mb * 1024 * 1024:
         raise CapacityError(
             f"estimated {est / 1e6:.0f} MB per trial exceeds the cap; "
-            f"reduce G, lambda, or p, or raise --mem-cap-mb")
+            f"reduce G, lambda, or p, raise d, or raise --mem-cap-mb")
     fh = _output(out)
     jobs = [(params, plan, seed, t, denoiser) for t in range(trials)]
     if workers > 1 and trials > 1:
@@ -515,8 +515,8 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             obs = truth[gen.integers(0, m_individuals,
                                      size=gen.poisson(coverage))]
             flips = gen.random(obs.shape) < eps
-            block = DenoiseBlock(kappa=kappa, M=m_individuals, eps=eps,
-                                 observations=np.where(flips, -obs, obs))
+            block = DenoiseBlock(observations=np.where(flips, -obs, obs),
+                                 M=m_individuals, eps=eps)
             decoded = decode_block(block, name, stream.child("sp", b),
                                    AVERAGE_CASE, eta)
             fails += decoded is None or \
@@ -560,12 +560,9 @@ def exact_bridging_cmd(config_path, overrides, trials, seed, out):
     fh = _output(out)
     res = estimate_bridging(config.G, config.L, config.lam, config.p,
                             config.eta, trials, stream)
-    row = _echo_params(params)
-    row.update({"estimate": res.estimate, "ci_low": res.ci_low,
-                "ci_high": res.ci_high, "prefactor": res.prefactor,
-                "trials": res.trials, "failures": res.failures,
-                "mean_steps": res.mean_steps,
-                "capped_trials": res.capped_trials})
+    # the estimate's fields are its columns, in order; its trial count
+    # fills the echoed "trials" column
+    row = {**_echo_params(params), **dataclasses.asdict(res)}
     write_csv(fh, list(row.keys()), [row])
 
 

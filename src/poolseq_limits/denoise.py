@@ -49,16 +49,16 @@ AVERAGE_CASE = "average_case"
 
 @dataclass
 class DenoiseBlock:
-    """n noisy full-window observations of kappa SNPs."""
+    """n noisy full-window observations of kappa SNPs; n and kappa are read
+    from the (n, kappa) observation matrix."""
 
-    kappa: int
     observations: np.ndarray  # (n, kappa) int8 over {-1, +1}
     M: int
     eps: float
 
     def __post_init__(self):
         obs = np.asarray(self.observations)
-        if obs.ndim != 2 or (obs.size and obs.shape[1] != self.kappa):
+        if obs.ndim != 2:
             raise ValidationError("observations must be an (n, kappa) matrix")
         # checked before the int8 cast, which would wrap 255 to -1
         if obs.size and not (np.abs(obs) == 1).all():
@@ -67,14 +67,18 @@ class DenoiseBlock:
             raise ValidationError(f"eps must be in [0, 0.5], got {self.eps}")
         if self.M < 1:
             raise ValidationError(f"M must be at least 1, got {self.M}")
-        if self.kappa < 1:
+        if obs.shape[1] < 1:
             raise ValidationError(
-                f"kappa must be at least 1, got {self.kappa}")
+                f"kappa must be at least 1, got {obs.shape[1]}")
         self.observations = obs.astype(np.int8, copy=False)
 
     @property
     def n(self) -> int:
         return int(self.observations.shape[0])
+
+    @property
+    def kappa(self) -> int:
+        return int(self.observations.shape[1])
 
 
 @dataclass
@@ -242,8 +246,7 @@ def _spectral_embedding(block: DenoiseBlock, mode: str,
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(
         keys, return_index=True, return_inverse=True, return_counts=True)
-    distinct = DenoiseBlock(kappa=block.kappa,
-                            observations=block.observations[first],
+    distinct = DenoiseBlock(observations=block.observations[first],
                             M=block.M, eps=block.eps)
     B = build_correlation_graph(distinct, mode=mode, eta=eta)
     root = np.sqrt(counts)
@@ -314,4 +317,4 @@ def extract_block(rs, window: tuple[float, float], eps: float) -> DenoiseBlock:
     base = rs.row[reads].astype(np.int64, copy=False) * src.shape[1] \
         + (rs.col[reads] - rs.cover_lo[reads] + snp_lo)
     obs = src.reshape(-1)[base[:, None] + np.arange(kappa)]
-    return DenoiseBlock(kappa=kappa, observations=obs, M=rs.config.M, eps=eps)
+    return DenoiseBlock(observations=obs, M=rs.config.M, eps=eps)

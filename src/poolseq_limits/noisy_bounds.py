@@ -23,8 +23,8 @@ from math import comb, exp, expm1, log, log1p, sqrt
 
 import numpy as np
 
-from ._util import (candidate_sets, clamp01, golden_min, hamming, pack_rows,
-                    poisson_weights, set_sums)
+from ._util import (POISSON_TAIL, candidate_sets, clamp01, golden_min,
+                    hamming, pack_rows, poisson_weights, set_sums)
 from .core import CapacityError, ModelConfig, ValidationError
 from .denoise import AVERAGE_CASE, WORST_CASE, nu_min_for_mode
 
@@ -49,6 +49,8 @@ PAIR_ENUM_CAP = 2100  # hypothesis sets; all-pairs tables go quadratic in this
 # M! member matchings times squared set count: (M, kappa) = (4, 4) needs 8e7
 MATCHING_WORK_CAP = 10 ** 8
 EXPONENT_KAPPA_CAP = 14
+PLAN_DESCENT_ROUNDS = 64  # (D, d) coordinate descent rounds, at most
+PLAN_DESCENT_RTOL = 1e-4  # a round gaining less, relatively, ends it
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,13 @@ class SpectralBoundParams:
 
 # The alternating sum's rounding error is about DBL_EPSILON times the sum of
 # its term sizes, at most 2^pairs e^(-p w (1 - eta)) at overlap width w. Up
-# to 40 pairs it is summed wherever that bound stays under the Poisson
-# form's 1e-12 tail: always up to 10 pairs, and at more once the terms have
-# decayed. Against the exact average over widths 1-1e5 at p = 1e-3, summing
-# at any width was 2.4e-12 off at 15 pairs, 1.3e-10 at 21 and 3.2e-6 too
-# low at 36. Where the bound is far below 1e-12, as at the ML optimum, the
-# sum keeps its relative accuracy and the truncated Poisson form does not.
+# to 40 pairs it is summed wherever that bound stays under POISSON_TAIL, the
+# Poisson form's tail: always up to 10 pairs, and at more once the terms
+# have decayed. Against the exact average over widths 1-1e5 at p = 1e-3,
+# summing at any width was 2.4e-12 off at 15 pairs, 1.3e-10 at 21 and
+# 3.2e-6 too low at 36. Where the bound is far below 1e-12, as at the ML
+# optimum, the sum keeps its relative accuracy and the Poisson form does not.
 DISC_SUM_MAX_PAIRS = 40
-DISC_SUM_ERROR = 1e-12
 
 
 def disc_upper(M: int, p: float, eta: float):
@@ -91,21 +92,21 @@ def disc_upper(M: int, p: float, eta: float):
 
     Alternating sum over m of C(C(M,2), m) (-1)^(m-1) exp(-p (D-d) (1-eta^m)),
     clamped to [0, 1]. At d == D the overlap is empty and the bound is 1.
-    Where that sum would cancel by more than DISC_SUM_ERROR, the
-    equivalent Poisson average E[1 - (1 - eta^n)^pairs] over the overlap
-    SNP count n is evaluated directly instead.
+    Where that sum would cancel by more than POISSON_TAIL, the equivalent
+    Poisson average E[1 - (1 - eta^n)^pairs] over the overlap SNP count n,
+    truncated at that same tail mass, is evaluated directly instead.
     """
     if M < 2:
         raise ValidationError("discrimination bound needs M >= 2")
     pairs = comb(M, 2)
-    # the sum's error bound is under DISC_SUM_ERROR once p w (1 - eta)
+    # the sum's error bound is under POISSON_TAIL once p w (1 - eta)
     # reaches min_decay
     terms, min_decay = (), math.inf
     if pairs <= DISC_SUM_MAX_PAIRS:
         terms = [(comb(pairs, m) * (-1.0) ** (m - 1), 1.0 - eta ** m)
                  for m in range(1, pairs + 1)]
         min_decay = pairs * log(2.0) + log(sys.float_info.epsilon
-                                           / DISC_SUM_ERROR)
+                                           / POISSON_TAIL)
     always_sum = min_decay <= 0.0
 
     def disc(D: float, d: float) -> float:
@@ -316,20 +317,22 @@ def ml_plan_seed(config: ModelConfig) -> SegmentationPlan:
     return SegmentationPlan(D=D, d=d)
 
 
-def _optimize_plan(objective, L: float, seed: SegmentationPlan,
-                   iters: int = 64, rtol: float = 1e-4) -> tuple[float, SegmentationPlan]:
+def _optimize_plan(objective, L: float,
+                   seed: SegmentationPlan) -> tuple[float, SegmentationPlan]:
     """Coordinate descent over 0 < d < D <= L, parametrized as (D, d/D) so
-    every iterate is feasible and any early stop still yields a valid bound."""
+    every iterate is feasible and any early stop still yields a valid bound.
+    It runs at most PLAN_DESCENT_ROUNDS rounds and stops after one that
+    improves the objective by at most PLAN_DESCENT_RTOL relative."""
     D = min(seed.D, L)
     frac = min(max(seed.d / seed.D, 1e-7), 0.999)
     best = objective(D, frac * D)
-    for _ in range(iters):
+    for _ in range(PLAN_DESCENT_ROUNDS):
         D, _ = golden_min(lambda t: objective(t, frac * t), 1e-6 * L, L,
                           iters=60)
         # val is the objective at (D, frac * D)
         frac, val = golden_min(lambda t: objective(D, t * D), 1e-7, 0.999,
                                iters=60)
-        if best - val <= rtol * max(best, 1e-300):
+        if best - val <= PLAN_DESCENT_RTOL * max(best, 1e-300):
             best = min(best, val)
             break
         best = val

@@ -45,7 +45,8 @@ class TrialResult:
     success: bool = False
 
 
-def estimate_trial_bytes(config: ModelConfig) -> int:
+def estimate_trial_bytes(config: ModelConfig,
+                         plan: SegmentationPlan | None = None) -> float:
     """Upper estimate of one trial's peak allocated bytes, for the capacity
     guard; calibrated against tracemalloc peaks of single trials.
 
@@ -56,7 +57,11 @@ def estimate_trial_bytes(config: ModelConfig) -> int:
     numbers, about 200 bytes per read. A noisy trial's apply_noise gathers
     every observed allele into one flat source row: int32 rows, int64
     columns and their temporaries, the int8 values and the float64 draws,
-    32 bytes per observed allele, plus about 80 bytes per read.
+    32 bytes per observed allele, plus about 80 bytes per read. Given the
+    noisy trial's plan, the estimate also counts its segment table: G / d
+    + 1 segments, each holding its bounds and SNP indices as arrays and as
+    Python lists, 160 bytes. The estimate is a float, so a step so small
+    that G / d overflows gives inf rather than an error.
     """
     S = config.G * config.p
     n_reads = config.M * config.lam * (config.G + config.L)
@@ -64,7 +69,9 @@ def estimate_trial_bytes(config: ModelConfig) -> int:
         per_read = 80 + 32 * config.p * config.L
     else:
         per_read = 200
-    return int(n_reads * per_read + (16 + 24 * config.M) * S) + 2_000_000
+    segments = 0.0 if plan is None else config.G / plan.d + 1
+    return n_reads * per_read + (16 + 24 * config.M) * S + 160 * segments \
+        + 2_000_000
 
 
 def run_noiseless_trial(config: ModelConfig, stream: RandomStream) -> TrialResult:

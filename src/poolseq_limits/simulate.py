@@ -52,10 +52,6 @@ class Population:
     def M(self) -> int:
         return int(self.alleles.shape[0])
 
-    @property
-    def is_biallelic(self) -> bool:
-        return self.S == 0 or bool(np.isin(self.alleles, (-1, 1)).all())
-
 
 @dataclass
 class ReadSet:
@@ -156,10 +152,12 @@ def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     """Flip each observed biallelic allele independently with probability
     eps, drawing in read order and then SNP order. The noisy set's source
     is one row holding every read's alleles back to back; it shares the
-    cover indices of rs."""
+    cover indices of rs. The allele law says whether the alleles are
+    biallelic: eps > 0 under an Empirical (4-ary) law raises
+    UnsupportedModelError, whatever codes were drawn."""
     if not (0.0 <= eps <= 0.5):
         raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
-    if eps > 0.0 and not rs.population.is_biallelic:
+    if eps > 0.0 and isinstance(rs.config.law, Empirical):
         raise UnsupportedModelError(
             "symmetric flip noise is defined for biallelic populations only")
     lengths = rs.cover_hi - rs.cover_lo

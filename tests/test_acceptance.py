@@ -278,8 +278,7 @@ def test_criterion_07_ml_denoise_bound():
                 obs = truth[gen.integers(0, M, size=n)]
                 obs = np.where(gen.random(obs.shape) < eps, -obs,
                                obs).astype(np.int8)
-                block = DenoiseBlock(kappa=kappa, observations=obs,
-                                     M=M, eps=eps)
+                block = DenoiseBlock(observations=obs, M=M, eps=eps)
                 out = ml_denoise(block)
                 fails += {r.tobytes() for r in out} != \
                     {r.tobytes() for r in truth}
@@ -307,7 +306,7 @@ def _spectral_recovery(eps: float, blocks: int, seed: int,
                 break
         obs = truth[gen.integers(0, 2, size=n)]
         obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
-        block = DenoiseBlock(kappa=kappa, observations=obs, M=2, eps=eps)
+        block = DenoiseBlock(observations=obs, M=2, eps=eps)
         res = spectral_denoise(block, mode="average_case", eta=ETA,
                                stream=root.child(b, "sp"))
         hits += {r.tobytes() for r in res.sequences} == \

@@ -467,6 +467,23 @@ def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
         == "594f09f175b00750"
 
 
+def test_simulate_tiny_segment_step_refuses_before_out(tmp_path):
+    """A step of 1e-6 bp cuts G = 24000 into 2.4e10 segments, whose table
+    alone needs terabytes: the capacity estimate counts the segments, so
+    simulate exits 3 before --out is opened, at the default cap."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run(["simulate", "-O", "G=24000", "-O", "M=2", "-O", "p=0.001",
+               "-O", "maf=0.1", "-O", "lambda=0.008", "-O", "L=9000",
+               "-O", "eps=0.1", "-O", "D=1800", "-O", "d=0.000001",
+               "--trials", "1", "--out", str(out)])
+    assert res.exception is None \
+        or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == 3
+    assert "exceeds the cap" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
     """Opening --out before the trials leaves its bytes as they were: the
     file holds exactly the CSV that stdout gets without --out, all of it

@@ -32,7 +32,7 @@ def make_block(truth, n, eps, gen, kappa=None):
     who = gen.integers(0, M, size=n)
     obs = truth[who]
     obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
-    return DenoiseBlock(kappa=k, observations=obs, M=M, eps=eps)
+    return DenoiseBlock(observations=obs, M=M, eps=eps)
 
 
 def test_hypothesis_set_validation():
@@ -76,11 +76,11 @@ def test_ml_recovers_truth_noiseless():
 
 
 def test_ml_errors():
-    block = DenoiseBlock(kappa=2, observations=np.empty((0, 2), np.int8),
+    block = DenoiseBlock(observations=np.empty((0, 2), np.int8),
                          M=2, eps=0.1)
     with pytest.raises(ValidationError):
         ml_denoise(block)
-    big = DenoiseBlock(kappa=14, observations=np.ones((1, 14), np.int8),
+    big = DenoiseBlock(observations=np.ones((1, 14), np.int8),
                        M=6, eps=0.1)
     with pytest.raises(CapacityError):
         ml_denoise(big)
@@ -92,27 +92,27 @@ def test_block_rejects_non_unit_alleles():
     for bad in (0, 2, 127, -128):
         obs = np.array([[1, -1], [bad, 1]], np.int8)
         with pytest.raises(ValidationError, match="-1/\\+1"):
-            DenoiseBlock(kappa=2, observations=obs, M=2, eps=0.1)
+            DenoiseBlock(observations=obs, M=2, eps=0.1)
     for bad in (255, -129, 1.5):
         with pytest.raises(ValidationError, match="-1/\\+1"):
-            DenoiseBlock(kappa=2, observations=[[bad, 1], [1, -1]], M=2,
+            DenoiseBlock(observations=[[bad, 1], [1, -1]], M=2,
                          eps=0.1)
     for eps in (1.2, float("nan")):
         with pytest.raises(ValidationError, match="eps"):
-            DenoiseBlock(kappa=2, observations=[[1, -1]], M=2, eps=eps)
+            DenoiseBlock(observations=[[1, -1]], M=2, eps=eps)
     for M in (0, -1):
         with pytest.raises(ValidationError, match="M must be"):
-            DenoiseBlock(kappa=2, observations=[[1, -1]], M=M, eps=0.1)
+            DenoiseBlock(observations=[[1, -1]], M=M, eps=0.1)
     for obs in (np.empty((3, 0), np.int8), np.empty((0, 0), np.int8)):
         with pytest.raises(ValidationError, match="kappa must be"):
-            DenoiseBlock(kappa=0, observations=obs, M=2, eps=0.1)
-    DenoiseBlock(kappa=2, observations=np.array([[1, -1]], np.int8), M=2,
+            DenoiseBlock(observations=obs, M=2, eps=0.1)
+    DenoiseBlock(observations=np.array([[1, -1]], np.int8), M=2,
                  eps=0.1)
 
 
 def test_ml_rejects_more_individuals_than_sequences():
     """One SNP carries two possible sequences, so no 3-subset exists."""
-    block = DenoiseBlock(kappa=1, observations=np.array([[1], [-1]], np.int8),
+    block = DenoiseBlock(observations=np.array([[1], [-1]], np.int8),
                          M=3, eps=0.1)
     with pytest.raises(ValidationError, match="fewer than M=3"):
         ml_denoise(block)
@@ -201,7 +201,7 @@ def random_ml_block(seed: int, mirrored: bool = False,
     obs = np.where(gen.random(obs.shape) < eps, -obs, obs).astype(np.int8)
     if mirrored:
         obs = np.concatenate([obs[: (n + 1) // 2], -obs[: (n + 1) // 2]])
-    return DenoiseBlock(kappa=kappa, observations=obs, M=M, eps=eps)
+    return DenoiseBlock(observations=obs, M=M, eps=eps)
 
 
 def test_ml_matches_scalar_reference():
@@ -223,10 +223,10 @@ def test_ml_ties_resolve_to_first_candidate():
     scores -inf. Three equal rows tie every 3-set holding that row; the
     rows +1+1 and -1-1 leave no single sequence explaining both, so every
     set scores -inf. Both return the first such set."""
-    lone = DenoiseBlock(kappa=4, observations=np.ones((3, 4), np.int8),
+    lone = DenoiseBlock(observations=np.ones((3, 4), np.int8),
                         M=3, eps=0.0)
-    none = DenoiseBlock(kappa=2, observations=np.array([[1, 1], [-1, -1]],
-                                                       np.int8), M=1, eps=0.0)
+    none = DenoiseBlock(observations=np.array([[1, 1], [-1, -1]], np.int8),
+                        M=1, eps=0.0)
     assert ml_denoise(lone).tolist() == [[-1, -1, -1, -1], [-1, -1, -1, 1],
                                          [1, 1, 1, 1]]
     assert ml_denoise(none).tolist() == [[-1, -1]]
@@ -284,20 +284,20 @@ def test_ml_permutation_equivariance():
     block = make_block(truth, 25, 0.2, gen)
     out = ml_denoise(block)
     perm = [2, 0, 3, 1]
-    block2 = DenoiseBlock(kappa=4, observations=block.observations[:, perm],
+    block2 = DenoiseBlock(observations=block.observations[:, perm],
                           M=2, eps=0.2)
     out2 = ml_denoise(block2)
     # rows come back in lexicographic order
     assert out2.tolist() == sorted(out[:, perm].tolist())
     # row order is irrelevant
-    block3 = DenoiseBlock(kappa=4, observations=block.observations[::-1],
+    block3 = DenoiseBlock(observations=block.observations[::-1],
                           M=2, eps=0.2)
     np.testing.assert_array_equal(ml_denoise(block3), out)
 
 
 def test_correlation_graph_edges():
     rows = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [-1, -1, -1, -1]], np.int8)
-    block = DenoiseBlock(kappa=4, observations=rows, M=2, eps=0.0)
+    block = DenoiseBlock(observations=rows, M=2, eps=0.0)
     A = build_correlation_graph(block)
     # correlations 1 within the first two rows, -1 against the third
     np.testing.assert_array_equal(A, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
@@ -416,7 +416,7 @@ def test_spectral_embedding_is_full_top_eigenspace(kappa, n, eps, M, mode):
 def test_spectral_fewer_distinct_rows_than_m_is_degraded(rows, M):
     """Fewer than M distinct rows give fewer than M embedding columns; every
     Lloyd attempt empties a cluster and the block comes back degraded."""
-    block = DenoiseBlock(kappa=4, observations=np.array(rows, np.int8), M=M,
+    block = DenoiseBlock(observations=np.array(rows, np.int8), M=M,
                          eps=0.1)
     res = spectral_denoise(block, stream=RandomStream(0))
     assert res.degraded
@@ -425,7 +425,7 @@ def test_spectral_fewer_distinct_rows_than_m_is_degraded(rows, M):
 
 
 def test_spectral_needs_enough_observations():
-    block = DenoiseBlock(kappa=4, observations=np.ones((1, 4), np.int8),
+    block = DenoiseBlock(observations=np.ones((1, 4), np.int8),
                          M=2, eps=0.1)
     with pytest.raises(ValidationError):
         spectral_denoise(block, stream=RandomStream(0))
@@ -450,7 +450,7 @@ def test_spectral_recovery_transition_at_scale():
             obs = truth[gen.integers(0, 2, size=200)]
             obs = np.where(gen.random(obs.shape) < eps, -obs,
                            obs).astype(np.int8)
-            block = DenoiseBlock(kappa=100, observations=obs, M=2, eps=eps)
+            block = DenoiseBlock(observations=obs, M=2, eps=eps)
             res = spectral_denoise(block, mode="average_case", eta=0.82,
                                    stream=root.child(b, "sp"))
             hits += {r.tobytes() for r in res.sequences} == \

@@ -1,8 +1,9 @@
 """Static checks on the package source: every module-level import is used,
 every `__all__` entry resolves and has a caller, and so does every public
-function of `_util` and every public method of a package class. No linter
-ships with the project, so these guard against dead imports, stale export
-lists and public names that nothing uses."""
+function of `_util` and every public method of a package class; every
+parameter default is set by some call. No linter ships with the project,
+so these guard against dead imports, stale export lists, public names that
+nothing uses and defaults that are constants in all but name."""
 
 import ast
 import functools
@@ -151,3 +152,70 @@ def test_public_names_have_callers():
                  and not node.name.startswith("_")
                  and not _references(callers, node.name, "_util")}
     assert uncalled == UNCALLED_PUBLIC
+
+
+# parameter defaults no call in the package sets, kept because the tests
+# set them: criterion 10 passes wilson_interval a Bonferroni z, the
+# critical-length tests bisect to other tolerances, and golden_max keeps
+# the iteration budget of golden_min, which the (D, d) optimiser sets, so
+# that the golden-search contract test can require golden_min(-f) to
+# return golden_max(f)
+UNPASSED_DEFAULTS = {"wilson_interval.z", "golden_max.iters",
+                     "bisect_decreasing.rtol"}
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, offset: int):
+    """(name, position among a call's positional arguments or None) of
+    each parameter with a default; a method's call omits its first
+    parameter, so `offset` is 1 for a method and 0 otherwise."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - offset
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets_parameter(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call passes the parameter, by keyword or by position;
+    an unpacked `*args` or `**kwargs` may pass any parameter."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return position is not None
+    return position is not None and position < len(call.args)
+
+
+def test_keyword_defaults_have_callers():
+    """Every parameter default of a function or method in the package is
+    set, by keyword or by position, by some call in the package outside the
+    function's own body, or is listed in UNPASSED_DEFAULTS: a default that
+    every call leaves as it is would be a module constant. Calls are
+    matched by name, as a name or an attribute."""
+    trees = {m: ast.parse((PACKAGE_DIR / f"{m}.py").read_text())
+             for m in MODULES}
+    calls = [(module, n) for module, tree in trees.items()
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unpassed = set()
+    for module, tree in trees.items():
+        methods = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for n in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            offset = int(id(fn) in methods and not static)
+            own = {id(n) for n in ast.walk(fn)}
+            named = [c for m, c in calls
+                     if not (m == module and id(c) in own)
+                     and (isinstance(c.func, ast.Name) and c.func.id == fn.name
+                          or isinstance(c.func, ast.Attribute)
+                          and c.func.attr == fn.name)]
+            unpassed |= {f"{fn.name}.{name}"
+                         for name, position in _defaulted_parameters(fn, offset)
+                         if not any(_sets_parameter(c, name, position)
+                                    for c in named)}
+    assert unpassed == UNPASSED_DEFAULTS

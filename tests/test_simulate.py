@@ -268,13 +268,17 @@ def test_noise_half_is_uninformative():
 
 
 def test_noise_requires_biallelic():
+    """A 4-ary law refuses noise whatever codes it drew: a law that always
+    draws code 1 (C) gives alleles that all look like the minor allele +1,
+    which flipping would turn into the invalid code -1."""
     from poolseq_limits.core import Empirical
-    law = Empirical(((0.4, 0.3, 0.2, 0.1),))
-    cfg = _config(law=law)
-    pop = generate_population(cfg, RandomStream(17))
-    rs = generate_reads(pop, cfg, RandomStream(18))
-    with pytest.raises(UnsupportedModelError):
-        apply_noise(rs, 0.1, RandomStream(19))
+    for law in (Empirical(((0.4, 0.3, 0.2, 0.1),)),
+                Empirical(((0.0, 1.0, 0.0, 0.0),))):
+        cfg = _config(law=law)
+        pop = generate_population(cfg, RandomStream(17))
+        rs = generate_reads(pop, cfg, RandomStream(18))
+        with pytest.raises(UnsupportedModelError):
+            apply_noise(rs, 0.1, RandomStream(19))
 
 
 def test_discriminating_positions_basics():
