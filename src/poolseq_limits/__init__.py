@@ -2,7 +2,7 @@
 
 from .core import (AlleleLaw, CapacityError, Empirical, FixedBiallelic,
                    FixedEta, ModelConfig, RandomStream,
-                   UnsupportedModelError, ValidationError, eta_from_law,
+                   UnsupportedModelError, ValidationError,
                    sample_poisson_positions)
 from .simulate import (Population, ReadSet, apply_noise,
                        discriminating_positions, generate_population,

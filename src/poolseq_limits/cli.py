@@ -362,6 +362,8 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
         raise ValidationError(f"trials must be >= 0, got {trials}")
     RandomStream(seed)  # rejects a bad seed before any trial runs
     config = build_model(params)
+    if "eta" in params:
+        raise ValidationError("simulate needs 'maf': 'eta' cannot be sampled")
     plan = None  # noiseless trials
     if config.eps > 0.0:
         plan = _plan(params)
@@ -499,11 +501,11 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
         raise CapacityError(
             f"--coverage {coverage} at --kappa {kappa} expects more than "
             f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
-    minor = 0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0))
+    law = FixedBiallelic(0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0)))
     stream = RandomStream(seed)
     # at eta near 1 distinct truths may not plant: refuse before --out
     # opens. Each block re-derives its stream, so no block's draws move.
-    _plant_truth(stream.child("bench", 0).gen, m_individuals, kappa, minor)
+    _plant_truth(stream.child("bench", 0).gen, m_individuals, kappa, law)
     fh = _output(out)
     rows = []
     algos = ["ml", "spectral"] if algo == "both" else [algo]
@@ -511,7 +513,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
         fails = 0
         for b in range(blocks):
             gen = stream.child("bench", b).gen
-            truth = _plant_truth(gen, m_individuals, kappa, minor)
+            truth = _plant_truth(gen, m_individuals, kappa, law)
             obs = truth[gen.integers(0, m_individuals,
                                      size=gen.poisson(coverage))]
             flips = gen.random(obs.shape) < eps
@@ -533,9 +535,9 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                    "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)
 
 
-def _plant_truth(gen, M: int, kappa: int, minor: float) -> np.ndarray:
+def _plant_truth(gen, M: int, kappa: int, law: FixedBiallelic) -> np.ndarray:
     for _ in range(1000):
-        truth = np.where(gen.random((M, kappa)) < minor, 1, -1).astype(np.int8)
+        truth = law.alleles(gen, M, kappa)
         if len({r.tobytes() for r in truth}) == M:
             return truth
     raise CapacityError(_PLANT_REFUSED)

@@ -7,7 +7,8 @@ fixed read length L, and an optional symmetric flip noise eps on biallelic
 alleles. The match probability eta (the chance two independent draws from a
 SNP's allele distribution agree) drives every discriminating-SNP rate in the
 bounds: discriminating SNPs between two individuals form a thinned Poisson
-process of rate p*(1-eta).
+process of rate p*(1-eta). Each allele law states its own eta, samples its
+own alleles and says whether flip noise applies to them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "AlleleLaw",
     "ModelConfig",
     "RandomStream",
-    "eta_from_law",
     "sample_poisson_positions",
 ]
 
@@ -49,21 +49,36 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FixedBiallelic:
-    """Every SNP is biallelic with the same minor-allele frequency."""
+    """Every SNP is biallelic with the same minor-allele frequency f, so
+    eta = f^2 + (1-f)^2; alleles are +1 (minor) with probability f, else -1."""
 
     minor_frequency: float
+    biallelic = True
 
     def __post_init__(self):
         f = self.minor_frequency
         if not (0.0 <= f <= 0.5):
             raise ValidationError(f"minor frequency must be in [0, 0.5], got {f}")
 
+    @property
+    def eta(self) -> float:
+        f = self.minor_frequency
+        return f * f + (1.0 - f) * (1.0 - f)
+
+    def alleles(self, gen: np.random.Generator, M: int, S: int) -> np.ndarray:
+        """(M, S) int8 alleles from one uniform draw each."""
+        f = self.minor_frequency
+        return np.where(gen.random((M, S)) < f, 1, -1).astype(np.int8)
+
 
 @dataclass(frozen=True)
 class Empirical:
-    """Per-SNP frequency vectors over {A, C, G, T}, sampled uniformly per locus."""
+    """Per-SNP frequency vectors over {A, C, G, T}, sampled uniformly per
+    locus; eta is the mean of sum(q^2) over the vectors. Its alleles are
+    4-ary codes 0..3, so flip noise does not apply."""
 
     frequencies: tuple[tuple[float, ...], ...]
+    biallelic = False
 
     def __post_init__(self):
         if not self.frequencies:
@@ -76,37 +91,40 @@ class Empirical:
             if abs(sum(q) - 1.0) > 1e-9:
                 raise ValidationError(f"frequency vector {i} does not sum to 1")
 
+    @property
+    def eta(self) -> float:
+        vals = [sum(v * v for v in q) for q in self.frequencies]
+        return float(np.mean(vals))
+
+    def alleles(self, gen: np.random.Generator, M: int, S: int) -> np.ndarray:
+        """(M, S) int8 codes: each SNP draws a vector, then each individual
+        its code from that vector."""
+        table = np.asarray(self.frequencies, dtype=np.float64)
+        which = gen.integers(0, len(table), size=S)
+        cum = np.cumsum(table[which], axis=1)  # (S, 4)
+        u = gen.random((M, S))
+        return (u[:, :, None] > cum[None, :, :]).sum(axis=2).astype(np.int8)
+
 
 @dataclass(frozen=True)
 class FixedEta:
-    """Match probability given directly; usable for bound evaluation only."""
+    """Match probability given directly, for bound evaluation only: it fixes
+    no allele distribution to sample. It counts as biallelic, so flip noise
+    may apply to a hand-built +-1 population under it."""
 
     eta: float
+    biallelic = True
 
     def __post_init__(self):
         if not (0.0 <= self.eta <= 1.0):
             raise ValidationError(f"eta must be in [0, 1], got {self.eta}")
 
+    def alleles(self, gen: np.random.Generator, M: int, S: int) -> np.ndarray:
+        raise UnsupportedModelError(
+            "FixedEta laws are for bound evaluation only and cannot be sampled")
+
 
 AlleleLaw = Union[FixedBiallelic, Empirical, FixedEta]
-
-
-def eta_from_law(law: AlleleLaw) -> float:
-    """Match probability eta: expected sum of squared allele frequencies.
-
-    For a biallelic law with minor frequency f this is f^2 + (1-f)^2; for an
-    empirical law it is the mean of sum(q^2) over the provided vectors; a
-    FixedEta law passes through unchanged.
-    """
-    if isinstance(law, FixedEta):
-        return law.eta
-    if isinstance(law, FixedBiallelic):
-        f = law.minor_frequency
-        return f * f + (1.0 - f) * (1.0 - f)
-    if isinstance(law, Empirical):
-        vals = [sum(v * v for v in q) for q in law.frequencies]
-        return float(np.mean(vals))
-    raise ValidationError(f"unknown allele law {law!r}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +167,7 @@ class ModelConfig:
 
     @property
     def eta(self) -> float:
-        return eta_from_law(self.law)
+        return self.law.eta
 
     @property
     def disc_rate(self) -> float:

@@ -299,8 +299,7 @@ def ml_plan_seed(config: ModelConfig) -> SegmentationPlan:
     exponent is capped below overflow, since d is clamped to 0.999 D anyway.
     """
     M, L, lam, p = config.M, config.L, config.lam, config.p
-    eta = config.eta
-    r = p * (1.0 - eta)
+    eta, r = config.eta, config.disc_rate
     d1 = exponent_closed(M, eps=config.eps)
     rate = lam * M * -expm1(-d1)
     if rate <= 0.0 or r <= 0.0:

@@ -46,9 +46,10 @@ class TrialResult:
 
 
 def estimate_trial_bytes(config: ModelConfig,
-                         plan: SegmentationPlan | None = None) -> float:
+                         plan: SegmentationPlan | None) -> float:
     """Upper estimate of one trial's peak allocated bytes, for the capacity
-    guard; calibrated against tracemalloc peaks of single trials.
+    guard; calibrated against tracemalloc peaks of single trials. A trial
+    with a plan is noisy and one without is noiseless, as in `simulate`.
 
     Both kinds of trial hold the population (positions, uniform draws and
     allele rows: 16 + 24 M bytes per SNP) and the read arrays. A noiseless
@@ -57,18 +58,15 @@ def estimate_trial_bytes(config: ModelConfig,
     numbers, about 200 bytes per read. A noisy trial's apply_noise gathers
     every observed allele into one flat source row: int32 rows, int64
     columns and their temporaries, the int8 values and the float64 draws,
-    32 bytes per observed allele, plus about 80 bytes per read. Given the
-    noisy trial's plan, the estimate also counts its segment table: G / d
-    + 1 segments, each holding its bounds and SNP indices as arrays and as
-    Python lists, 160 bytes. The estimate is a float, so a step so small
-    that G / d overflows gives inf rather than an error.
+    32 bytes per observed allele, plus about 80 bytes per read. It also
+    holds its segment table: G / d + 1 segments, each holding its bounds
+    and SNP indices as arrays and as Python lists, 160 bytes. The estimate
+    is a float, so a step so small that G / d overflows gives inf rather
+    than an error.
     """
     S = config.G * config.p
     n_reads = config.M * config.lam * (config.G + config.L)
-    if config.eps > 0.0:
-        per_read = 80 + 32 * config.p * config.L
-    else:
-        per_read = 200
+    per_read = 200 if plan is None else 80 + 32 * config.p * config.L
     segments = 0.0 if plan is None else config.G / plan.d + 1
     return n_reads * per_read + (16 + 24 * config.M) * S + 160 * segments \
         + 2_000_000

@@ -16,16 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    Empirical,
-    FixedBiallelic,
-    FixedEta,
-    ModelConfig,
-    RandomStream,
-    UnsupportedModelError,
-    ValidationError,
-    sample_poisson_positions,
-)
+from .core import (ModelConfig, RandomStream, UnsupportedModelError,
+                   ValidationError, sample_poisson_positions)
 
 __all__ = [
     "Population",
@@ -99,24 +91,13 @@ class ReadSet:
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:
-    """Draw SNP positions (Poisson rate p over [0, G)) and allele rows."""
-    if isinstance(config.law, FixedEta):
-        raise UnsupportedModelError(
-            "FixedEta laws are for bound evaluation only and cannot be sampled")
+    """Draw SNP positions (Poisson rate p over [0, G)), then allele rows
+    from the allele law, which raises UnsupportedModelError if it cannot
+    be sampled (FixedEta)."""
     positions = sample_poisson_positions(config.p, float(config.G),
                                          stream.child("snp_positions"))
-    S = positions.size
-    gen = stream.child("alleles").gen
-    if isinstance(config.law, FixedBiallelic):
-        f = config.law.minor_frequency
-        alleles = np.where(gen.random((config.M, S)) < f, 1, -1).astype(np.int8)
-    else:
-        law: Empirical = config.law
-        table = np.asarray(law.frequencies, dtype=np.float64)
-        which = gen.integers(0, len(table), size=S)
-        cum = np.cumsum(table[which], axis=1)  # (S, 4)
-        u = gen.random((config.M, S))
-        alleles = (u[:, :, None] > cum[None, :, :]).sum(axis=2).astype(np.int8)
+    alleles = config.law.alleles(stream.child("alleles").gen, config.M,
+                                 positions.size)
     return Population(snp_positions=positions, alleles=alleles)
 
 
@@ -152,12 +133,12 @@ def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     """Flip each observed biallelic allele independently with probability
     eps, drawing in read order and then SNP order. The noisy set's source
     is one row holding every read's alleles back to back; it shares the
-    cover indices of rs. The allele law says whether the alleles are
-    biallelic: eps > 0 under an Empirical (4-ary) law raises
-    UnsupportedModelError, whatever codes were drawn."""
+    cover indices of rs. eps > 0 under an allele law that is not
+    `biallelic` (the 4-ary Empirical) raises UnsupportedModelError,
+    whatever codes were drawn."""
     if not (0.0 <= eps <= 0.5):
         raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
-    if eps > 0.0 and isinstance(rs.config.law, Empirical):
+    if eps > 0.0 and not rs.config.law.biallelic:
         raise UnsupportedModelError(
             "symmetric flip noise is defined for biallelic populations only")
     lengths = rs.cover_hi - rs.cover_lo

@@ -484,6 +484,29 @@ def test_simulate_tiny_segment_step_refuses_before_out(tmp_path):
     assert out.read_bytes() == b"kept\n"
 
 
+_SIM_ETA = ["simulate", "-O", "G=1000", "-O", "M=2", "-O", "p=0.01",
+            "-O", "eta=0.82", "-O", "lambda=0.01", "-O", "L=100"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "1"],
+    ["--trials", "1", "-O", "eps=0.1", "-O", "D=50", "-O", "d=20"],
+    ["--trials", "0"],
+])
+def test_simulate_eta_law_refuses_before_out(tmp_path, extra):
+    """An `eta` law fixes no allele distribution, so no trial can sample
+    it: simulate exits 2, asks for `maf`, and leaves --out as it was,
+    even when no trial would run."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run([*_SIM_ETA, *extra, "--out", str(out)])
+    assert res.exception is None \
+        or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == 2
+    assert "'maf'" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
     """Opening --out before the trials leaves its bytes as they were: the
     file holds exactly the CSV that stdout gets without --out, all of it
@@ -863,3 +886,68 @@ def test_noisy_evaluators_non_increasing_in_L_and_lambda(case):
     # noisy bounds need M >= 2, and the ML exponent refuses M >= 8
     params["M"] = min(max(params["M"], 2), 7)
     _check_non_increasing(params, axis, grid, ["ml-upper", "spectral-upper"])
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bounds", "-O", "G=1000", "-O", "M=2", "-O", "p=0.01", "-O", "eta=0.8"],
+     "missing required key 'lambda'"),
+    (["bounds", *BASE, "--sweep", "L=1:2"],
+     "expected NAME=MIN:MAX:COUNT[:log]"),
+    (["bounds", *BASE, "--sweep", "foo=1:2:3"], "unknown parameter 'foo'"),
+    (["bounds", *BASE, "--sweep", "L=1:2:0"], "count must be >= 1"),
+    (["bounds", *BASE, "--sweep", "L=1:2:3:cubic"],
+     "scale must be linear or log"),
+    ([*_SIM, "-O", "eps=0.1"], "noisy simulation needs D and d"),
+    (["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1,abc"],
+     "cannot parse eps list '0.1,abc'"),
+])
+def test_refusals_name_their_cause(args, message):
+    """Each refusal exits 2 with one error line that says what is wrong."""
+    res = run(args)
+    assert res.exception is None \
+        or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") \
+        and message in lines[0], res.stderr
+
+
+def test_bounds_accepts_worst_case_nu_min_mode():
+    """`nu_min_mode=worst_case` is parsed, used by the spectral bound and
+    echoed in its column."""
+    res = run(["bounds", *_NOISY, "-O", "L=20000",
+               "-O", "nu_min_mode=worst_case"])
+    assert res.exit_code == 0, res.output
+    lines = res.stdout.strip().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["nu_min_mode"] == "worst_case"
+    assert 0.0 <= float(row["en_sd_upper"]) <= 1.0
+
+
+def test_critical_l_text_output():
+    """Without --json, critical-l prints one `key: value` line per result
+    field, with the same values as its JSON form."""
+    args = ["critical-l", *BASE, "--target", "1e-3",
+            "--bound", "assembly-upper-asym", "--l-min", "1000",
+            "--l-max", "1000000"]
+    res = run(args)
+    assert res.exit_code == 0, res.output
+    result = json.loads(run([*args, "--json"]).stdout)
+    assert res.stdout.splitlines() == [f"{key}: {result[key]}" for key in
+                                       ("bound", "target", "critical_L",
+                                        "bracket", "iterations")]
+
+
+def test_critical_l_refuses_an_increasing_bound(monkeypatch):
+    """A bound that is larger at --l-max than at --l-min cannot be
+    bisected: exit 2 before any bisection step."""
+    family, column = cli._BOUNDS["assembly-upper"]
+    applies = cli._FAMILIES[family][1]
+    monkeypatch.setitem(cli._FAMILIES, family,
+                        (lambda config, params: {column: config.L / 1e7},
+                         applies))
+    res = run(["critical-l", *BASE, "--target", "1e-3",
+               "--bound", "assembly-upper", "--l-min", "1000",
+               "--l-max", "1000000"])
+    assert res.exit_code == 2
+    assert "bound is not non-increasing on the bracket" in res.stderr

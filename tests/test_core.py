@@ -6,26 +6,26 @@ from scipy import stats
 
 from poolseq_limits.core import (Empirical, FixedBiallelic, FixedEta,
                                  ModelConfig, RandomStream, ValidationError,
-                                 eta_from_law, sample_poisson_positions)
+                                 sample_poisson_positions)
 
 
 def test_eta_biallelic_examples():
-    assert eta_from_law(FixedBiallelic(0.1)) == pytest.approx(0.82)
-    assert eta_from_law(FixedBiallelic(0.0)) == 1.0
+    assert FixedBiallelic(0.1).eta == pytest.approx(0.82)
+    assert FixedBiallelic(0.0).eta == 1.0
 
 
 def test_eta_uniform_four_ary():
     law = Empirical(((0.25, 0.25, 0.25, 0.25),))
-    assert eta_from_law(law) == pytest.approx(0.25)
+    assert law.eta == pytest.approx(0.25)
 
 
 def test_eta_empirical_mean_over_vectors():
     law = Empirical(((1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25)))
-    assert eta_from_law(law) == pytest.approx((1.0 + 0.25) / 2)
+    assert law.eta == pytest.approx((1.0 + 0.25) / 2)
 
 
 def test_eta_fixed_passthrough():
-    assert eta_from_law(FixedEta(0.7)) == 0.7
+    assert FixedEta(0.7).eta == 0.7
 
 
 def test_bad_frequency_vector_rejected():
@@ -166,7 +166,7 @@ def test_stream_rejects_negative_seed_and_aliasing_path_ints():
 
 def test_eta_deterministic():
     law = Empirical(((0.7, 0.1, 0.1, 0.1),) * 3)
-    assert eta_from_law(law) == eta_from_law(law)
+    assert law.eta == law.eta
 
 
 def _poisson_gof(counts: np.ndarray, mu: float) -> float:

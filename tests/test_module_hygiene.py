@@ -1,9 +1,10 @@
 """Static checks on the package source: every module-level import is used,
 every `__all__` entry resolves and has a caller, and so does every public
 function of `_util` and every public method of a package class; every
-parameter default is set by some call. No linter ships with the project,
-so these guard against dead imports, stale export lists, public names that
-nothing uses and defaults that are constants in all but name."""
+parameter default is set by some call; no code asks an allele law for its
+type. No linter ships with the project, so these guard against dead
+imports, stale export lists, public names that nothing uses, defaults that
+are constants in all but name and switches on a law's class."""
 
 import ast
 import functools
@@ -219,3 +220,30 @@ def test_keyword_defaults_have_callers():
                          if not any(_sets_parameter(c, name, position)
                                     for c in named)}
     assert unpassed == UNPASSED_DEFAULTS
+
+
+ALLELE_LAWS = {"FixedBiallelic", "Empirical", "FixedEta", "AlleleLaw"}
+
+
+def _names(node: ast.expr) -> set[str]:
+    """Names of a class expression, of each member of a tuple of them, and
+    of the attribute in a dotted name such as `core.Empirical`."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_no_isinstance_on_allele_laws():
+    """Each allele law states its own eta, samples its own alleles and says
+    whether flips apply, so no code in the package tests a value against a
+    law class: a new law then needs no edit outside its own class."""
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+        found += [f"{module}.py:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "isinstance" and len(n.args) == 2
+                  and _names(n.args[1]) & ALLELE_LAWS]
+    assert not found, f"isinstance tests against allele laws: {found}"

@@ -347,14 +347,14 @@ def test_trial_estimate_bounds_traced_peak(G, M, p, depth, L, eps):
     plus the noise draws)."""
     config = ModelConfig(G=G, M=M, p=p, L=L, lam=depth / L, law=LAW, eps=eps)
     stream = RandomStream(7).child(0, "trial")
+    plan = SegmentationPlan(D=L / 2, d=L / 4) if eps > 0.0 else None
     tracemalloc.start()
     try:
-        if eps > 0.0:
-            run_noisy_trial(config, SegmentationPlan(D=L / 2, d=L / 4), stream,
-                            "spectral")
+        if plan is not None:
+            run_noisy_trial(config, plan, stream, "spectral")
         else:
             run_noiseless_trial(config, stream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pipeline.estimate_trial_bytes(config) >= peak
+    assert pipeline.estimate_trial_bytes(config, plan) >= peak
