@@ -111,11 +111,11 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     conditions hold) joins the contig agreeing on the most SNPs. A read
     with no SNPs joins a uniformly drawn contig.
 
-    Read r's values are the bytes of rs.source[row[r]] from col[r] on. For
-    a noiseless set those rows are the population's, indexed by the hidden
-    label only to fetch the read's observation without a flat copy; every
-    decision uses the values alone, so a noisy set with the same values
-    assembles the same.
+    Read r's values are the bytes of rs.source from base[r] + cover_lo[r]
+    to base[r] + cover_hi[r]. For a noiseless set base[r] derives from the
+    hidden label only to fetch the read's observation without a copy;
+    every decision uses the values alone, so a noisy set with the same
+    values assembles the same.
 
     Reads must arrive in start order, as generate_reads sorts them, so
     cover_lo and cover_hi are both non-decreasing. Then the SNPs contig m
@@ -141,12 +141,10 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
     """
     M = rs.config.M
     S = rs.population.S
-    bufs = [row.tobytes() for row in rs.source]
+    buf = rs.source.tobytes()
     los = rs.cover_lo.tolist()
     his = rs.cover_hi.tolist()
-    src = rs.row.tolist()
-    # a noiseless read starts at cover_lo in its row: share los
-    off = los if rs.col is rs.cover_lo else rs.col.tolist()
+    base = rs.base.tolist()
     consensus = [bytearray(UNSET.tobytes() * S) for _ in range(M)]
     frontier = [0] * M
     assigned: list[list[int]] = [[] for _ in range(M)]
@@ -161,8 +159,8 @@ def greedy_assemble(rs: ReadSet, stream: RandomStream) -> list[Contig]:
             continue
         if run != (lo, hi):
             run, pools = (lo, hi), {}
-        b = off[r]
-        v = bufs[src[r]][b:b + hi - lo]
+        b = base[r]
+        v = buf[b + lo:b + hi]
         pool = pools.get(v)
         if pool is not None:
             # every member's window already holds v: the merge writes nothing
@@ -255,10 +253,9 @@ def enumerate_assemblies(pop: Population, rs: ReadSet,
     """
     M = pop.M
     S = pop.S
-    reads = [(lo, hi, rs.source[row, col:col + hi - lo])
-             for lo, hi, row, col in zip(rs.cover_lo.tolist(),
-                                         rs.cover_hi.tolist(),
-                                         rs.row.tolist(), rs.col.tolist())
+    reads = [(lo, hi, rs.source[b + lo:b + hi])
+             for lo, hi, b in zip(rs.cover_lo.tolist(), rs.cover_hi.tolist(),
+                                  rs.base.tolist())
              if hi > lo]
     outcomes: set[tuple[bytes, ...]] = set()
     seen: set[tuple[int, tuple[bytes, ...]]] = set()

@@ -506,9 +506,13 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
     # at eta near 1 distinct truths may not plant: refuse before --out
     # opens. Each block re-derives its stream, so no block's draws move.
     _plant_truth(stream.child("bench", 0).gen, m_individuals, kappa, law)
+    algos = ["ml", "spectral"] if algo == "both" else [algo]
+    # the ML bound's enumeration cap is below the decoder's, so this call
+    # refuses every (M, kappa) either would, before --out opens
+    if "ml" in algos:
+        ml_bound = den_ml_upper(m_individuals, coverage, eps, kappa=kappa)
     fh = _output(out)
     rows = []
-    algos = ["ml", "spectral"] if algo == "both" else [algo]
     for name in algos:
         fails = 0
         for b in range(blocks):
@@ -528,8 +532,7 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
                "eps": eps, "coverage": coverage, "blocks": blocks,
                "failure_rate": fails / blocks, "ci_low": lo, "ci_high": hi}
         if name == "ml":
-            row["ml_bound"] = den_ml_upper(m_individuals, coverage, eps,
-                                           kappa=kappa)
+            row["ml_bound"] = ml_bound
         rows.append(row)
     write_csv(fh, ["algo", "M", "kappa", "eps", "coverage", "blocks",
                    "failure_rate", "ci_low", "ci_high", "ml_bound"], rows)

@@ -299,9 +299,10 @@ def extract_block(rs, window: tuple[float, float], eps: float) -> DenoiseBlock:
 
     Only reads with start <= window start and start + L >= window end
     contribute; each contributes its alleles at the SNP indices inside the
-    window as one full-length row, gathered from rs.source through one flat
-    index. A window holding no SNP raises ValidationError, as a block needs
-    kappa >= 1.
+    window as one full-length row. The window's SNP j of read r sits at
+    rs.source[base[r] + j], so the block is one gather from the reads'
+    bases. A window holding no SNP raises ValidationError, as a block
+    needs kappa >= 1.
     """
     lo_pos, hi_pos = window
     pop = rs.population
@@ -312,9 +313,5 @@ def extract_block(rs, window: tuple[float, float], eps: float) -> DenoiseBlock:
     r_hi = int(np.searchsorted(rs.starts, lo_pos, side="right"))
     r_lo = int(np.searchsorted(rs.starts, hi_pos - L, side="left"))
     # empty when r_hi < r_lo, as when the window is longer than a read
-    reads = slice(r_lo, r_hi)
-    src = rs.source
-    base = rs.row[reads].astype(np.int64, copy=False) * src.shape[1] \
-        + (rs.col[reads] - rs.cover_lo[reads] + snp_lo)
-    obs = src.reshape(-1)[base[:, None] + np.arange(kappa)]
+    obs = rs.source[(rs.base[r_lo:r_hi] + snp_lo)[:, None] + np.arange(kappa)]
     return DenoiseBlock(observations=obs, M=rs.config.M, eps=eps)

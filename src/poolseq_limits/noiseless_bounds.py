@@ -134,7 +134,9 @@ def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
 
     The region after a discriminating SNP stays unbridged when the next
     discriminating SNP is farther than L, or it is at distance x and no
-    read (combined rate m * lam) starts in the remaining window L - x.
+    read (combined rate a = m * lam) starts in the remaining window L - x:
+    (a e^-rL - r e^-aL) / (a - r), computed without cancellation as
+    e^-sL (1 + s L (1 - e^-z) / z), s = min(a, r), z = |a - r| L.
     """
     if m < 2:
         raise ValidationError("p_m needs m >= 2")
@@ -142,9 +144,10 @@ def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
     if L == 0.0:
         return 1.0
     a = m * lam
-    if abs(a - r) <= 1e-12 * max(a, r):
-        return (1.0 + r * L) * exp(-r * L)
-    return (a * exp(-r * L) - r * exp(-a * L)) / (a - r)
+    s = min(a, r)
+    z = abs(a - r) * L
+    q = 1.0 if z == 0.0 else -expm1(-z) / z
+    return exp(-s * L) * (1.0 + s * L * q)
 
 
 def delta_m(M: int, lam: float, p: float, eta: float, L: float) -> float:

@@ -53,12 +53,12 @@ def estimate_trial_bytes(config: ModelConfig,
 
     Both kinds of trial hold the population (positions, uniform draws and
     allele rows: 16 + 24 M bytes per SNP) and the read arrays. A noiseless
-    read set's allele source is the population's rows themselves: its
-    greedy pass holds Python lists of cover indices, labels and read
+    read set's allele source is the population's allele matrix itself: its
+    greedy pass holds Python lists of cover indices, bases and read
     numbers, about 200 bytes per read. A noisy trial's apply_noise gathers
-    every observed allele into one flat source row: int32 rows, int64
-    columns and their temporaries, the int8 values and the float64 draws,
-    32 bytes per observed allele, plus about 80 bytes per read. It also
+    every observed allele into one flat source through one int64 index,
+    then holds the int8 values and the float64 draws: tracemalloc peaks at
+    16 bytes per observed allele, kept at 32, plus about 80 per read. It also
     holds its segment table: G / d + 1 segments, each holding its bounds
     and SNP indices as arrays and as Python lists, 160 bytes. The estimate
     is a float, so a step so small that G / d overflows gives inf rather

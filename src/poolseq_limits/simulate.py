@@ -50,13 +50,13 @@ class ReadSet:
     """Aligned reads stored columnar, sorted by start position.
 
     Each read covers SNP indices [cover_lo[r], cover_hi[r]) and observes
-    the alleles source[row[r], col[r]:col[r] + cover_hi[r] - cover_lo[r]].
-    The cover indices are derived from the starts on first use, so a
-    check that reads only starts and labels never builds them; a noisy
-    set from apply_noise shares its parent's arrays. A noiseless set's
-    source is the population's allele matrix itself, with row = hidden
-    and col the cover_lo array itself, so nothing is copied; a noisy
-    set's source is the one flat row apply_noise writes, in read order.
+    its SNP j at source[base[r] + j]. The cover indices and base are
+    derived on first use, so a check that reads only starts and labels
+    never builds them; a noisy set from apply_noise shares its parent's
+    cover arrays. A noiseless set's source is the population's allele
+    matrix flattened without a copy, with base[r] the start of read r's
+    individual's row; a noisy set's source holds every read's alleles back
+    to back, in read order, as apply_noise writes them.
     The hidden individual labels exist for ground-truth condition
     checking; the assembler must not base a decision on them.
     """
@@ -65,8 +65,7 @@ class ReadSet:
     hidden: np.ndarray     # (N,) int32
     config: ModelConfig
     population: Population
-    source: np.ndarray     # (rows, cols) int8
-    row: np.ndarray        # (N,) integer row of source per read
+    source: np.ndarray     # flat int8 alleles
 
     @property
     def n_reads(self) -> int:
@@ -84,10 +83,10 @@ class ReadSet:
                             self.starts + self.config.L)
 
     @cached_property
-    def col(self) -> np.ndarray:
-        """(N,) int64 first column of source per read; apply_noise sets
-        its own, and a noiseless read starts at cover_lo in its row."""
-        return self.cover_lo
+    def base(self) -> np.ndarray:
+        """(N,) int64 address of each read's SNP 0 in source; apply_noise
+        sets its own, and a noiseless read's is its individual's row."""
+        return self.hidden.astype(np.int64) * self.population.S
 
 
 def generate_population(config: ModelConfig, stream: RandomStream) -> Population:
@@ -126,16 +125,16 @@ def generate_reads(pop: Population, config: ModelConfig,
     starts -= config.L
     hidden = reads.gen.integers(0, config.M, size=starts.size, dtype=np.int32)
     return ReadSet(starts=starts, hidden=hidden, config=config, population=pop,
-                   source=pop.alleles, row=hidden)
+                   source=pop.alleles.reshape(-1))
 
 
 def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
     """Flip each observed biallelic allele independently with probability
     eps, drawing in read order and then SNP order. The noisy set's source
-    is one row holding every read's alleles back to back; it shares the
-    cover indices of rs. eps > 0 under an allele law that is not
-    `biallelic` (the 4-ary Empirical) raises UnsupportedModelError,
-    whatever codes were drawn."""
+    holds every read's alleles back to back, so read r's base is its
+    offset there minus cover_lo[r]; it shares the cover indices of rs.
+    eps > 0 under an allele law that is not `biallelic` (the 4-ary
+    Empirical) raises UnsupportedModelError, whatever codes were drawn."""
     if not (0.0 <= eps <= 0.5):
         raise ValidationError(f"eps must be in [0, 0.5], got {eps}")
     if eps > 0.0 and not rs.config.law.biallelic:
@@ -143,16 +142,16 @@ def apply_noise(rs: ReadSet, eps: float, stream: RandomStream) -> ReadSet:
             "symmetric flip noise is defined for biallelic populations only")
     lengths = rs.cover_hi - rs.cover_lo
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    # flat entry i of read r sits at column col[r] + i - offsets[r]
-    cols = np.arange(int(offsets[-1])) - np.repeat(offsets[:-1] - rs.col,
-                                                   lengths)
-    values = rs.source[np.repeat(rs.row, lengths), cols]
+    # flat entry i of read r holds its SNP cover_lo[r] + i - offsets[r]
+    values = rs.source[np.arange(int(offsets[-1])) + np.repeat(
+        rs.base + rs.cover_lo - offsets[:-1], lengths)]
     gen = stream.child("noise").gen
     flips = gen.random(values.size) < eps
     noisy = np.where(flips, -values, values).astype(np.int8)
-    out = replace(rs, source=noisy[None], row=np.zeros(rs.n_reads, np.intp))
+    out = replace(rs, source=noisy)
     # replace() drops cached covers: hand over the ones already built
-    out.cover_lo, out.cover_hi, out.col = rs.cover_lo, rs.cover_hi, offsets[:-1]
+    out.cover_lo, out.cover_hi = rs.cover_lo, rs.cover_hi
+    out.base = offsets[:-1] - rs.cover_lo
     return out
 
 

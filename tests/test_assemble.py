@@ -28,13 +28,13 @@ def make_readset(config, pop, starts, hidden):
     order = np.argsort(starts, kind="stable")
     starts, hidden = starts[order], hidden[order]
     rs = ReadSet(starts=starts, hidden=hidden, config=config, population=pop,
-                 source=pop.alleles, row=hidden)
+                 source=pop.alleles.reshape(-1))
     pos = pop.snp_positions
     np.testing.assert_array_equal(
         rs.cover_lo, np.searchsorted(pos, starts, side="left"))
     np.testing.assert_array_equal(
         rs.cover_hi, np.searchsorted(pos, starts + config.L, side="left"))
-    assert rs.col is rs.cover_lo
+    assert rs.source.base is pop.alleles  # a view: nothing copied
     return rs
 
 
@@ -212,9 +212,9 @@ def test_equivalence_on_random_instances():
 
 
 def _read_alleles(rs: ReadSet, r: int) -> np.ndarray:
-    """The alleles read r observes, sliced from its source row."""
-    col = int(rs.col[r])
-    return rs.source[rs.row[r], col:col + rs.cover_hi[r] - rs.cover_lo[r]]
+    """The alleles read r observes: its SNP j is source[base[r] + j]."""
+    b = int(rs.base[r])
+    return rs.source[b + rs.cover_lo[r]:b + rs.cover_hi[r]]
 
 
 def _reference_greedy(rs: ReadSet, stream: RandomStream,
@@ -373,11 +373,11 @@ def test_frontier_greedy_matches_reference_on_dense_runs():
 
 def test_row_slices_and_stored_values_assemble_alike():
     """A noiseless set hands greedy_assemble slices of the population rows;
-    after apply_noise at eps = 0 it reads the same values from the one
-    flat source row. Both sources must give equal read assignments,
-    consensus bytes and generator state, over M 1-4, both allele laws,
-    p = 0, lambda = 0 and SNP-free reads, and the noiseless set's source is
-    the population's rows themselves, addressed from cover_lo."""
+    after apply_noise at eps = 0 it reads the same values from the
+    alleles stored back to back. Both sources must give equal read
+    assignments, consensus bytes and generator state, over M 1-4, both
+    allele laws, p = 0, lambda = 0 and SNP-free reads, and the noiseless
+    set's source is a view of the population's allele matrix."""
     rng = np.random.default_rng(59)
     root = RandomStream(61)
     seen = {"M1": 0, "p0": 0, "lam0": 0, "empty_read": 0, "four_ary": 0}
@@ -396,7 +396,7 @@ def test_row_slices_and_stored_values_assemble_alike():
         stored = apply_noise(rs, 0.0, st.child("noise"))
         rows_stream, flat_stream = st.child("greedy"), st.child("greedy")
         got = greedy_assemble(rs, rows_stream)
-        assert rs.source is pop.alleles and rs.col is rs.cover_lo, t
+        assert rs.source.base is pop.alleles, t
         want = greedy_assemble(stored, flat_stream)
         for g, w in zip(got, want, strict=True):
             assert g.read_indices == w.read_indices, t

@@ -467,6 +467,28 @@ def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
         == "594f09f175b00750"
 
 
+@pytest.mark.parametrize("kappa,algo", [("7", "ml"), ("14", "both")])
+def test_denoise_bench_unenumerable_ml_bound_refuses_before_out(
+        tmp_path, monkeypatch, kappa, algo):
+    """An ML bound over more hypothesis sets than the enumeration cap exits
+    3 before --out is opened and before any block is decoded: at kappa 7
+    (8128 sets) the decoder alone could run, at kappa 14 it could not."""
+    from poolseq_limits import cli
+    calls = []
+    monkeypatch.setattr(cli, "decode_block", lambda *a, **k: calls.append(a))
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run(["denoise-bench", "--kappa", kappa, "--eps", "0.1",
+               "--coverage", "20", "--blocks", "50", "--algo", algo,
+               "--out", str(out)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)
+    assert res.exit_code == 3
+    assert "exceed the enumeration cap" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+    assert calls == []
+
+
 def test_simulate_tiny_segment_step_refuses_before_out(tmp_path):
     """A step of 1e-6 bp cuts G = 24000 into 2.4e10 segments, whose table
     alone needs terabytes: the capacity estimate counts the segments, so

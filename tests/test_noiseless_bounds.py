@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -88,6 +89,30 @@ def test_p_m_equal_rate_branch_continuous():
     near = p_m(2, lam * (1 + 1e-9), p, eta, L)
     assert at == pytest.approx((1 + r * L) * math.exp(-r * L), rel=1e-12)
     assert near == pytest.approx(at, rel=1e-6)
+
+
+def _p_m_reference(a: float, r: float, L: float) -> float:
+    """(a e^-rL - r e^-aL) / (a - r), or (1 + r L) e^-rL at a = r, in
+    60-digit decimals from the exact binary values of a, r and L."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, r, L = Decimal(a), Decimal(r), Decimal(L)
+        if a == r:
+            return float((1 + r * L) * (-r * L).exp())
+        return float((a * (-r * L).exp() - r * (-a * L).exp()) / (a - r))
+
+
+@pytest.mark.parametrize("rel", [0.0, 2e-12, 1e-9, -1e-9, 1e-6, -1e-6,
+                                 -0.5, 3.0])
+def test_p_m_near_equal_rates_matches_decimal_reference(rel):
+    """With 2 lam = r (1 + rel), p_m keeps full precision as the two read
+    and SNP rates meet: the difference quotient of two nearly equal
+    exponentials lost up to 5.5e-5 of its value at rel = 2e-12."""
+    p, eta, L = 1e-3, ETA, 5e4
+    r = p * (1 - eta)
+    lam = r * (1 + rel) / 2
+    want = _p_m_reference(2 * lam, r, L)
+    assert p_m(2, lam, p, eta, L) == pytest.approx(want, rel=2e-15, abs=0)
 
 
 def test_delta_reduces_to_pair_probability():

@@ -149,8 +149,8 @@ def test_extract_block_rows_match_per_read_slices():
             for x, eps in sets:
                 want = np.empty((0, kappa), np.int8)
                 for r in covering:
-                    a = x.col[r] + snp_lo - x.cover_lo[r]
-                    want = np.vstack([want, x.source[x.row[r], a:a + kappa]])
+                    a = x.base[r] + snp_lo
+                    want = np.vstack([want, x.source[a:a + kappa]])
                 block = extract_block(x, (lo, hi), eps)
                 assert block.kappa == kappa
                 np.testing.assert_array_equal(block.observations, want)

@@ -76,10 +76,9 @@ def test_read_covers_exactly_window_snps():
         lo, hi = rs.cover_lo[r], rs.cover_hi[r]
         inside = (pos >= rs.starts[r]) & (pos < rs.starts[r] + cfg.L)
         np.testing.assert_array_equal(np.nonzero(inside)[0], np.arange(lo, hi))
-        col = rs.col[r]
-        np.testing.assert_array_equal(
-            rs.source[rs.row[r], col:col + hi - lo],
-            pop.alleles[rs.hidden[r], lo:hi])
+        b = rs.base[r]
+        np.testing.assert_array_equal(rs.source[b + lo:b + hi],
+                                      pop.alleles[rs.hidden[r], lo:hi])
 
 
 def _assert_covers_match_searchsorted(rs) -> None:
@@ -119,8 +118,9 @@ def test_read_covers_match_searchsorted(M, p, lam, L, seed):
     """generate_reads' cover indices equal searchsorted of the starts and
     the ends in the SNP positions, also with SNPs placed exactly on read
     starts and ends: the starts do not depend on the population. A
-    noiseless set's col is its cover_lo array, and apply_noise hands both
-    cover arrays to the noisy set instead of building them again."""
+    noiseless set's source is a view of the population's allele matrix,
+    and apply_noise hands both cover arrays to the noisy set instead of
+    building them again."""
     cfg = _config(G=3000, M=M, p=p, L=L, lam=lam)
     root = RandomStream(seed)
     pop = generate_population(cfg, root.child("pop"))
@@ -128,7 +128,7 @@ def test_read_covers_match_searchsorted(M, p, lam, L, seed):
     assert rs.starts.tolist() == sorted(rs.starts.tolist())
     assert ((rs.hidden >= 0) & (rs.hidden < M)).all()
     _assert_covers_match_searchsorted(rs)
-    assert rs.col is rs.cover_lo
+    assert rs.source.base is pop.alleles
     noisy = apply_noise(rs, 0.1, root.child("noise"))
     assert noisy.cover_lo is rs.cover_lo and noisy.cover_hi is rs.cover_hi
     tied = np.unique(np.concatenate([pop.snp_positions, rs.starts[::3],
@@ -141,8 +141,9 @@ def test_read_covers_match_searchsorted(M, p, lam, L, seed):
 
 def test_cover_passes_only_where_read(monkeypatch):
     """Cover indices are built on first use: direct coverage and bridging
-    trials never build them, and a noiseless or noisy trial builds each
-    once, a noisy one in apply_noise, which hands them to the noisy set."""
+    trials never build them or the read bases, and a noiseless or noisy
+    trial builds each cover array once, a noisy one in apply_noise, which
+    hands them to the noisy set."""
     calls = []
 
     def counting(pos, points):
@@ -156,7 +157,9 @@ def test_cover_passes_only_where_read(monkeypatch):
 
     def direct(check):
         pop = generate_population(cfg, root.child("pop"))
-        check(pop, generate_reads(pop, cfg, root.child("reads")))
+        rs = generate_reads(pop, cfg, root.child("reads"))
+        check(pop, rs)
+        assert "base" not in rs.__dict__
 
     for trial, want in ((lambda: direct(check_bridging), 0),
                         (lambda: direct(check_coverage), 0),
@@ -199,10 +202,10 @@ def _reference_alleles(rs) -> np.ndarray:
 
 
 def _read_alleles(rs) -> np.ndarray:
-    """Every read's alleles, sliced from its source row read by read."""
+    """Every read's alleles, read r's SNP j at source[base[r] + j]."""
     return np.concatenate([np.empty(0, np.int8)] + [
-        rs.source[row, col:col + hi - lo]
-        for row, col, lo, hi in zip(rs.row, rs.col, rs.cover_lo, rs.cover_hi)])
+        rs.source[b + lo:b + hi]
+        for b, lo, hi in zip(rs.base, rs.cover_lo, rs.cover_hi)])
 
 
 @settings(max_examples=200)
@@ -216,8 +219,9 @@ def _read_alleles(rs) -> np.ndarray:
 @example(M=2, G=2000, p=0.002, lam=0.05, L=5.0, eps=0.1, seed=3)  # SNP-free reads
 def test_observations_match_per_read_loop(M, G, p, lam, L, eps, seed):
     """A read set's source slices give the per-read loop's values, and
-    apply_noise's one source row holds those values back to back, read
-    after read, with the noise stream's flips applied."""
+    apply_noise's source holds those values back to back, read after
+    read, with the noise stream's flips applied; so does a noisy set made
+    from a noisy set, whose values are gathered from a flat source."""
     cfg = _config(G=G, M=M, p=p, L=L, lam=lam)
     root = RandomStream(seed)
     pop = generate_population(cfg, root.child("pop"))
@@ -227,12 +231,19 @@ def test_observations_match_per_read_loop(M, G, p, lam, L, eps, seed):
     assert values.dtype == np.int8 and values.tobytes() == want.tobytes()
     noisy = apply_noise(rs, eps, root.child("noise"))
     lengths = (rs.cover_hi - rs.cover_lo).tolist()
-    assert noisy.row.tolist() == [0] * rs.n_reads
-    assert noisy.col.tolist() == np.cumsum([0] + lengths)[:-1].tolist()
+    offsets = np.cumsum([0] + lengths)[:-1]
+    assert noisy.base.tolist() == (offsets - rs.cover_lo).tolist()
     flips = root.child("noise").child("noise").gen.random(want.size) < eps
-    assert noisy.source.shape == (1, want.size)
-    assert noisy.source.dtype == np.int8 and noisy.source[0].tobytes() == \
-        np.where(flips, -want, want).astype(np.int8).tobytes()
+    want = np.where(flips, -want, want).astype(np.int8)
+    assert noisy.source.shape == (want.size,)
+    assert noisy.source.dtype == np.int8 and \
+        noisy.source.tobytes() == want.tobytes()
+    twice = apply_noise(noisy, eps, root.child("again"))
+    assert twice.base.tolist() == noisy.base.tolist()
+    flips = root.child("again").child("noise").gen.random(want.size) < eps
+    want = np.where(flips, -want, want).astype(np.int8)
+    assert twice.source.tobytes() == want.tobytes()
+    assert _read_alleles(twice).tobytes() == want.tobytes()
 
 
 def test_noise_zero_is_identity():
@@ -308,7 +319,7 @@ def test_noise_commutes_with_read_subsetting():
     pop = generate_population(cfg, RandomStream(22))
     rs = generate_reads(pop, cfg, RandomStream(23))
     noisy = apply_noise(rs, 0.3, RandomStream(24))
-    off = noisy.col  # where each read's values start in the flat row
+    off = noisy.base + rs.cover_lo  # where each read's values start
     flips = _read_alleles(noisy) != _read_alleles(rs)
     half = rs.n_reads // 2
     a = flips[:off[half]].mean()
