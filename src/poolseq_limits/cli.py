@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -131,6 +132,8 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
         name = name.strip()
         if name not in _KEYS:
             raise ValidationError(f"sweep {spec!r}: unknown parameter {name!r}")
+        if name in dict(axes):
+            raise ValidationError(f"sweep {spec!r}: axis {name!r} is repeated")
         if _KEYS[name] not in (int, float):
             raise ValidationError(f"sweep {spec!r}: {name!r} is not numeric")
         if count < 1:
@@ -153,20 +156,27 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
 
 
 def _output(path: str):
-    """Stdout for "-", else the file at `path` opened for writing, which
-    click closes when the command returns. Commands that run trials or
-    blocks open it once their options are checked and before the first
-    trial, so a path that cannot be opened exits 2 at once."""
+    """Stdout for "-", else `path` opened for appending and closed by click;
+    a path that cannot be opened exits 2. One output rule: only `write_csv`
+    truncates, as it writes the rows, so a refused run leaves an existing
+    file as it was (a path that did not exist may be left empty)."""
     if path == "-":
         return sys.stdout
     try:
-        fh = open(path, "w")
+        fh = open(path, "a")
     except OSError as e:
         raise ValidationError(f"{path}: {e}")
     return click.get_current_context().with_resource(fh)
 
 
 def write_csv(fh, fieldnames: list[str], rows: list[dict]) -> None:
+    """Write the schema tag, header and rows to `fh` from `_output`, first
+    truncating a regular file; stdout, /dev/null and FIFOs are not."""
+    try:
+        if fh is not sys.stdout and os.path.isfile(fh.name):
+            fh.truncate(0)
+    except OSError as e:
+        raise ValidationError(f"{fh.name}: {e}")
     fh.write(SCHEMA_TAG + "\n")
     fh.write(",".join(fieldnames) + "\n")
     for row in rows:
@@ -382,8 +392,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
                                  chunksize=max(1, trials // (workers * 4))))
     else:
         rows = [_simulate_one(j) for j in jobs]
-    rows.sort(key=lambda r: r["trial"])
-    echo = _echo_params(params)
+    echo = _echo_params({**params, "trials": trials, "seed": seed})
     for row in rows:
         row.update(echo)
     fieldnames = [*_KEYS, "trial", *_TRIAL_FLAGS, "success"]
@@ -503,12 +512,9 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
             f"{BENCH_MAX_OBSERVATIONS:.0e} observations per block")
     law = FixedBiallelic(0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0)))
     stream = RandomStream(seed)
-    # at eta near 1 distinct truths may not plant: refuse before --out
-    # opens. Each block re-derives its stream, so no block's draws move.
-    _plant_truth(stream.child("bench", 0).gen, m_individuals, kappa, law)
     algos = ["ml", "spectral"] if algo == "both" else [algo]
     # the ML bound's enumeration cap is below the decoder's, so this call
-    # refuses every (M, kappa) either would, before --out opens
+    # refuses every (M, kappa) either would, before any block is decoded
     if "ml" in algos:
         ml_bound = den_ml_upper(m_individuals, coverage, eps, kappa=kappa)
     fh = _output(out)
@@ -567,7 +573,8 @@ def exact_bridging_cmd(config_path, overrides, trials, seed, out):
                             config.eta, trials, stream)
     # the estimate's fields are its columns, in order; its trial count
     # fills the echoed "trials" column
-    row = {**_echo_params(params), **dataclasses.asdict(res)}
+    row = {**_echo_params({**params, "seed": seed}),
+           **dataclasses.asdict(res)}
     write_csv(fh, list(row.keys()), [row])
 
 

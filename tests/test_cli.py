@@ -1,5 +1,7 @@
+import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import re
@@ -435,7 +437,7 @@ _BAD_PLAN = ["-O", "eps=0.1", "-O", "D=1000", "-O", "d=2000"]
 ])
 def test_refused_inputs_leave_out_untouched(tmp_path, args):
     """A refused plan, trial count, seed or individual count exits 2 before
-    --out is opened, so an existing file keeps its bytes."""
+    any rows are written, so an existing file keeps its bytes."""
     out = tmp_path / "rows.csv"
     out.write_bytes(b"kept\n")
     res = run([*args, "--out", str(out)])
@@ -448,8 +450,9 @@ def test_refused_inputs_leave_out_untouched(tmp_path, args):
 def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
     """At eta = 1 every planted row is all-major, and just below 1 the
     minor allele (frequency 5e-11 here) all but never lands, so two or more
-    distinct truths cannot be planted: exit 3 before --out is opened. One
-    individual needs no distinct rows and still runs."""
+    distinct truths cannot be planted: exit 3 before any rows are written,
+    so --out keeps its bytes. One individual needs no distinct rows and
+    still runs."""
     out = tmp_path / "rows.csv"
     out.write_bytes(b"kept\n")
     for eta in ("1", "0.9999999999"):
@@ -471,7 +474,7 @@ def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
 def test_denoise_bench_unenumerable_ml_bound_refuses_before_out(
         tmp_path, monkeypatch, kappa, algo):
     """An ML bound over more hypothesis sets than the enumeration cap exits
-    3 before --out is opened and before any block is decoded: at kappa 7
+    3 before any block is decoded, and --out keeps its bytes: at kappa 7
     (8128 sets) the decoder alone could run, at kappa 14 it could not."""
     from poolseq_limits import cli
     calls = []
@@ -492,7 +495,8 @@ def test_denoise_bench_unenumerable_ml_bound_refuses_before_out(
 def test_simulate_tiny_segment_step_refuses_before_out(tmp_path):
     """A step of 1e-6 bp cuts G = 24000 into 2.4e10 segments, whose table
     alone needs terabytes: the capacity estimate counts the segments, so
-    simulate exits 3 before --out is opened, at the default cap."""
+    simulate exits 3 before any trial runs, at the default cap, and --out
+    keeps its bytes."""
     out = tmp_path / "rows.csv"
     out.write_bytes(b"kept\n")
     res = run(["simulate", "-O", "G=24000", "-O", "M=2", "-O", "p=0.001",
@@ -527,6 +531,87 @@ def test_simulate_eta_law_refuses_before_out(tmp_path, extra):
     assert res.exit_code == 2
     assert "'maf'" in res.stderr
     assert out.read_bytes() == b"kept\n"
+
+
+_SIM_OVER_CAP = ["simulate", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
+                 "-O", "maf=0.1", "-O", "lambda=0.01", "-O", "L=30000",
+                 "-O", "eps=0.1", "-O", "D=15000", "-O", "d=7500",
+                 "--seed", "1"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--trials", "2"],
+    ["--trials", "2", "--workers", "2"],
+])
+def test_simulate_refused_mid_run_leaves_out_as_it_was(tmp_path, extra):
+    """A 15 kbp segment holds more SNPs than ML can enumerate, which only a
+    trial finds out: simulate exits 3 after --out is opened, serially and
+    from a worker alike, and the file keeps its bytes, because only the
+    rows replace them."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run([*_SIM_OVER_CAP, *extra, "--out", str(out)])
+    assert res.exception is None \
+        or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == 3
+    assert "ML enumeration needs" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+
+
+_EXPONENT = ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", *BASE, "-O", "L=110000"], _EXPONENT, _SIM, _BENCH, _BRIDGE])
+def test_out_to_dev_null_runs(args):
+    """A device takes the rows without being truncated first."""
+    res = run([*args, "--out", "/dev/null"])
+    assert res.exception is None, repr(res.exception)
+    assert res.exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["bounds", *BASE, "-O", "L=110000"], _EXPONENT, _BENCH, _BRIDGE])
+def test_out_replaces_a_longer_file(tmp_path, args):
+    """The rows replace every byte an existing --out held, even when it
+    held more than they take."""
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"x" * 100_000)
+    to_stdout = run(args)
+    to_file = run([*args, "--out", str(out)])
+    assert to_file.exit_code == to_stdout.exit_code == 0
+    assert out.read_text() == to_stdout.stdout
+    assert to_file.stdout == ""
+
+
+def test_failed_truncate_exits_config(tmp_path, monkeypatch):
+    """A regular file that opened but cannot be truncated exits 2 with one
+    error line naming it, as a path that cannot be opened does."""
+    class Unshrinkable(io.StringIO):
+        name = str(tmp_path / "rows.csv")
+
+        def truncate(self, size=None):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+    (tmp_path / "rows.csv").write_bytes(b"kept\n")
+    monkeypatch.setattr(cli, "_output", lambda path: Unshrinkable())
+    res = run([*_EXPONENT, "--out", "ignored"])
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") \
+        and "rows.csv" in lines[0], res.stderr
+
+
+def test_csv_echoes_seed_and_trials_given_by_option():
+    """The echoed columns hold the effective seed and trial count, also
+    when they come from --seed and --trials rather than a config key."""
+    sim = run([*_SIM, "--seed", "7"]).stdout.splitlines()
+    rows = [dict(zip(sim[1].split(","), ln.split(","))) for ln in sim[2:4]]
+    assert [(r["seed"], r["trials"], r["trial"]) for r in rows] \
+        == [("7", "2", "0"), ("7", "2", "1")]
+    bridge = run([*_BRIDGE, "--seed", "3"]).stdout.splitlines()
+    row = dict(zip(bridge[1].split(","), bridge[2].split(",")))
+    assert (row["seed"], row["trials"]) == ("3", "20")
 
 
 def test_simulate_out_file_holds_the_stdout_csv(tmp_path, monkeypatch):
@@ -922,6 +1007,8 @@ def test_noisy_evaluators_non_increasing_in_L_and_lambda(case):
     ([*_SIM, "-O", "eps=0.1"], "noisy simulation needs D and d"),
     (["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1,abc"],
      "cannot parse eps list '0.1,abc'"),
+    (["bounds", *BASE, "--sweep", "L=100:200:2", "--sweep", "L=300:400:2"],
+     "axis 'L' is repeated"),
 ])
 def test_refusals_name_their_cause(args, message):
     """Each refusal exits 2 with one error line that says what is wrong."""

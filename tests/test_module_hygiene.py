@@ -2,9 +2,10 @@
 every `__all__` entry resolves and has a caller, and so does every public
 function of `_util` and every public method of a package class; every
 parameter default is set by some call; no code asks an allele law for its
-type. No linter ships with the project, so these guard against dead
-imports, stale export lists, public names that nothing uses, defaults that
-are constants in all but name and switches on a law's class."""
+type; only the CLI's output and config readers open files. No linter ships
+with the project, so these guard against dead imports, stale export lists,
+public names that nothing uses, defaults that are constants in all but
+name, switches on a law's class and writes around the output rule."""
 
 import ast
 import functools
@@ -247,3 +248,29 @@ def test_no_isinstance_on_allele_laws():
                   and n.func.id == "isinstance" and len(n.args) == 2
                   and _names(n.args[1]) & ALLELE_LAWS]
     assert not found, f"isinstance tests against allele laws: {found}"
+
+
+# the functions allowed to open files: the output path every command
+# writes through, and the config file it reads
+FILE_OPENERS = {("cli", "_output"), ("cli", "load_config_file")}
+OPEN_CALLS = {"open", "write_text", "write_bytes"}
+
+
+def test_files_open_only_through_the_output_rule():
+    """No code in the package calls `open`, `.open`, `.write_text` or
+    `.write_bytes` outside the functions in FILE_OPENERS, so every file a
+    command writes goes through `cli._output` and keeps its bytes until
+    `write_csv` writes the rows."""
+    found = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (module, fn.name) in FILE_OPENERS
+                   for n in ast.walk(fn)}
+        found += [f"{module}.py:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and (isinstance(n.func, ast.Name) and n.func.id == "open"
+                       or isinstance(n.func, ast.Attribute)
+                       and n.func.attr in OPEN_CALLS)]
+    assert not found, f"files opened outside {sorted(FILE_OPENERS)}: {found}"
