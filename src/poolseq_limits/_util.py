@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,15 +92,27 @@ def hamming(a, b) -> np.ndarray:
     return np.bitwise_count(np.bitwise_xor.outer(a, b))
 
 
-def candidate_sets(kappa: int, M: int, chunk: int):
+@lru_cache(maxsize=64)
+def candidate_sets(kappa: int, M: int) -> np.ndarray:
     """Every M-subset of the 2^kappa sequence codes, in lexicographic order,
-    as (k, M) int64 arrays of at most chunk sets each."""
-    total = math.comb(1 << kappa, M)
-    sets = combinations(range(1 << kappa), M)
-    for start in range(0, total, chunk):
-        k = min(chunk, total - start)
-        yield np.fromiter(chain.from_iterable(islice(sets, k)),
-                          dtype=np.int64, count=k * M).reshape(k, M)
+    as one read-only (C(2^kappa, M), M) int64 array, built once per
+    (kappa, M): ML decoding asks for the same small tables block after
+    block.
+
+    Built column by column: each subset so far is repeated once for every
+    value its next member can take (above its last member, leaving room
+    for the members after it), so the rows stay in lexicographic order."""
+    top = (1 << kappa) - M  # the largest first member
+    sets = np.arange(top + 1, dtype=np.int64)[:, None]
+    for j in range(1, M):
+        last = sets[:, -1]
+        reps = top + j - last  # next member in last + 1 .. top + j
+        starts = np.cumsum(reps) - reps
+        nxt = np.arange(int(reps.sum()), dtype=np.int64) \
+            - np.repeat(starts - last - 1, reps)
+        sets = np.column_stack([np.repeat(sets, reps, axis=0), nxt])
+    sets.flags.writeable = False
+    return sets
 
 
 def set_sums(rows: np.ndarray, sets: np.ndarray) -> np.ndarray:

@@ -513,8 +513,9 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
     law = FixedBiallelic(0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0)))
     stream = RandomStream(seed)
     algos = ["ml", "spectral"] if algo == "both" else [algo]
-    # the ML bound's enumeration cap is below the decoder's, so this call
-    # refuses every (M, kappa) either would, before any block is decoded
+    # the ML bound's enumeration cap is below the decoder's enumeration
+    # threshold, so this call refuses, before any block is decoded, every
+    # (M, kappa) whose blocks the decoder would search and might refuse
     if "ml" in algos:
         ml_bound = den_ml_upper(m_individuals, coverage, eps, kappa=kappa)
     fh = _output(out)

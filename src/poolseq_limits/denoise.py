@@ -1,18 +1,23 @@
-"""Block-wise read denoising: exhaustive maximum likelihood and spectral.
+"""Block-wise read denoising: exact maximum likelihood and spectral.
 
 A denoise block is a window of kappa biallelic SNP loci with n noisy
 observation rows over {-1, +1} (-1 = major allele), each row a read's
 content restricted to the window, assuming the read spans the whole
-window. ML decoding scores every M-subset of the 2^kappa possible
-sequences under the symmetric-flip channel, one chunk of candidate sets
-per matrix-vector product, and rescores the sets near the running maximum
-with the scalar log-likelihood so that rounding never changes the winner;
-spectral decoding thresholds the sample cross-correlation into a graph,
+window. ML decoding returns the M-subset of the 2^kappa possible sequences
+with the greatest scalar log-likelihood under the symmetric-flip channel,
+at any kappa. A block with few candidate sets is enumerated, one chunk of
+sets per matrix-vector product, and the sets near the running maximum are
+rescored with the scalar log-likelihood, so that rounding never changes the
+winner. A larger block is searched by branch and bound over bit prefixes,
+within a node budget; it scores its leaves with the same scalar
+log-likelihood and prunes only by a bound plus a rounding margin.
+Spectral decoding thresholds the sample cross-correlation into a graph,
 clusters its top eigenvector embedding, and majority-votes per cluster. The
 embedding is computed on the block's distinct rows, weighted by their
 counts, and lifted back to every row.
-Sequences are scored as int64 codes (`_util.pack_rows`: first locus most significant, +1 a set bit), so
-a Hamming distance is the popcount of an XOR (`_util.hamming`).
+Sequences are scored as int64 codes (`_util.pack_rows`: first locus most
+significant, +1 a set bit), so a Hamming distance is the popcount of an XOR
+(`_util.hamming`).
 """
 
 from __future__ import annotations
@@ -36,7 +41,15 @@ __all__ = [
     "extract_block",
 ]
 
-ML_CANDIDATE_CAP = 10_000_000
+# ML decoding enumerates blocks with at most this many candidate sets
+# C(2^kappa, M) and searches larger ones by branch and bound
+ML_ENUMERATION_MAX = 5_000
+# search nodes ML decoding expands before refusing a block
+ML_NODE_BUDGET = 100_000
+# SNPs an int64 sequence code holds
+_CODE_BITS = 63
+# individuals the ML search takes: a node has up to 2^M children
+_SEARCH_MAX_M = 10
 # float64 values in one chunk of ML candidate mixtures (1 MB)
 ML_CHUNK_VALUES = 1 << 17
 # spectral clustering: Lloyd iterations per run, random reseeds per block
@@ -93,76 +106,231 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     """Exact maximum-likelihood decoding over all M-subsets of sequences.
 
     Returns the decoded (M, kappa) int8 rows in lexicographic order (-1
-    before +1). Ties are broken by lexicographic order of the candidate
-    set, so the result is deterministic. Raises CapacityError when the
-    candidate count C(2^kappa, M) exceeds the enumeration cap and
-    ValidationError for an empty block or one with fewer than M possible
-    sequences (M > 2^kappa).
+    before +1): the set with the greatest scalar log-likelihood
+    counts @ log(mix), mix being its summed x^hamming column per distinct
+    observed row (x = eps / (1 - eps)); equal scores go to the
+    lexicographically first set, so the result is deterministic. Blocks
+    with at most ML_ENUMERATION_MAX candidate sets C(2^kappa, M) are
+    enumerated (`_ml_enumerate`) and larger ones are searched by branch and
+    bound (`_ml_search`); both return the set the one-candidate-at-a-time
+    scalar loop returns, at any kappa, ties and rounding included. Raises
+    CapacityError when the search needs more than ML_NODE_BUDGET nodes
+    (where the reads hardly tell sets apart) or kappa exceeds the 63 bits
+    of a sequence code, and ValidationError for an empty block or one with
+    fewer than M possible sequences (M > 2^kappa).
 
-    A candidate's score is the scalar log-likelihood counts @ log(mix),
-    with mix its summed x^hamming column per distinct observed row. The
-    candidates are walked in lexicographic order, in chunks of
-    ML_CHUNK_VALUES // (distinct rows) sets, and each chunk is scored as
-    one matrix-vector product, which rounds differently from the scalar
-    score by at most half of `_ml_margin`. Every candidate whose matrix
-    score is within that margin of the running maximum is rescored with
-    the scalar expression, in lexicographic order, and replaces the best
-    only when strictly greater, so the result is the scalar loop's. When
-    every candidate scores -inf (possible at eps = 0) the first one is
-    kept; at eps = 0.5 every candidate scores n log M and the first one is
-    returned without scoring.
+    At eps = 0.5 every candidate scores n log M and the first set is
+    returned without scoring. At eps = 0 a set scores 0 when it holds every
+    observed row and -inf otherwise, so the first set holding them all is
+    returned, or the first set when there are more than M distinct rows.
     """
     if block.n == 0:
         raise ValidationError("cannot denoise a block with no observations")
     kappa, M = block.kappa, block.M
     if M > 1 << kappa:
         raise ValidationError(f"{kappa} SNPs carry fewer than M={M} sequences")
-    n_cand = comb(1 << kappa, M)
-    if n_cand > ML_CANDIDATE_CAP:
+    if kappa > _CODE_BITS:
         raise CapacityError(
-            f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
-    best = tuple(range(M))
+            f"ML decoding holds at most {_CODE_BITS} SNPs, got {kappa}")
+    first = tuple(range(M))
     x = block.eps / (1.0 - block.eps)
     if x == 1.0:
-        return unpack_rows(best, kappa)
+        return unpack_rows(first, kappa)
     distinct, counts = np.unique(pack_rows(block.observations),
                                  return_counts=True)
-    xpow = x ** hamming(distinct, np.arange(1 << kappa)).astype(float)
-    margin = _ml_margin(xpow, block.n, M)
-    rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
-    chunk = max(1, ML_CHUNK_VALUES // len(distinct))
-    best_ll = top = -np.inf
-    with np.errstate(divide="ignore"):
-        for sets in candidate_sets(kappa, M, chunk):
-            scores = np.log(set_sums(rows, sets)) @ counts
-            top = max(top, scores.max())
-            if top == -np.inf:  # no candidate yet explains every row
-                continue
-            for i in np.flatnonzero(scores >= top - margin):
-                cand = tuple(sets[i].tolist())
-                # the scalar score; constants drop out of the argmax
-                ll = float(counts @ np.log(xpow[:, cand].sum(axis=1)))
-                if ll > best_ll:
-                    best_ll, best = ll, cand
+    if x == 0.0:
+        if len(distinct) > M:
+            return unpack_rows(first, kappa)
+        # the observed rows and the smallest codes beside them
+        free = np.setdiff1d(np.arange(M), distinct)[:M - len(distinct)]
+        return unpack_rows(np.union1d(distinct, free), kappa)
+    # a power that underflows to 0 gives a log of -inf, a score no set wins
+    # by, and -inf plus the search's infinite margin is nan, which prunes none
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if comb(1 << kappa, M) <= ML_ENUMERATION_MAX:
+            best = _ml_enumerate(distinct, counts, kappa, M, x)
+        else:
+            best = _ml_search(distinct, counts, kappa, M, x)
     return unpack_rows(best, kappa)
 
 
-def _ml_margin(xpow: np.ndarray, n: int, M: int) -> float:
-    """Twice a bound on |matrix score - scalar score| for any ML candidate.
+def _scalar_score(counts: np.ndarray, xpow: np.ndarray) -> float:
+    """The scalar log-likelihood of one candidate set from its (d, M)
+    x^hamming columns; constants drop out of the argmax. The columns are
+    laid out as the scalar loop gathers them, xpow[:, cand] from a (d, 2^kappa)
+    table (Fortran order), so numpy adds each mix's M terms in its order."""
+    return float(counts @ np.log(np.asfortranarray(xpow).sum(axis=1)))
 
-    A finite log mix lies between log(min positive xpow) and log(M max
-    xpow), so its magnitude is at most lam. A score is a dot product of d
-    counts summing to n with such logs; each form rounds it by at most
-    d u n lam (u = eps_mach / 2). The two forms' logs of one mix differ by
-    a few ulp of lam where they add its M terms in the same order, and by
-    about M u more where they do not (numpy's sum reorders 8 or more
-    terms). The two scores therefore differ by at most half the
-    returned margin, and the scalar winner's matrix score is at least the
-    top matrix score minus the margin.
+
+def _ml_enumerate(distinct: np.ndarray, counts: np.ndarray, kappa: int,
+                  M: int, x: float) -> tuple[int, ...]:
+    """Score every candidate set, in lexicographic order, in chunks of
+    ML_CHUNK_VALUES // (distinct rows) sets, each chunk as one
+    matrix-vector product. That rounds differently from the scalar score by
+    at most half of `_ml_margin`, so every candidate whose matrix score is
+    within the margin of the running maximum is rescored with the scalar
+    expression, in lexicographic order, and replaces the best only when
+    strictly greater. When every candidate scores -inf (x^kappa underflows
+    at a tiny eps) the first one is kept."""
+    xpow = x ** hamming(distinct, np.arange(1 << kappa)).astype(float)
+    margin = _ml_margin(_log_span(xpow, M), len(distinct), int(counts.sum()),
+                        M)
+    rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
+    every = candidate_sets(kappa, M)
+    chunk = max(1, ML_CHUNK_VALUES // len(distinct))
+    best, best_ll = tuple(range(M)), -np.inf
+    top = -np.inf
+    for start in range(0, len(every), chunk):
+        sets = every[start:start + chunk]
+        scores = np.log(set_sums(rows, sets)) @ counts
+        top = max(top, scores.max())
+        if top == -np.inf:  # no candidate yet explains every row
+            continue
+        for i in np.flatnonzero(scores >= top - margin):
+            cand = tuple(sets[i].tolist())
+            ll = _scalar_score(counts, xpow[:, cand])
+            if ll > best_ll:
+                best_ll, best = ll, cand
+    return best
+
+
+def _ml_search(distinct: np.ndarray, counts: np.ndarray, kappa: int, M: int,
+               x: float) -> tuple[int, ...]:
+    """Depth-first branch and bound over bit prefixes of the M sequences.
+
+    The SNPs are searched in order of their minor-read count, largest
+    first. A node fixes the first t searched bits of all M sequences, kept
+    in non-decreasing code order, and holds each distinct row's Hamming
+    distance a_ij to each prefix j. Any completion with suffix distances
+    b_ij scores sum_i c_i log sum_j x^(a_ij + b_ij), at most
+    sum_i c_i log sum_j x^a_ij + log x * sum_i c_i min_j b_ij, because
+    x^(a+b) <= x^a x^(min_j b_j) for x <= 1; the last sum is at least
+    `_median_floor`(t). Children are visited best bound first, and a node
+    is dropped only when its bound plus `_ml_margin` falls strictly below
+    the best scalar score found, so every set that could win or tie the
+    scalar loop reaches a leaf. A leaf (t = kappa, codes strictly
+    increasing) is mapped back to SNP order and scored with the scalar
+    expression, and an equal score goes to the lexicographically first
+    set. A node has up to 2^M children, so M above _SEARCH_MAX_M is
+    refused.
     """
-    d = xpow.shape[0]
-    lam = max(abs(np.log(xpow[xpow > 0].min())), abs(np.log(M * xpow.max())))
-    return 2.0 * np.finfo(np.float64).eps * n * ((2 * d + 8) * lam + M)
+    if M > _SEARCH_MAX_M:
+        raise CapacityError(
+            f"ML search branches 2^M ways per node and takes M <= "
+            f"{_SEARCH_MAX_M}, got M={M} with {comb(1 << kappa, M)} "
+            f"candidate sets")
+    bits = unpack_rows(distinct, kappa) > 0  # (d, kappa), first SNP first
+    d, n = len(distinct), int(counts.sum())
+    ones = counts @ bits
+    order = np.argsort(-np.minimum(ones, n - ones), kind="stable")
+    bits = bits[:, order]
+    # a searched code's bit p is SNP order[p]'s
+    weights = np.left_shift(1, kappa - 1 - order)
+    powtab = x ** np.arange(kappa + 1, dtype=float)
+    log_x = float(np.log(x))
+    floor = _median_floor(bits, counts, M)
+    margin = np.inf  # a subnormal power leaves no rounding bound
+    if powtab[-1] >= np.finfo(np.float64).tiny:
+        margin = _ml_margin(_log_span(powtab, M), d, n, M)
+    # child bit patterns in lexicographic order, kept per set of equal
+    # neighbouring prefixes: equal prefixes j, j+1 take bits b_j <= b_j+1,
+    # and b_j < b_j+1 at the last column, as a leaf holds M distinct codes
+    patterns = (np.arange(1 << M)[:, None] >> np.arange(M - 1, -1, -1)) & 1
+    allowed: dict[tuple, tuple[np.ndarray, list]] = {}
+    best, best_ll = tuple(range(M)), -np.inf
+    nodes = 0
+    # (bound, column t, parent's prefixes, bits added, distances)
+    stack = [(np.inf, 0, (0,) * M, (0,) * M, np.zeros((M, d), np.uint8))]
+    while stack:
+        bound, t, parent, added, dist = stack.pop()
+        if bound + margin < best_ll:
+            continue
+        codes = tuple(2 * c + b for c, b in zip(parent, added))
+        if t == kappa:
+            # score and compare the set as the scalar loop sees it
+            own = (unpack_rows(codes, kappa) > 0) @ weights
+            rank = np.argsort(own)
+            cand = tuple(own[rank].tolist())
+            ll = _scalar_score(counts, powtab[dist[rank].T])
+            if ll > best_ll or (ll == best_ll and cand < best):
+                best, best_ll = cand, ll
+            continue
+        nodes += 1
+        if nodes > ML_NODE_BUDGET:
+            raise CapacityError(
+                f"ML search passed its budget of {ML_NODE_BUDGET} nodes at "
+                f"kappa={kappa}, M={M}, {d} distinct reads")
+        key = (t + 1 == kappa, *(a == b for a, b in zip(codes, codes[1:])))
+        if key not in allowed:
+            keep = np.ones(len(patterns), bool)
+            for j in np.flatnonzero(key[1:]):
+                keep &= patterns[:, j] + key[0] <= patterns[:, j + 1]
+            allowed[key] = (patterns[keep],
+                            [tuple(k) for k in patterns[keep].tolist()])
+        kids, kid_bits = allowed[key]
+        child_dist = dist + (kids[:, :, None] != bits[:, t])
+        bounds = np.log(powtab[child_dist].sum(axis=1)) @ counts \
+            + log_x * floor[t + 1]
+        # best first off the stack: push the best child last; a child the
+        # pop would drop already is not pushed
+        for i in np.argsort(bounds, kind="stable").tolist():
+            if not bounds[i] + margin < best_ll:
+                stack.append((bounds[i], t + 1, codes, kid_bits[i],
+                              child_dist[i]))
+    return best
+
+
+def _median_floor(bits: np.ndarray, counts: np.ndarray, M: int) -> np.ndarray:
+    """floor[t] (t = 0..kappa) bounds from below the least total distance
+    sum_i c_i min_j from the rows' columns t.. to any M sequences.
+
+    Columns t.. are cut into blocks of 4; on each block the M sequences
+    restrict to at most M patterns, so the block's least cost over
+    M-subsets of its 16 patterns (0 when M >= 16) bounds their share from
+    below, and the blocks add up. A block running past the last column is
+    padded with columns every row and pattern hold as 0, which leaves its
+    least cost that of its real columns."""
+    d, kappa = bits.shape
+    w = 4
+    floor = np.zeros(kappa + w)
+    if M >= 1 << w:
+        return floor[:kappa + 1]
+    padded = np.pad(bits, ((0, 0), (0, w - 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
+    # (d, kappa): each row's pattern on the block starting at each column
+    patterns = pack_rows(windows.reshape(-1, w)).reshape(d, kappa)
+    weights = np.bincount(
+        (patterns + (np.arange(kappa) << w)).ravel(),
+        np.repeat(counts, kappa), minlength=kappa << w).reshape(kappa, -1)
+    every = np.arange(1 << w)
+    cover = hamming(every, every)[candidate_sets(w, M)].min(axis=1)
+    block = (cover @ weights.T).min(axis=0)  # least cost of block t..t+w
+    for t in range(kappa - 1, -1, -1):
+        floor[t] = block[t] + floor[t + w]
+    return floor[:kappa + 1]
+
+
+def _log_span(xpow: np.ndarray, M: int) -> float:
+    """The largest magnitude a finite log mix of M terms drawn from xpow
+    can take: between log(min positive xpow) and log(M max xpow)."""
+    return max(abs(np.log(xpow[xpow > 0].min())), abs(np.log(M * xpow.max())))
+
+
+def _ml_margin(lam: float, d: int, n: int, M: int) -> float:
+    """Twice a bound on how far the rounded forms of one ML score can lie
+    apart: a scalar score and its matrix form, or a leaf's scalar score and
+    a search bound over it (each against its exact value). The scores run
+    over d distinct rows of n reads, and every finite log mix is at most lam
+    in magnitude (`_log_span`).
+
+    A score is a dot product of d counts summing to n with such logs; each
+    form rounds it by at most d u n lam (u = eps_mach / 2). A log mix is off
+    by u lam for its rounding plus the relative error of its mix: at most
+    (M + 1) u from the M powers and their sum, whatever order numpy adds
+    them in. A search bound adds log x times an integer of at most n kappa,
+    which rounds by at most 4 u n lam.
+    """
+    return 2.0 * np.finfo(np.float64).eps * n * ((2 * d + 8) * lam + M + 4)
 
 
 def nu_min_for_mode(mode: str, kappa: int, eta: float | None) -> float:

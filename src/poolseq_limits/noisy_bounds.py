@@ -261,7 +261,7 @@ def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
     if n_cand > PAIR_ENUM_CAP:
         raise CapacityError(
             f"{n_cand} hypothesis sets exceed the enumeration cap {PAIR_ENUM_CAP}")
-    (members,) = candidate_sets(kappa, M, n_cand)
+    members = candidate_sets(kappa, M)
     dist = _set_distances(members, kappa)
     exps = _pairwise_exponents(members, kappa, eps)
     values = []

@@ -104,8 +104,10 @@ def decode_block(block: DenoiseBlock, denoiser: str, stream: RandomStream,
     """Decode a block with the "ml" or "spectral" denoiser into its (M,
     kappa) rows, or None when the block cannot be decoded: for ML an empty
     block or one whose kappa SNPs carry fewer than M sequences, for spectral
-    one with fewer than M reads. Spectral decoding draws only from
-    `stream`, in `mode` with match probability `eta`."""
+    one with fewer than M reads. ML decoding is exact at any kappa; a block
+    whose search passes the node budget raises CapacityError, which stops
+    the run. Spectral decoding draws only from `stream`, in `mode` with
+    match probability `eta`."""
     if denoiser == "ml":
         try:
             return ml_denoise(block)

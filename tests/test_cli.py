@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolseq_limits import cli, noiseless_bounds
+from poolseq_limits import cli, denoise, noiseless_bounds
 from poolseq_limits._util import clamp01
 from poolseq_limits.cli import main
+from poolseq_limits.core import CapacityError
 
 BASE = ["-O", "G=3000000000", "-O", "M=2", "-O", "p=0.001", "-O", "eta=0.82",
         "-O", "lambda=0.01"]
@@ -474,8 +476,8 @@ def test_denoise_bench_at_eta_one_refuses_before_out(tmp_path):
 def test_denoise_bench_unenumerable_ml_bound_refuses_before_out(
         tmp_path, monkeypatch, kappa, algo):
     """An ML bound over more hypothesis sets than the enumeration cap exits
-    3 before any block is decoded, and --out keeps its bytes: at kappa 7
-    (8128 sets) the decoder alone could run, at kappa 14 it could not."""
+    3 before any block is decoded, and --out keeps its bytes: the decoder
+    alone could run at kappa 7 (8128 sets) and at kappa 14."""
     from poolseq_limits import cli
     calls = []
     monkeypatch.setattr(cli, "decode_block", lambda *a, **k: calls.append(a))
@@ -543,19 +545,66 @@ _SIM_OVER_CAP = ["simulate", "-O", "G=200000", "-O", "M=2", "-O", "p=0.001",
     ["--trials", "2"],
     ["--trials", "2", "--workers", "2"],
 ])
-def test_simulate_refused_mid_run_leaves_out_as_it_was(tmp_path, extra):
-    """A 15 kbp segment holds more SNPs than ML can enumerate, which only a
-    trial finds out: simulate exits 3 after --out is opened, serially and
-    from a worker alike, and the file keeps its bytes, because only the
-    rows replace them."""
+def test_simulate_refused_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch,
+                                                       extra):
+    """With a node budget of 10, a 15 kbp segment's ML search passes it,
+    which only a trial finds out: simulate exits 3 after --out is opened,
+    serially and from a worker alike, and the file keeps its bytes, because
+    only the rows replace them."""
+    monkeypatch.setattr(denoise, "ML_NODE_BUDGET", 10)
     out = tmp_path / "rows.csv"
     out.write_bytes(b"kept\n")
     res = run([*_SIM_OVER_CAP, *extra, "--out", str(out)])
     assert res.exception is None \
         or isinstance(res.exception, SystemExit), repr(res.exception)
     assert res.exit_code == 3
-    assert "ML enumeration needs" in res.stderr
+    assert "ML search passed its budget of 10 nodes" in res.stderr
     assert out.read_bytes() == b"kept\n"
+
+
+def test_simulate_decodes_segments_beyond_the_old_enumeration_cap():
+    """The probe point whose 15 kbp segments hold up to 24 SNPs, C(2^23, 2)
+    candidate sets and more, once refused with exit 3: every segment now
+    decodes, and stdout is pinned."""
+    res = run([*_SIM_OVER_CAP, "--trials", "2"])
+    assert res.exception is None, repr(res.exception)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == \
+        "3d4e1787eec47cdb"
+
+
+def _refuse_trial_zero(args):
+    """A stand-in trial: trial 0 is refused at once, the others leave a mark
+    in _STARTED and take a while."""
+    trial = args[3]
+    if trial == 0:
+        raise CapacityError("trial 0 refused")
+    (_STARTED / str(trial)).touch()
+    time.sleep(0.2)
+    return {}
+
+
+_STARTED = None
+
+
+def test_simulate_refusal_under_workers_drops_unstarted_trials(tmp_path,
+                                                               monkeypatch):
+    """A refusal in one worker ends the run without starting the trials
+    still queued. 16 trials run in 8 chunks of 2 on 2 workers; when chunk 0
+    fails, the map's result iterator cancels every chunk no worker holds,
+    so besides the 2 chunks the workers run only the 3 prefetched for them
+    (trials 2 to 11) can start, and trials 12 to 15 never do."""
+    monkeypatch.setattr(cli, "_simulate_one", _refuse_trial_zero)
+    monkeypatch.setattr(sys.modules[__name__], "_STARTED", tmp_path)
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\n")
+    res = run([*_SIM, "--trials", "16", "--workers", "2",
+               "--out", str(out)])
+    assert res.exit_code == 3
+    assert "trial 0 refused" in res.stderr
+    assert out.read_bytes() == b"kept\n"
+    started = {int(p.name) for p in tmp_path.iterdir() if p.name.isdigit()}
+    assert started <= set(range(2, 12)), sorted(started)
 
 
 _EXPONENT = ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1"]

@@ -1,12 +1,16 @@
-"""Property tests for the packed +-1 sequence codec in `_util`, checked
-against the per-row encode/decode loops it replaced."""
+"""Tests for the packed +-1 sequence codec and the candidate-set
+enumerator in `_util`, checked against the loops they replaced."""
+
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from poolseq_limits._util import hamming, pack_rows, unpack_rows
+from poolseq_limits._util import (candidate_sets, hamming, pack_rows,
+                                  unpack_rows)
 
 
 def seq_to_int(seq) -> int:
@@ -53,3 +57,14 @@ def test_codec_matches_reference_loops(case):
             assert (codes_a[i] < codes_a[j]) == (rows[i] < rows[j])
     want = (a[:, None, :] != b[None, :, :]).sum(axis=2)
     np.testing.assert_array_equal(hamming(codes_a, codes_b), want)
+
+
+@pytest.mark.parametrize("kappa", range(1, 6))
+def test_candidate_sets_match_combinations(kappa):
+    """The array-built subsets are itertools' M-subsets of the 2^kappa
+    codes, in the same lexicographic order, for every M."""
+    for M in range(1, min(6, 1 << kappa) + 1):
+        want = list(combinations(range(1 << kappa), M))
+        got = candidate_sets(kappa, M)
+        assert got.dtype == np.int64 and got.shape == (len(want), M)
+        assert [tuple(row) for row in got.tolist()] == want

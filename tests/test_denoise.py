@@ -9,10 +9,9 @@ import pytest
 from poolseq_limits import denoise
 from poolseq_limits._util import hamming, pack_rows, unpack_rows
 from poolseq_limits.core import CapacityError, RandomStream, ValidationError
-from poolseq_limits.denoise import (ML_CANDIDATE_CAP, RESEED_ATTEMPTS,
-                                    DenoiseBlock, build_correlation_graph,
-                                    majority_vote, ml_denoise,
-                                    spectral_denoise)
+from poolseq_limits.denoise import (RESEED_ATTEMPTS, DenoiseBlock,
+                                    build_correlation_graph, majority_vote,
+                                    ml_denoise, spectral_denoise)
 from poolseq_limits.noisy_bounds import (EXPONENT_KAPPA_CAP,
                                          mixture_distribution)
 
@@ -80,9 +79,11 @@ def test_ml_errors():
                          M=2, eps=0.1)
     with pytest.raises(ValidationError):
         ml_denoise(block)
+    # one read leaves C(14, 5) = 2002 sets tied at the best score, too many
+    # for the search to tell apart within its node budget
     big = DenoiseBlock(observations=np.ones((1, 14), np.int8),
                        M=6, eps=0.1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="budget"):
         ml_denoise(big)
 
 
@@ -152,6 +153,10 @@ def _exact_log_likelihood(block, members):
     return total
 
 
+# candidate sets the scalar reference enumerates at most
+SCALAR_REFERENCE_CAP = 10_000_000
+
+
 def scalar_ml_denoise(block: DenoiseBlock) -> np.ndarray:
     """Reference: the one-candidate-at-a-time ML loop that ml_denoise must
     reproduce exactly, ties and rounding included."""
@@ -161,9 +166,10 @@ def scalar_ml_denoise(block: DenoiseBlock) -> np.ndarray:
     if M > 1 << kappa:
         raise ValidationError(f"{kappa} SNPs carry fewer than M={M} sequences")
     n_cand = comb(1 << kappa, M)
-    if n_cand > ML_CANDIDATE_CAP:
+    if n_cand > SCALAR_REFERENCE_CAP:
         raise CapacityError(
-            f"ML enumeration needs {n_cand} candidates (cap {ML_CANDIDATE_CAP})")
+            f"ML enumeration needs {n_cand} candidates "
+            f"(cap {SCALAR_REFERENCE_CAP})")
     x = block.eps / (1.0 - block.eps)
     distinct, counts = np.unique(pack_rows(block.observations),
                                  return_counts=True)
@@ -245,9 +251,69 @@ def test_ml_matches_scalar_reference_across_chunks(monkeypatch, chunk_values):
         np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
 
 
+def test_ml_search_matches_scalar_reference(monkeypatch):
+    """With no block enumerated, the branch and bound search returns the
+    scalar loop's set on the blocks of both reference tests above."""
+    monkeypatch.setattr(denoise, "ML_ENUMERATION_MAX", 0)
+    blocks = [random_ml_block(s, mirrored=s >= 3000,
+                              max_candidates=8128 if s % 20 == 0 else 560)
+              for s in range(3600)]
+    blocks += [random_ml_block(s, mirrored=s >= 3000)
+               for s in range(0, 3600, 24)]
+    for b in blocks:
+        np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
+
+
+def planted_block(kappa: int, n: int, maf: float, seed: int):
+    """Two distinct planted truths of kappa SNPs (each allele +1 with
+    probability maf) and n reads of them at eps = 0.1."""
+    gen = RandomStream(seed).child(kappa, n).gen
+    while True:
+        truth = np.where(gen.random((2, kappa)) < maf, 1, -1).astype(np.int8)
+        if (truth[0] != truth[1]).any():
+            break
+    obs = truth[gen.integers(0, 2, size=n)]
+    obs = np.where(gen.random(obs.shape) < 0.1, -obs, obs).astype(np.int8)
+    return truth, DenoiseBlock(observations=obs, M=2, eps=0.1)
+
+
+@pytest.mark.parametrize("kappa,n,maf,decoded", [
+    (13, 55, 0.1, (128, 5128)),
+    (15, 300, 0.5, (13478, 19406)),
+    (17, 120, 0.1, (528, 1025)),
+    (19, 200, 0.5, (24277, 459863)),
+    (21, 80, 0.1, (64, 8320)),
+    (23, 150, 0.5, (3569802, 7099775)),
+    (25, 100, 0.1, (513, 4194304)),
+    (27, 55, 0.1, (1057296, 4293632)),
+])
+def test_ml_decodes_planted_blocks_above_the_old_cap(kappa, n, maf,
+                                                     decoded):
+    """Blocks with more than 1e7 candidate sets, which enumeration refused,
+    decode to their recorded sets, here the planted truths."""
+    assert comb(1 << kappa, 2) > 10_000_000
+    truth, block = planted_block(kappa, n, maf, 28)
+    got = tuple(pack_rows(ml_denoise(block)).tolist())
+    assert got == decoded
+    assert got == tuple(sorted(pack_rows(truth).tolist()))
+
+
+def test_ml_search_refuses_past_its_limits(monkeypatch):
+    """The search refuses more than 2^10 children per node, and a block
+    that needs more nodes than the budget; neither decodes part-way."""
+    many = DenoiseBlock(observations=np.ones((3, 5), np.int8), M=11,
+                        eps=0.1)
+    with pytest.raises(CapacityError, match="M <= 10"):
+        ml_denoise(many)
+    _, block = planted_block(27, 55, 0.1, 28)
+    monkeypatch.setattr(denoise, "ML_NODE_BUDGET", 5)
+    with pytest.raises(CapacityError, match="budget of 5 nodes"):
+        ml_denoise(block)
+
+
 def test_ml_memory_is_bounded_by_chunk():
-    """kappa = 10, M = 2 has 523,776 candidates; scoring them streams
-    through fixed-size chunks instead of holding every score."""
+    """kappa = 10, M = 2 has 523,776 candidates; decoding them holds
+    neither every candidate set nor every score."""
     gen = np.random.default_rng(11)
     truth = np.where(gen.random((2, 10)) < 0.5, 1, -1).astype(np.int8)
     block = make_block(truth, 60, 0.1, gen)
