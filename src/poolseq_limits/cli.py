@@ -20,9 +20,9 @@ import functools
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -118,7 +118,7 @@ def build_model(params: dict) -> ModelConfig:
                        law=law, eps=params.get("eps", 0.0))
 
 
-def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
+def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, list]]:
     axes = []
     for spec in specs:
         try:
@@ -149,8 +149,10 @@ def parse_sweeps(specs: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
             vals = np.linspace(lo, hi, count)
         else:
             raise ValidationError(f"sweep {spec!r}: scale must be linear or log")
+        vals = vals.tolist()
         if _KEYS[name] is int:
-            vals = np.unique(np.round(vals).astype(int))
+            # Python ints, as an override gives: int64 would wrap past 2^63
+            vals = sorted({round(v) for v in vals})
         axes.append((name, vals))
     return axes
 
@@ -319,7 +321,7 @@ def bounds(config_path, overrides, sweeps, out):
     axes = parse_sweeps(sweeps)
     names = [name for name, _ in axes]
     rows = []
-    for point in itertools.product(*(vals.tolist() for _, vals in axes)):
+    for point in itertools.product(*(vals for _, vals in axes)):
         params = {**base, **dict(zip(names, point))}
         config = build_model(params)
         row = _echo_params(params)
@@ -387,9 +389,11 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     fh = _output(out)
     jobs = [(params, plan, seed, t, denoiser) for t in range(trials)]
     if workers > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_simulate_one, jobs,
-                                 chunksize=max(1, trials // (workers * 4))))
+        # leaving the pool terminates its workers, so a refusal ends the run
+        # without waiting for the chunks they run or have queued
+        with multiprocessing.Pool(workers) as pool:
+            rows = list(pool.imap(_simulate_one, jobs,
+                                  max(1, trials // (workers * 4))))
     else:
         rows = [_simulate_one(j) for j in jobs]
     echo = _echo_params({**params, "trials": trials, "seed": seed})
@@ -513,9 +517,11 @@ def denoise_bench(m_individuals, kappa, eps, coverage, blocks, algo, eta, seed,
     law = FixedBiallelic(0.5 * (1.0 - math.sqrt(2.0 * eta - 1.0)))
     stream = RandomStream(seed)
     algos = ["ml", "spectral"] if algo == "both" else [algo]
-    # the ML bound's enumeration cap is below the decoder's enumeration
-    # threshold, so this call refuses, before any block is decoded, every
-    # (M, kappa) whose blocks the decoder would search and might refuse
+    # this call refuses, before any block is decoded, every (M, kappa) past
+    # the bound's caps (PAIR_ENUM_CAP candidate sets, MATCHING_WORK_CAP
+    # matchings); the blocks of every (M, kappa) they admit are either
+    # enumerated, or have M = 1 and are searched within 2^kappa - 1 <= 2,047
+    # nodes, so no block refuses after --out opens
     if "ml" in algos:
         ml_bound = den_ml_upper(m_individuals, coverage, eps, kappa=kappa)
     fh = _output(out)

@@ -5,12 +5,13 @@ observation rows over {-1, +1} (-1 = major allele), each row a read's
 content restricted to the window, assuming the read spans the whole
 window. ML decoding returns the M-subset of the 2^kappa possible sequences
 with the greatest scalar log-likelihood under the symmetric-flip channel,
-at any kappa. A block with few candidate sets is enumerated, one chunk of
-sets per matrix-vector product, and the sets near the running maximum are
-rescored with the scalar log-likelihood, so that rounding never changes the
-winner. A larger block is searched by branch and bound over bit prefixes,
-within a node budget; it scores its leaves with the same scalar
-log-likelihood and prunes only by a bound plus a rounding margin.
+at any kappa. A block whose scores, one per candidate set and distinct
+row, fit in ML_ENUMERATION_VALUES floats is enumerated in one
+matrix-vector product, and the sets near the maximum are rescored with the
+scalar log-likelihood, so that rounding never changes the winner. A larger
+block is searched by branch and bound over bit prefixes, within a node
+budget; it scores its leaves with the same scalar log-likelihood and prunes
+only by a bound plus a rounding margin.
 Spectral decoding thresholds the sample cross-correlation into a graph,
 clusters its top eigenvector embedding, and majority-votes per cluster. The
 embedding is computed on the block's distinct rows, weighted by their
@@ -41,17 +42,16 @@ __all__ = [
     "extract_block",
 ]
 
-# ML decoding enumerates blocks with at most this many candidate sets
-# C(2^kappa, M) and searches larger ones by branch and bound
-ML_ENUMERATION_MAX = 5_000
+# ML decoding enumerates a block when its score matrix, C(2^kappa, M)
+# candidate sets by its distinct rows, holds at most this many float64
+# values (1 MB), and searches it by branch and bound otherwise
+ML_ENUMERATION_VALUES = 1 << 17
 # search nodes ML decoding expands before refusing a block
 ML_NODE_BUDGET = 100_000
 # SNPs an int64 sequence code holds
 _CODE_BITS = 63
 # individuals the ML search takes: a node has up to 2^M children
 _SEARCH_MAX_M = 10
-# float64 values in one chunk of ML candidate mixtures (1 MB)
-ML_CHUNK_VALUES = 1 << 17
 # spectral clustering: Lloyd iterations per run, random reseeds per block
 LLOYD_MAX_ITER = 50
 RESEED_ATTEMPTS = 5
@@ -109,15 +109,17 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
     before +1): the set with the greatest scalar log-likelihood
     counts @ log(mix), mix being its summed x^hamming column per distinct
     observed row (x = eps / (1 - eps)); equal scores go to the
-    lexicographically first set, so the result is deterministic. Blocks
-    with at most ML_ENUMERATION_MAX candidate sets C(2^kappa, M) are
-    enumerated (`_ml_enumerate`) and larger ones are searched by branch and
-    bound (`_ml_search`); both return the set the one-candidate-at-a-time
-    scalar loop returns, at any kappa, ties and rounding included. Raises
-    CapacityError when the search needs more than ML_NODE_BUDGET nodes
-    (where the reads hardly tell sets apart) or kappa exceeds the 63 bits
-    of a sequence code, and ValidationError for an empty block or one with
-    fewer than M possible sequences (M > 2^kappa).
+    lexicographically first set, so the result is deterministic. A block
+    is enumerated (`_ml_enumerate`) when C(2^kappa, M) candidate sets times
+    its distinct rows is at most ML_ENUMERATION_VALUES, and searched by
+    branch and bound (`_ml_search`) otherwise; both share one power table
+    x^0..x^kappa and one rounding margin (`_ml_margin`), and both return
+    the set the one-candidate-at-a-time scalar loop returns, at any kappa,
+    ties and rounding included. Raises CapacityError when the search needs
+    more than ML_NODE_BUDGET nodes (where the reads hardly tell sets apart)
+    or kappa exceeds the 63 bits of a sequence code, and ValidationError for
+    an empty block or one with fewer than M possible sequences
+    (M > 2^kappa).
 
     At eps = 0.5 every candidate scores n log M and the first set is
     returned without scoring. At eps = 0 a set scores 0 when it holds every
@@ -144,13 +146,15 @@ def ml_denoise(block: DenoiseBlock) -> np.ndarray:
         # the observed rows and the smallest codes beside them
         free = np.setdiff1d(np.arange(M), distinct)[:M - len(distinct)]
         return unpack_rows(np.union1d(distinct, free), kappa)
+    powtab = x ** np.arange(kappa + 1, dtype=float)
+    margin = _ml_margin(powtab, len(distinct), int(counts.sum()), M)
     # a power that underflows to 0 gives a log of -inf, a score no set wins
     # by, and -inf plus the search's infinite margin is nan, which prunes none
     with np.errstate(divide="ignore", invalid="ignore"):
-        if comb(1 << kappa, M) <= ML_ENUMERATION_MAX:
-            best = _ml_enumerate(distinct, counts, kappa, M, x)
+        if comb(1 << kappa, M) * len(distinct) <= ML_ENUMERATION_VALUES:
+            best = _ml_enumerate(distinct, counts, kappa, M, powtab, margin)
         else:
-            best = _ml_search(distinct, counts, kappa, M, x)
+            best = _ml_search(distinct, counts, kappa, M, powtab, margin)
     return unpack_rows(best, kappa)
 
 
@@ -163,39 +167,31 @@ def _scalar_score(counts: np.ndarray, xpow: np.ndarray) -> float:
 
 
 def _ml_enumerate(distinct: np.ndarray, counts: np.ndarray, kappa: int,
-                  M: int, x: float) -> tuple[int, ...]:
-    """Score every candidate set, in lexicographic order, in chunks of
-    ML_CHUNK_VALUES // (distinct rows) sets, each chunk as one
-    matrix-vector product. That rounds differently from the scalar score by
-    at most half of `_ml_margin`, so every candidate whose matrix score is
-    within the margin of the running maximum is rescored with the scalar
+                  M: int, powtab: np.ndarray,
+                  margin: float) -> tuple[int, ...]:
+    """Score every candidate set in one matrix-vector product over its
+    (sets, distinct rows) mixes. That rounds differently from the scalar
+    score by at most half of the margin, so every set whose matrix score is
+    within the margin of the maximum is rescored with the scalar
     expression, in lexicographic order, and replaces the best only when
-    strictly greater. When every candidate scores -inf (x^kappa underflows
-    at a tiny eps) the first one is kept."""
-    xpow = x ** hamming(distinct, np.arange(1 << kappa)).astype(float)
-    margin = _ml_margin(_log_span(xpow, M), len(distinct), int(counts.sum()),
-                        M)
-    rows = np.ascontiguousarray(xpow.T)  # one row per sequence code
-    every = candidate_sets(kappa, M)
-    chunk = max(1, ML_CHUNK_VALUES // len(distinct))
-    best, best_ll = tuple(range(M)), -np.inf
-    top = -np.inf
-    for start in range(0, len(every), chunk):
-        sets = every[start:start + chunk]
-        scores = np.log(set_sums(rows, sets)) @ counts
-        top = max(top, scores.max())
-        if top == -np.inf:  # no candidate yet explains every row
-            continue
-        for i in np.flatnonzero(scores >= top - margin):
-            cand = tuple(sets[i].tolist())
-            ll = _scalar_score(counts, xpow[:, cand])
-            if ll > best_ll:
-                best_ll, best = ll, cand
+    strictly greater. When every set scores -inf (x^kappa underflows at a
+    tiny eps) the first one is returned."""
+    rows = powtab[hamming(np.arange(1 << kappa), distinct)]  # one per code
+    sets = candidate_sets(kappa, M)
+    scores = np.log(set_sums(rows, sets)) @ counts
+    top = scores.max()
+    if top == -np.inf:  # no set explains every row
+        return tuple(range(M))
+    best, best_ll = None, -np.inf
+    for i in np.flatnonzero(scores >= top - margin):
+        ll = _scalar_score(counts, rows[sets[i]].T)
+        if ll > best_ll:
+            best, best_ll = tuple(sets[i].tolist()), ll
     return best
 
 
 def _ml_search(distinct: np.ndarray, counts: np.ndarray, kappa: int, M: int,
-               x: float) -> tuple[int, ...]:
+               powtab: np.ndarray, margin: float) -> tuple[int, ...]:
     """Depth-first branch and bound over bit prefixes of the M sequences.
 
     The SNPs are searched in order of their minor-read count, largest
@@ -206,7 +202,7 @@ def _ml_search(distinct: np.ndarray, counts: np.ndarray, kappa: int, M: int,
     sum_i c_i log sum_j x^a_ij + log x * sum_i c_i min_j b_ij, because
     x^(a+b) <= x^a x^(min_j b_j) for x <= 1; the last sum is at least
     `_median_floor`(t). Children are visited best bound first, and a node
-    is dropped only when its bound plus `_ml_margin` falls strictly below
+    is dropped only when its bound plus the margin falls strictly below
     the best scalar score found, so every set that could win or tie the
     scalar loop reaches a leaf. A leaf (t = kappa, codes strictly
     increasing) is mapped back to SNP order and scored with the scalar
@@ -226,12 +222,8 @@ def _ml_search(distinct: np.ndarray, counts: np.ndarray, kappa: int, M: int,
     bits = bits[:, order]
     # a searched code's bit p is SNP order[p]'s
     weights = np.left_shift(1, kappa - 1 - order)
-    powtab = x ** np.arange(kappa + 1, dtype=float)
-    log_x = float(np.log(x))
+    log_x = float(np.log(powtab[1]))
     floor = _median_floor(bits, counts, M)
-    margin = np.inf  # a subnormal power leaves no rounding bound
-    if powtab[-1] >= np.finfo(np.float64).tiny:
-        margin = _ml_margin(_log_span(powtab, M), d, n, M)
     # child bit patterns in lexicographic order, kept per set of equal
     # neighbouring prefixes: equal prefixes j, j+1 take bits b_j <= b_j+1,
     # and b_j < b_j+1 at the last column, as a leaf holds M distinct codes
@@ -310,18 +302,14 @@ def _median_floor(bits: np.ndarray, counts: np.ndarray, M: int) -> np.ndarray:
     return floor[:kappa + 1]
 
 
-def _log_span(xpow: np.ndarray, M: int) -> float:
-    """The largest magnitude a finite log mix of M terms drawn from xpow
-    can take: between log(min positive xpow) and log(M max xpow)."""
-    return max(abs(np.log(xpow[xpow > 0].min())), abs(np.log(M * xpow.max())))
-
-
-def _ml_margin(lam: float, d: int, n: int, M: int) -> float:
+def _ml_margin(powtab: np.ndarray, d: int, n: int, M: int) -> float:
     """Twice a bound on how far the rounded forms of one ML score can lie
     apart: a scalar score and its matrix form, or a leaf's scalar score and
     a search bound over it (each against its exact value). The scores run
-    over d distinct rows of n reads, and every finite log mix is at most lam
-    in magnitude (`_log_span`).
+    over d distinct rows of n reads, with powers powtab = x^0..x^kappa, so
+    a finite log mix of M of them lies between log x^kappa and log M and is
+    at most lam in magnitude. When x^kappa is subnormal the powers' relative
+    rounding has no bound, and the margin is inf.
 
     A score is a dot product of d counts summing to n with such logs; each
     form rounds it by at most d u n lam (u = eps_mach / 2). A log mix is off
@@ -330,6 +318,9 @@ def _ml_margin(lam: float, d: int, n: int, M: int) -> float:
     them in. A search bound adds log x times an integer of at most n kappa,
     which rounds by at most 4 u n lam.
     """
+    if powtab[-1] < np.finfo(np.float64).tiny:
+        return np.inf
+    lam = max(-np.log(powtab[-1]), np.log(M))
     return 2.0 * np.finfo(np.float64).eps * n * ((2 * d + 8) * lam + M + 4)
 
 

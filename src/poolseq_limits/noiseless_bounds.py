@@ -18,7 +18,7 @@ from functools import partial
 from math import comb, exp, expm1, log, log1p
 
 from ._util import clamp01, golden_max
-from .core import ModelConfig, ValidationError
+from .core import CapacityError, ModelConfig, ValidationError
 
 __all__ = [
     "coverage_single",
@@ -129,6 +129,18 @@ def coverage_asymptotic(config: ModelConfig) -> tuple[float, float]:
     return base * max(1.0 / M, alt), base
 
 
+def _at_least_two_weights(M: int) -> list[float]:
+    """The inclusion-exclusion weights (-1)^m (m-1) C(M, m), m = 2..M, of
+    the event that at least two of M individuals fail. CapacityError once
+    one passes the float range, which C(M, M/2) does from M = 1,030."""
+    try:
+        return [(-1.0) ** m * (m - 1) * comb(M, m) for m in range(2, M + 1)]
+    except OverflowError:
+        raise CapacityError(
+            f"M={M}: the inclusion-exclusion weights (m-1) C(M, m) pass the "
+            f"float range") from None
+
+
 def p_m(m: int, lam: float, p: float, eta: float, L: float) -> float:
     """Single identical-region failure probability against m read processes.
 
@@ -167,8 +179,8 @@ def delta_m(M: int, lam: float, p: float, eta: float, L: float) -> float:
     if r <= 0.0:
         return 0.0  # degenerate: no discriminating SNPs ever arrive
     total = 0.0
-    for m in range(2, M + 1):
-        total += (-1.0) ** m * (m - 1) * comb(M, m) * p_m(m, lam, p, eta, L)
+    for m, weight in enumerate(_at_least_two_weights(M), start=2):
+        total += weight * p_m(m, lam, p, eta, L)
     return clamp01(total)
 
 
@@ -237,12 +249,12 @@ def bridging_asymptotic(config: ModelConfig) -> tuple[float, float]:
         return 0.0, 0.0
     _require_positive(lam=lam)
     raw_lower = 0.0
-    for m in range(2, M + 1):
+    for m, weight in enumerate(_at_least_two_weights(M), start=2):
         a = m * lam
         lo_rate, hi_rate = min(a, r), max(a, r)
         term = exp(-lo_rate * L) / (1.0 - lo_rate / hi_rate) \
             if lo_rate < hi_rate else (1.0 + r * L) * exp(-r * L)
-        raw_lower += (-1.0) ** m * (m - 1) * comb(M, m) * term
+        raw_lower += weight * term
     raw_lower *= G / L
     lo2, hi2 = min(2.0 * lam, r), max(2.0 * lam, r)
     if lo2 < hi2:

@@ -494,6 +494,59 @@ def test_denoise_bench_unenumerable_ml_bound_refuses_before_out(
     assert calls == []
 
 
+def test_denoise_bench_blocks_the_ml_bound_admits_never_refuse():
+    """Every (M, kappa) whose ML bound the bound's caps admit is either
+    enumerated for any block (at most 2^kappa distinct rows), or has M = 1
+    and is searched: kappa = 11 with 2,000 reads a block is searched, and
+    the bench runs through."""
+    from math import comb, factorial
+
+    from poolseq_limits import noisy_bounds as nb
+    for kappa in range(1, 12):
+        for M in range(1, (1 << kappa) + 1):
+            sets = comb(1 << kappa, M)
+            if sets > nb.PAIR_ENUM_CAP \
+                    or factorial(M) * sets * sets > nb.MATCHING_WORK_CAP:
+                continue
+            assert M == 1 or \
+                sets << kappa <= denoise.ML_ENUMERATION_VALUES, (M, kappa)
+    res = run(["denoise-bench", "--m", "1", "--kappa", "11", "--eps", "0.1",
+               "--coverage", "2000", "--blocks", "20", "--algo", "ml"])
+    assert res.exit_code == 0, res.output
+    assert res.stdout.splitlines()[2] == \
+        "ml,1,11,0.1,2000,20,0,0,0.161125158053,0"
+
+
+def test_huge_m_refuses_the_inclusion_exclusion(tmp_path):
+    """From M = 1,030 a weight (m-1) C(M, m) of the at-least-two sum passes
+    the float range: `bounds` (through delta_m at eps = 0) and
+    `critical-l --bound assembly-upper-asym` (through bridging_asymptotic)
+    exit 3 naming M instead of crashing."""
+    for args in (["bounds", *BASE, "-O", "M=100000", "-O", "L=110000"],
+                 ["critical-l", "--bound", "assembly-upper-asym",
+                  "--target", "0.01", *BASE, "-O", "M=2000"]):
+        res = run(args)
+        assert res.exception is None \
+            or isinstance(res.exception, SystemExit), repr(res.exception)
+        assert res.exit_code == 3
+        assert "M=" in res.stderr and "float range" in res.stderr
+
+
+def test_bounds_integer_sweep_past_int64():
+    """An integer axis holds Python ints, as an override does: G swept to
+    1e19 does not wrap past 2^63, and its last row is the -O G row."""
+    sweep = run(["bounds", *BASE, "-O", "L=110000",
+                 "--sweep", "G=1e18:1e19:2"])
+    point = run(["bounds", *BASE, "-O", "L=110000",
+                 "-O", "G=10000000000000000000"])
+    assert sweep.exit_code == point.exit_code == 0, sweep.output
+    assert sweep.stderr == ""
+    rows = sweep.stdout.splitlines()
+    assert len(rows) == 4
+    assert rows[-1] == point.stdout.splitlines()[-1]
+    assert rows[-1].startswith(",10000000000000000000,")
+
+
 def test_simulate_tiny_segment_step_refuses_before_out(tmp_path):
     """A step of 1e-6 bp cuts G = 24000 into 2.4e10 segments, whose table
     alone needs terabytes: the capacity estimate counts the segments, so
@@ -591,9 +644,9 @@ def test_simulate_refusal_under_workers_drops_unstarted_trials(tmp_path,
                                                                monkeypatch):
     """A refusal in one worker ends the run without starting the trials
     still queued. 16 trials run in 8 chunks of 2 on 2 workers; when chunk 0
-    fails, the map's result iterator cancels every chunk no worker holds,
-    so besides the 2 chunks the workers run only the 3 prefetched for them
-    (trials 2 to 11) can start, and trials 12 to 15 never do."""
+    fails, leaving the pool terminates both workers, so only the chunk the
+    other worker runs (trials 2, 3) and the one the refusing worker takes
+    next (trials 4, 5) can start, and trials 6 to 15 never do."""
     monkeypatch.setattr(cli, "_simulate_one", _refuse_trial_zero)
     monkeypatch.setattr(sys.modules[__name__], "_STARTED", tmp_path)
     out = tmp_path / "rows.csv"
@@ -604,7 +657,7 @@ def test_simulate_refusal_under_workers_drops_unstarted_trials(tmp_path,
     assert "trial 0 refused" in res.stderr
     assert out.read_bytes() == b"kept\n"
     started = {int(p.name) for p in tmp_path.iterdir() if p.name.isdigit()}
-    assert started <= set(range(2, 12)), sorted(started)
+    assert started <= set(range(2, 6)), sorted(started)
 
 
 _EXPONENT = ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1"]

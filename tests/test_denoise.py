@@ -211,7 +211,7 @@ def random_ml_block(seed: int, mirrored: bool = False,
 
 
 def test_ml_matches_scalar_reference():
-    """The chunked matrix pass returns the scalar loop's set on 3,000
+    """The ML decoder returns the scalar loop's set on 3,000
     random blocks and 600 mirror-tied ones; one block in 20 may have up
     to C(128, 2) = 8,128 candidates (kappa = 7, M = 2)."""
     blocks = [random_ml_block(s, mirrored=s >= 3000,
@@ -241,20 +241,19 @@ def test_ml_ties_resolve_to_first_candidate():
                                       scalar_ml_denoise(block))
 
 
-@pytest.mark.parametrize("chunk_values", [1, 5, 64])
-def test_ml_matches_scalar_reference_across_chunks(monkeypatch, chunk_values):
-    """A chunk budget below the distinct-row count gives one candidate per
-    chunk; small budgets split every block into many chunks."""
-    monkeypatch.setattr(denoise, "ML_CHUNK_VALUES", chunk_values)
-    for seed in range(0, 3600, 24):
-        b = random_ml_block(seed, mirrored=seed >= 3000)
-        np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
-
-
-def test_ml_search_matches_scalar_reference(monkeypatch):
-    """With no block enumerated, the branch and bound search returns the
-    scalar loop's set on the blocks of both reference tests above."""
-    monkeypatch.setattr(denoise, "ML_ENUMERATION_MAX", 0)
+@pytest.mark.parametrize("values", [0, 4096])
+def test_ml_search_matches_scalar_reference(monkeypatch, values):
+    """With the enumeration limit at 0 every block is searched by branch
+    and bound; at 4096 score values the blocks split between enumeration
+    and search. Either way ML decoding returns the scalar loop's set on
+    the blocks of the reference test above and 150 more."""
+    monkeypatch.setattr(denoise, "ML_ENUMERATION_VALUES", values)
+    paths = []
+    for name in ("_ml_enumerate", "_ml_search"):
+        def spy(*args, _path=getattr(denoise, name), _name=name):
+            paths.append(_name)
+            return _path(*args)
+        monkeypatch.setattr(denoise, name, spy)
     blocks = [random_ml_block(s, mirrored=s >= 3000,
                               max_candidates=8128 if s % 20 == 0 else 560)
               for s in range(3600)]
@@ -262,6 +261,8 @@ def test_ml_search_matches_scalar_reference(monkeypatch):
                for s in range(0, 3600, 24)]
     for b in blocks:
         np.testing.assert_array_equal(ml_denoise(b), scalar_ml_denoise(b))
+    assert set(paths) == ({"_ml_search"} if values == 0
+                          else {"_ml_enumerate", "_ml_search"})
 
 
 def planted_block(kappa: int, n: int, maf: float, seed: int):
@@ -311,13 +312,17 @@ def test_ml_search_refuses_past_its_limits(monkeypatch):
         ml_denoise(block)
 
 
-def test_ml_memory_is_bounded_by_chunk():
-    """kappa = 10, M = 2 has 523,776 candidates; decoding them holds
-    neither every candidate set nor every score."""
+@pytest.mark.parametrize("M,kappa,n", [(2, 10, 60), (1, 12, 2000)])
+def test_ml_memory_stays_small_past_the_enumeration_limit(M, kappa, n):
+    """Blocks whose score matrix passes ML_ENUMERATION_VALUES are decoded
+    holding neither every candidate set nor every score: kappa = 10, M = 2
+    has 523,776 candidate sets, and kappa = 12, M = 1 has 4,096 sets over
+    hundreds of distinct rows."""
     gen = np.random.default_rng(11)
-    truth = np.where(gen.random((2, 10)) < 0.5, 1, -1).astype(np.int8)
-    block = make_block(truth, 60, 0.1, gen)
-    assert comb(1 << 10, 2) == 523_776
+    truth = np.where(gen.random((M, kappa)) < 0.5, 1, -1).astype(np.int8)
+    block = make_block(truth, n, 0.1, gen)
+    rows = len(np.unique(pack_rows(block.observations)))
+    assert comb(1 << kappa, M) * rows > denoise.ML_ENUMERATION_VALUES
     tracemalloc.start()
     try:
         ml_denoise(block)
