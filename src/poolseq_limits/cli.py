@@ -20,9 +20,9 @@ import functools
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import click
 import numpy as np
@@ -351,6 +351,32 @@ def _simulate_one(args) -> dict:
     return row
 
 
+def _simulate_chunk(jobs: list) -> list[dict]:
+    return [_simulate_one(job) for job in jobs]
+
+
+def _simulate_pooled(jobs: list, workers: int) -> list[dict]:
+    """The rows of `_simulate_one` over jobs, in order, on `workers`
+    processes, in chunks of len(jobs) // (4 workers) trials. No more chunks
+    are handed out than there are workers, so once a trial raises only the
+    chunks already running finish before the error propagates, and a worker
+    that dies raises BrokenProcessPool."""
+    size = max(1, len(jobs) // (workers * 4))
+    todo = ((i, jobs[i:i + size]) for i in range(0, len(jobs), size))
+    rows = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running = {pool.submit(_simulate_chunk, chunk): i
+                   for i, chunk in itertools.islice(todo, workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in sorted(done, key=running.get):
+                i = running.pop(fut)
+                rows[i:i + size] = fut.result()
+            for i, chunk in itertools.islice(todo, len(done)):
+                running[pool.submit(_simulate_chunk, chunk)] = i
+    return rows
+
+
 @main.command()
 @common_options
 @click.option("--trials", type=int, default=None, help="Trial count.")
@@ -389,11 +415,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
     fh = _output(out)
     jobs = [(params, plan, seed, t, denoiser) for t in range(trials)]
     if workers > 1 and trials > 1:
-        # leaving the pool terminates its workers, so a refusal ends the run
-        # without waiting for the chunks they run or have queued
-        with multiprocessing.Pool(workers) as pool:
-            rows = list(pool.imap(_simulate_one, jobs,
-                                  max(1, trials // (workers * 4))))
+        rows = _simulate_pooled(jobs, workers)
     else:
         rows = [_simulate_one(j) for j in jobs]
     echo = _echo_params({**params, "trials": trials, "seed": seed})

@@ -14,7 +14,7 @@ clamping.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, exp, expm1, log, log1p
 
 from ._util import clamp01, golden_max
@@ -129,12 +129,15 @@ def coverage_asymptotic(config: ModelConfig) -> tuple[float, float]:
     return base * max(1.0 / M, alt), base
 
 
-def _at_least_two_weights(M: int) -> list[float]:
+@lru_cache(maxsize=64)
+def _at_least_two_weights(M: int) -> tuple[float, ...]:
     """The inclusion-exclusion weights (-1)^m (m-1) C(M, m), m = 2..M, of
-    the event that at least two of M individuals fail. CapacityError once
-    one passes the float range, which C(M, M/2) does from M = 1,030."""
+    the event that at least two of M individuals fail, built once per M.
+    CapacityError once one passes the float range, which C(M, M/2) does
+    from M = 1,030."""
     try:
-        return [(-1.0) ** m * (m - 1) * comb(M, m) for m in range(2, M + 1)]
+        return tuple((-1.0) ** m * (m - 1) * comb(M, m)
+                     for m in range(2, M + 1))
     except OverflowError:
         raise CapacityError(
             f"M={M}: the inclusion-exclusion weights (m-1) C(M, m) pass the "

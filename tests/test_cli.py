@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -633,7 +636,7 @@ def _refuse_trial_zero(args):
     if trial == 0:
         raise CapacityError("trial 0 refused")
     (_STARTED / str(trial)).touch()
-    time.sleep(0.2)
+    time.sleep(0.5)
     return {}
 
 
@@ -643,10 +646,10 @@ _STARTED = None
 def test_simulate_refusal_under_workers_drops_unstarted_trials(tmp_path,
                                                                monkeypatch):
     """A refusal in one worker ends the run without starting the trials
-    still queued. 16 trials run in 8 chunks of 2 on 2 workers; when chunk 0
-    fails, leaving the pool terminates both workers, so only the chunk the
-    other worker runs (trials 2, 3) and the one the refusing worker takes
-    next (trials 4, 5) can start, and trials 6 to 15 never do."""
+    still queued. 16 trials run in 8 chunks of 2 on 2 workers, and only 2
+    chunks are handed out at a time: chunk 0 fails at once, so only chunk 1
+    (trials 2, 3) can start. Chunk 2 would be handed out only if chunk 1's
+    two 0.5 s trials ended before chunk 0's refusal reached the parent."""
     monkeypatch.setattr(cli, "_simulate_one", _refuse_trial_zero)
     monkeypatch.setattr(sys.modules[__name__], "_STARTED", tmp_path)
     out = tmp_path / "rows.csv"
@@ -657,7 +660,29 @@ def test_simulate_refusal_under_workers_drops_unstarted_trials(tmp_path,
     assert "trial 0 refused" in res.stderr
     assert out.read_bytes() == b"kept\n"
     started = {int(p.name) for p in tmp_path.iterdir() if p.name.isdigit()}
-    assert started <= set(range(2, 6)), sorted(started)
+    assert started <= {2, 3}, sorted(started)
+
+
+def _die_on_trial_one(args):
+    """A stand-in trial whose worker process dies on trial 1."""
+    if args[3] == 1:
+        os._exit(9)
+    return {}
+
+
+def test_simulate_worker_death_ends_the_run(monkeypatch):
+    """A worker that dies (killed for memory, say) fails the run at once
+    instead of leaving it waiting for the dead worker's trials."""
+    monkeypatch.setattr(cli, "_simulate_one", _die_on_trial_one)
+    results = []
+    runner = threading.Thread(target=lambda: results.append(
+        run([*_SIM, "--trials", "4", "--workers", "2"])), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "simulate still waits for a dead worker"
+    assert isinstance(results[0].exception, BrokenProcessPool), \
+        repr(results[0].exception)
+    assert results[0].exit_code == 1
 
 
 _EXPONENT = ["exponent", "--m", "2", "--kappa", "3", "--eps", "0.1"]

@@ -312,6 +312,23 @@ def test_ml_search_refuses_past_its_limits(monkeypatch):
         ml_denoise(block)
 
 
+@pytest.mark.parametrize("rows", [26, 27])
+def test_ml_above_the_search_m_decodes_only_when_enumerated(rows):
+    """M = 29 of 32 sequences has C(32, 29) = 4,960 candidate sets: with 26
+    distinct rows its score matrix fits ML_ENUMERATION_VALUES and it is
+    enumerated, as the scalar loop decodes it; with 27 it does not, and the
+    search, which takes M <= 10, refuses it."""
+    block = DenoiseBlock(observations=unpack_rows(np.arange(rows), 5), M=29,
+                         eps=0.1)
+    assert (comb(32, 29) * rows <= denoise.ML_ENUMERATION_VALUES) == \
+        (rows == 26)
+    if rows == 26:
+        assert np.array_equal(ml_denoise(block), scalar_ml_denoise(block))
+    else:
+        with pytest.raises(CapacityError, match="M <= 10, got M=29"):
+            ml_denoise(block)
+
+
 @pytest.mark.parametrize("M,kappa,n", [(2, 10, 60), (1, 12, 2000)])
 def test_ml_memory_stays_small_past_the_enumeration_limit(M, kappa, n):
     """Blocks whose score matrix passes ML_ENUMERATION_VALUES are decoded
