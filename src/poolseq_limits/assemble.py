@@ -61,20 +61,20 @@ class Contig:
     consensus: np.ndarray = field(default_factory=lambda: np.empty(0, np.int8))
 
 
+def _uncovered(starts: np.ndarray, a: np.ndarray, b: np.ndarray,
+               L: float) -> int:
+    """Count the position ranges [a[k], b[k]] that no read covers, given the
+    reads' ascending starts. A read starting at s covers [s, s + L), so it
+    covers [a, b] when it starts in (b - L, a]."""
+    return int(np.count_nonzero(np.searchsorted(starts, a, "right")
+                                <= np.searchsorted(starts, b - L, "right")))
+
+
 def check_coverage(pop: Population, rs: ReadSet) -> CheckReport:
     """Count the (individual, snp) pairs not covered by that individual's reads."""
-    L = rs.config.L
-    positions = pop.snp_positions
-    violations = 0
-    for m in range(pop.M):
-        starts_m = rs.starts[rs.hidden == m]
-        if starts_m.size == 0:
-            violations += pop.S
-            continue
-        idx = np.searchsorted(starts_m, positions, side="right")
-        prev = np.where(idx > 0, starts_m[np.maximum(idx - 1, 0)], -np.inf)
-        violations += int(np.count_nonzero(~(prev > positions - L)))
-    return CheckReport(violations)
+    pos = pop.snp_positions
+    return CheckReport(sum(_uncovered(rs.starts[rs.hidden == m], pos, pos,
+                                      rs.config.L) for m in range(pop.M)))
 
 
 def check_bridging(pop: Population, rs: ReadSet) -> CheckReport:
@@ -85,19 +85,11 @@ def check_bridging(pop: Population, rs: ReadSet) -> CheckReport:
     start + L > b. Regions before the first or after the last discriminating
     SNP are not obligations.
     """
-    L = rs.config.L
     violations = 0
     for i, j in combinations(range(pop.M), 2):
         dpos = discriminating_positions(pop, i, j)
-        if dpos.size < 2:
-            continue
-        pair_mask = (rs.hidden == i) | (rs.hidden == j)
-        starts_ij = rs.starts[pair_mask]
-        a = dpos[:-1]
-        b = dpos[1:]
-        hi = np.searchsorted(starts_ij, a, side="right")
-        lo = np.searchsorted(starts_ij, b - L, side="left")
-        violations += int(np.count_nonzero(hi <= lo))
+        starts_ij = rs.starts[(rs.hidden == i) | (rs.hidden == j)]
+        violations += _uncovered(starts_ij, dpos[:-1], dpos[1:], rs.config.L)
     return CheckReport(violations)
 
 

@@ -234,6 +234,21 @@ def _load_params(config_path, overrides) -> dict:
     return apply_overrides(params, overrides)
 
 
+def _run_size(params: dict, trials, seed, default_trials: int):
+    """--trials and --seed if given, else the config's, else the defaults."""
+    if trials is None:
+        trials = int(params.get("trials", default_trials))
+    if seed is None:
+        seed = int(params.get("seed", 0))
+    return trials, seed
+
+
+def _report(result: dict, as_json: bool) -> None:
+    """Print a result as one JSON object or one `key: value` line per field."""
+    _echo(json.dumps(result, sort_keys=True) if as_json
+          else "\n".join(f"{key}: {val}" for key, val in result.items()))
+
+
 def _echo_params(params: dict) -> dict:
     return {key: params.get(key, "") for key in _KEYS}
 
@@ -392,10 +407,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
              mem_cap_mb, out, as_json):
     """Run Monte Carlo assembly trials and summarize failure rates."""
     params = _load_params(config_path, overrides)
-    if trials is None:
-        trials = int(params.get("trials", 0))
-    if seed is None:
-        seed = int(params.get("seed", 0))
+    trials, seed = _run_size(params, trials, seed, 0)
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     RandomStream(seed)  # rejects a bad seed before any trial runs
@@ -431,11 +443,7 @@ def simulate(config_path, overrides, trials, seed, workers, denoiser,
             lo, hi = wilson_interval(k, len(vals))
             summary[flag] = {"count": k, "rate": k / len(vals),
                              "ci95": [lo, hi]}
-    if as_json:
-        _echo(json.dumps(summary, sort_keys=True))
-    else:
-        for key, val in summary.items():
-            _echo(f"{key}: {val}")
+    _report(summary, as_json)
 
 
 @main.command("critical-l")
@@ -475,13 +483,8 @@ def critical_l(config_path, overrides, target, bound, l_min, l_max, as_json):
             _echo(f"region empty: {bound} stays above {target} "
                   f"on [{l_min}, {l_max}]")
         sys.exit(EXIT_EMPTY_REGION)
-    result = {"bound": bound, "target": target, "critical_L": value,
-              "bracket": [l_min, l_max], "iterations": iters}
-    if as_json:
-        _echo(json.dumps(result, sort_keys=True))
-    else:
-        for key, val in result.items():
-            _echo(f"{key}: {val}")
+    _report({"bound": bound, "target": target, "critical_L": value,
+             "bracket": [l_min, l_max], "iterations": iters}, as_json)
 
 
 @main.command()
@@ -589,12 +592,7 @@ def _plant_truth(gen, M: int, kappa: int, law: FixedBiallelic) -> np.ndarray:
 def exact_bridging_cmd(config_path, overrides, trials, seed, out):
     """Estimate the two-individual bridging failure rate via the chain."""
     params = _load_params(config_path, overrides)
-    if trials is None:
-        trials = int(params.get("trials", 10000))
-    if seed is None:
-        seed = int(params.get("seed", 0))
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    trials, seed = _run_size(params, trials, seed, 10000)
     stream = RandomStream(seed)
     config = build_model(params)
     fh = _output(out)

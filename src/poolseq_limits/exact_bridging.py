@@ -127,7 +127,7 @@ def estimate_bridging(G: float, L: float, lam: float, p: float, eta: float,
     interval is the Wilson interval scaled the same way.
     """
     if trials < 1:
-        raise ValidationError("trials must be >= 1")
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     r = p * (1.0 - eta)
     gr = G * r
     prefactor = -expm1(-gr) - gr * exp(-gr) if r > 0.0 else 0.0

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from poolseq_limits import assemble
 from poolseq_limits.assemble import (UNSET, Contig, check_bridging,
@@ -111,6 +112,72 @@ def test_condition_counts_match_brute_force():
         outcomes.add((cov > 0, br > 0))
     # each check both holds and fails somewhere
     assert {c for c, _ in outcomes} == {b for _, b in outcomes} == {False, True}
+
+
+@pytest.mark.parametrize("L,coverage,bridging", [(10.0, 1, 1), (10.5, 0, 0)])
+def test_read_ending_at_a_snp_neither_covers_nor_bridges_it(L, coverage,
+                                                           bridging):
+    """Individual 0's one read starts at 10, so it covers [10, 10 + L):
+    at L = 10 it ends on the SNP at 20 and covers neither that SNP nor the
+    region (10, 20); just past the tie it covers both. Individual 1's reads
+    at 5 and 15 cover one SNP each and bridge nothing."""
+    config = _config(L=L)
+    pop = Population(snp_positions=np.array([10.0, 20.0]),
+                     alleles=np.array([[1, 1], [-1, -1]], dtype=np.int8))
+    rs = make_readset(config, pop, [10.0, 5.0, 15.0], [0, 1, 1])
+    assert check_coverage(pop, rs).violations == coverage
+    assert check_bridging(pop, rs).violations == bridging
+
+
+def _cover_index_counts(pop: Population, rs: ReadSet) -> tuple[int, int]:
+    """Both condition counts from the read set's cover indices: SNP j of
+    individual m is covered by a read of m with cover_lo <= j < cover_hi,
+    and the region between discriminating SNP indices ia < ib is bridged
+    by a read of either individual with cover_lo <= ia and cover_hi > ib."""
+    lo, hi = rs.cover_lo, rs.cover_hi
+    snps = np.arange(pop.S)
+    cov = 0
+    for m in range(pop.M):
+        own = rs.hidden == m
+        cov += int((~((lo[own, None] <= snps) & (hi[own, None] > snps))
+                    .any(axis=0)).sum())
+    br = 0
+    for i, j in combinations(range(pop.M), 2):
+        d = np.flatnonzero(pop.alleles[i] != pop.alleles[j])
+        pair = (rs.hidden == i) | (rs.hidden == j)
+        bridged = (lo[pair, None] <= d[:-1]) & (hi[pair, None] > d[1:])
+        br += int((~bridged.any(axis=0)).sum())
+    return cov, br
+
+
+def test_condition_counts_match_cover_indices():
+    """Both checks count what the cover indices the assembler reads say,
+    on seeded read sets with 2-4 individuals, including no reads (lambda =
+    0), no SNPs (p = 0), one SNP, and an individual with no reads."""
+    root = RandomStream(71)
+    seen = set()
+    for t in range(300):
+        M = 2 + t % 3
+        config = _config(G=400, M=M, p=(0.0, 0.01, 0.03, 0.1)[t % 4],
+                         lam=(0.0, 0.005, 0.02, 0.08, 0.2)[t % 5])
+        st = root.child(t)
+        pop = generate_population(config, st.child("pop"))
+        if t % 7 == 0:  # one SNP
+            pop = Population(snp_positions=pop.snp_positions[:1].copy()
+                             if pop.S else np.array([200.0]),
+                             alleles=LAW.alleles(st.child("one").gen, M, 1))
+        rs = generate_reads(pop, config, st.child("reads"))
+        if t % 6 == 1:  # drop one individual's reads
+            keep = rs.hidden != t % M
+            rs = make_readset(config, pop, rs.starts[keep], rs.hidden[keep])
+        want = _cover_index_counts(pop, rs)
+        got = (check_coverage(pop, rs).violations,
+               check_bridging(pop, rs).violations)
+        assert got == want, t
+        seen.add((pop.S, want[0] > 0, want[1] > 0))
+    assert {S for S, _, _ in seen} >= {0, 1}
+    assert {(c, b) for _, c, b in seen} == {(False, False), (True, True),
+                                           (True, False), (False, True)}
 
 
 def test_fig_scenario_bridged_and_assembled():

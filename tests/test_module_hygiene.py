@@ -2,10 +2,11 @@
 every `__all__` entry resolves and has a caller, and so does every public
 function of `_util` and every public method of a package class; every
 parameter default is set by some call; no code asks an allele law for its
-type; only the CLI's output and config readers open files. No linter ships
-with the project, so these guard against dead imports, stale export lists,
-public names that nothing uses, defaults that are constants in all but
-name, switches on a law's class and writes around the output rule."""
+type; only the CLI's output and config readers open files; one helper
+states when reads cover a range. No linter ships with the project, so
+these guard against dead imports, stale export lists, public names that
+nothing uses, defaults that are constants in all but name, switches on a
+law's class, writes around the output rule and a second read-cover rule."""
 
 import ast
 import functools
@@ -274,3 +275,16 @@ def test_files_open_only_through_the_output_rule():
                        or isinstance(n.func, ast.Attribute)
                        and n.func.attr in OPEN_CALLS)]
     assert not found, f"files opened outside {sorted(FILE_OPENERS)}: {found}"
+
+
+def test_read_cover_rule_stated_once():
+    """No function in `assemble` but `_uncovered` calls `searchsorted`, so
+    the coverage and bridging checks share one rule for when reads cover a
+    range of positions, and cannot disagree at a tie."""
+    tree = ast.parse((PACKAGE_DIR / "assemble.py").read_text())
+    found = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name != "_uncovered"
+             for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and "searchsorted" in (getattr(n.func, "attr", None),
+                                    getattr(n.func, "id", None))}
+    assert not found, f"searchsorted called outside _uncovered: {sorted(found)}"
