@@ -93,16 +93,16 @@ def hamming(a, b) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def candidate_sets(kappa: int, M: int) -> np.ndarray:
-    """Every M-subset of the 2^kappa sequence codes, in lexicographic order,
-    as one read-only (C(2^kappa, M), M) int64 array, built once per
-    (kappa, M): ML decoding asks for the same small tables block after
-    block.
+def candidate_sets(n: int, M: int) -> np.ndarray:
+    """Every M-subset of the codes 0..n-1 (the 2^kappa sequence codes for
+    n = 2^kappa), in lexicographic order, as one read-only (C(n, M), M)
+    int64 array, built once per (n, M): ML decoding asks for the same small
+    tables block after block.
 
     Built column by column: each subset so far is repeated once for every
     value its next member can take (above its last member, leaving room
     for the members after it), so the rows stay in lexicographic order."""
-    top = (1 << kappa) - M  # the largest first member
+    top = n - M  # the largest first member
     sets = np.arange(top + 1, dtype=np.int64)[:, None]
     for j in range(1, M):
         last = sets[:, -1]

@@ -177,7 +177,7 @@ def _ml_enumerate(distinct: np.ndarray, counts: np.ndarray, kappa: int,
     strictly greater. When every set scores -inf (x^kappa underflows at a
     tiny eps) the first one is returned."""
     rows = powtab[hamming(np.arange(1 << kappa), distinct)]  # one per code
-    sets = candidate_sets(kappa, M)
+    sets = candidate_sets(1 << kappa, M)
     scores = np.log(set_sums(rows, sets)) @ counts
     top = scores.max()
     if top == -np.inf:  # no set explains every row
@@ -295,7 +295,7 @@ def _median_floor(bits: np.ndarray, counts: np.ndarray, M: int) -> np.ndarray:
         (patterns + (np.arange(kappa) << w)).ravel(),
         np.repeat(counts, kappa), minlength=kappa << w).reshape(kappa, -1)
     every = np.arange(1 << w)
-    cover = hamming(every, every)[candidate_sets(w, M)].min(axis=1)
+    cover = hamming(every, every)[candidate_sets(1 << w, M)].min(axis=1)
     block = (cover @ weights.T).min(axis=0)  # least cost of block t..t+w
     for t in range(kappa - 1, -1, -1):
         floor[t] = block[t] + floor[t + w]
@@ -453,24 +453,18 @@ def spectral_denoise(block: DenoiseBlock, stream: RandomStream,
                           degraded=degraded, reseeds=reseeds)
 
 
-def extract_block(rs, window: tuple[float, float], eps: float) -> DenoiseBlock:
-    """Build a denoise block from the reads fully covering a window.
+def extract_block(rs, snps: tuple[int, int], reads: tuple[int, int],
+                  eps: float) -> DenoiseBlock:
+    """Build a denoise block from reads [r_lo, r_hi) of `rs` over SNPs
+    [a, b): each read contributes its alleles at those SNPs as one row.
 
-    Only reads with start <= window start and start + L >= window end
-    contribute; each contributes its alleles at the SNP indices inside the
-    window as one full-length row. The window's SNP j of read r sits at
+    The caller's segment table gives both ranges, the reads being those
+    that cover the segment whole. Read r's SNP j sits at
     rs.source[base[r] + j], so the block is one gather from the reads'
-    bases. A window holding no SNP raises ValidationError, as a block
-    needs kappa >= 1.
+    bases. An empty SNP range raises ValidationError, as a block needs
+    kappa >= 1; an empty read range (r_hi <= r_lo, as when the segment is
+    longer than a read) gives an empty block.
     """
-    lo_pos, hi_pos = window
-    pop = rs.population
-    L = rs.config.L
-    snp_lo = int(np.searchsorted(pop.snp_positions, lo_pos, side="left"))
-    snp_hi = int(np.searchsorted(pop.snp_positions, hi_pos, side="left"))
-    kappa = snp_hi - snp_lo
-    r_hi = int(np.searchsorted(rs.starts, lo_pos, side="right"))
-    r_lo = int(np.searchsorted(rs.starts, hi_pos - L, side="left"))
-    # empty when r_hi < r_lo, as when the window is longer than a read
-    obs = rs.source[(rs.base[r_lo:r_hi] + snp_lo)[:, None] + np.arange(kappa)]
+    (a, b), (r_lo, r_hi) = snps, reads
+    obs = rs.source[(rs.base[r_lo:r_hi] + a)[:, None] + np.arange(b - a)]
     return DenoiseBlock(observations=obs, M=rs.config.M, eps=eps)

@@ -184,14 +184,24 @@ def exponent_numeric(psi_t: np.ndarray, psi: np.ndarray, eps: float) -> float:
     return max(0.0, -math.log(min(bc, 1.0))) if bc > 0.0 else math.inf
 
 
+@lru_cache(maxsize=256)
 def exponent_closed(M: int, eps: float) -> float:
-    """Closed-form dominant exponent for M = 2 or 3 (kappa-independent).
+    """Dominant (one-flip) exponent: closed forms for M = 2 or 3
+    (kappa-independent), the one-flip orbit at every other M.
 
     M=2: -log(1/2 + sqrt(eps(1-eps))).
     M=3: -log((2/3) sqrt(1 - eps(1-eps)) (sqrt(2eps(1-eps) + eps^2)
           + sqrt(2eps(1-eps) + (1-eps)^2))).
     Both satisfy the eps -> 0 limit log(1 + 1/(M-1)) and vanish at
-    eps = 0.5. Other M fall back to a small-kappa numeric minimization.
+    eps = 0.5. Other M take kappa = max(2, ceil(log2(M + 1))) and the least
+    exponent of {0} u S against {1} u S over every set S of M - 1
+    companions among codes 2..2^kappa - 1. XOR with a code and a
+    permutation of loci keep Hamming distances, so they map every pair of
+    sets one bit flip apart onto such a pair with the same exponent: the
+    value is exponent_table(M, kappa, eps)[0] up to rounding, without the
+    table's all-pairs matrix. The orbit's (2 |S|, 2^kappa) mixture matrix
+    may hold at most PAIR_ENUM_CAP^2 floats, as much as the table's pair
+    matrix; past that it raises CapacityError before allocating.
     """
     _check_eps(eps)
     e = eps
@@ -202,8 +212,24 @@ def exponent_closed(M: int, eps: float) -> float:
             sqrt(2.0 * e * (1.0 - e) + e * e)
             + sqrt(2.0 * e * (1.0 - e) + (1.0 - e) ** 2))
         return max(0.0, -log(min(val, 1.0)))
+    if M < 1:
+        raise ValidationError(f"need M >= 1, got M={M}")
     kappa = max(2, math.ceil(math.log2(M + 1)))
-    return exponent_table(M, kappa, eps)[0]
+    n = 1 << kappa
+    n_sets = comb(n - 2, M - 1)
+    if 2 * n_sets * n > PAIR_ENUM_CAP ** 2:
+        raise CapacityError(
+            f"{n_sets} one-flip companion sets at kappa={kappa} exceed the "
+            f"enumeration cap: {2 * n_sets * n} mixture entries, over "
+            f"{PAIR_ENUM_CAP ** 2}")
+    companions = (candidate_sets(n - 2, M - 1) + 2 if M > 1
+                  else np.zeros((1, 0), dtype=np.int64))
+    sets = np.hstack([np.repeat([[0], [1]], n_sets, axis=0),
+                      np.tile(companions, (2, 1))])
+    sq = np.sqrt(_mixtures(sets, kappa, eps))
+    bc = min(float((sq[:n_sets] * sq[n_sets:]).sum(axis=1).max()), 1.0)
+    # disjoint mixtures (M = 1 at eps = 0) have bc = 0: the exponent is inf
+    return max(0.0, -log(bc)) if bc > 0.0 else math.inf
 
 
 def canonical_adjacent_pair(M: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +287,7 @@ def exponent_table(M: int, kappa: int, eps: float) -> tuple[float, ...]:
     if n_cand > PAIR_ENUM_CAP:
         raise CapacityError(
             f"{n_cand} hypothesis sets exceed the enumeration cap {PAIR_ENUM_CAP}")
-    members = candidate_sets(kappa, M)
+    members = candidate_sets(1 << kappa, M)
     dist = _set_distances(members, kappa)
     exps = _pairwise_exponents(members, kappa, eps)
     values = []

@@ -60,9 +60,9 @@ def estimate_trial_bytes(config: ModelConfig,
     then holds the int8 values and the float64 draws: tracemalloc peaks at
     16 bytes per observed allele, kept at 32, plus about 80 per read. It also
     holds its segment table: G / d + 1 segments, each holding its bounds
-    and SNP indices as arrays and as Python lists, 160 bytes. The estimate
-    is a float, so a step so small that G / d overflows gives inf rather
-    than an error.
+    and SNP and read ranges as arrays and its SNP range as Python lists, at
+    most about 120 bytes, kept at 160. The estimate is a float, so a step
+    so small that G / d overflows gives inf rather than an error.
     """
     S = config.G * config.p
     n_reads = config.M * config.lam * (config.G + config.L)
@@ -132,21 +132,25 @@ def run_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
     noisy = apply_noise(rs, config.eps, stream.child("noise"))
     res = TrialResult(disc_fail=False, denoise_fail=False, stitch_fail=False)
     M = config.M
-    # segment k spans [k d, min(k d + D, G)) for every k with k d < G
+    # segment k (k d < G) spans [k d, min(k d + D, G)), holds SNPs
+    # [c_lo, c_hi) and is covered whole by reads [r_lo, r_hi), those starting
+    # in [hi - L, lo]; read ranges stay arrays: 8 bytes a segment, not 40
     lo = np.arange(math.ceil(config.G / plan.d) + 1) * plan.d
     lo = lo[lo < config.G]
     hi = np.minimum(lo + plan.D, float(config.G))
     c_lo = np.searchsorted(pop.snp_positions, lo).tolist()
     c_hi = np.searchsorted(pop.snp_positions, hi).tolist()
+    r_lo = np.searchsorted(rs.starts, hi - config.L)
+    r_hi = np.searchsorted(rs.starts, lo, side="right")
     genomes = np.full((M, pop.S), -127, dtype=np.int8)
     stitching = True
-    for k, window in enumerate(zip(lo.tolist(), hi.tolist())):
-        a, b = c_lo[k], c_hi[k]
+    for k, (a, b) in enumerate(zip(c_lo, c_hi)):
         shared = c_hi[k - 1] if k else a  # overlap columns are [a, shared)
         truth = out = pop.alleles[:, a:b]  # nothing to decode without SNPs
         if b > a:
-            out = decode_block(extract_block(noisy, window, config.eps),
-                               denoiser, stream.child("spectral", k),
+            block = extract_block(noisy, (a, b), (r_lo[k], r_hi[k]),
+                                  config.eps)
+            out = decode_block(block, denoiser, stream.child("spectral", k),
                                nu_min_mode, config.eta)
         if out is None or set(_rows(out)) != set(_rows(truth)):
             res.denoise_fail = True

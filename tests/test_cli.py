@@ -1117,21 +1117,15 @@ def test_noiseless_upper_evaluators_non_increasing_in_L_and_lambda(case):
 @given(monotone_grids(noisy=True))
 def test_noisy_evaluators_non_increasing_in_L_and_lambda(case):
     params, axis, grid = case
-    # noisy bounds need M >= 2, and the ML exponent refuses M >= 8; so does
-    # spectral-upper, whose (D, d) search is seeded from that exponent
-    # (test_spectral_upper_evaluates_at_eight_individuals)
-    params["M"] = min(max(params["M"], 2), 7)
+    params["M"] = max(params["M"], 2)  # noisy bounds need M >= 2
     _check_non_increasing(params, axis, grid, ["ml-upper", "spectral-upper"])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="spectral-upper seeds its (D, d) search from the ML "
-                          "exponent, whose table refuses M >= 8")
 def test_spectral_upper_evaluates_at_eight_individuals():
-    """The spectral bound uses no ML exponent, yet at M = 8 it exits 3: its
-    (D, d) search is seeded by ml_plan_seed, whose exponent_closed(8)
-    builds a table of C(16, 8) = 12,870 hypothesis sets, past
-    PAIR_ENUM_CAP. At M = 7 the same solve exits 0."""
+    """The spectral bound's (D, d) search is seeded by ml_plan_seed, whose
+    exponent_closed(8) would need a table of C(16, 8) = 12,870 hypothesis
+    sets, past PAIR_ENUM_CAP; the one-flip orbit scores 3,432 companion
+    sets instead, so the solve exits 0."""
     res = run(["critical-l", "-O", "G=3000000", "-O", "M=8", "-O", "p=0.001",
                "-O", "eta=0.82", "-O", "lambda=0.01", "-O", "eps=0.1",
                "--target", "1e-2", "--bound", "spectral-upper",

@@ -65,6 +65,6 @@ def test_candidate_sets_match_combinations(kappa):
     codes, in the same lexicographic order, for every M."""
     for M in range(1, min(6, 1 << kappa) + 1):
         want = list(combinations(range(1 << kappa), M))
-        got = candidate_sets(kappa, M)
+        got = candidate_sets(1 << kappa, M)
         assert got.dtype == np.int64 and got.shape == (len(want), M)
         assert [tuple(row) for row in got.tolist()] == want

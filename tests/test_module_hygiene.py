@@ -3,10 +3,12 @@ every `__all__` entry resolves and has a caller, and so does every public
 function of `_util` and every public method of a package class; every
 parameter default is set by some call; no code asks an allele law for its
 type; only the CLI's output and config readers open files; one helper
-states when reads cover a range. No linter ships with the project, so
-these guard against dead imports, stale export lists, public names that
-nothing uses, defaults that are constants in all but name, switches on a
-law's class, writes around the output rule and a second read-cover rule."""
+states when reads cover a range, and one segment table gives each noisy
+segment's SNP and read ranges. No linter ships with the project, so these
+guard against dead imports, stale export lists, public names that nothing
+uses, defaults that are constants in all but name, switches on a law's
+class, writes around the output rule, a second read-cover rule and a
+second segment-to-range mapping."""
 
 import ast
 import functools
@@ -277,14 +279,26 @@ def test_files_open_only_through_the_output_rule():
     assert not found, f"files opened outside {sorted(FILE_OPENERS)}: {found}"
 
 
+def _searchsorted_callers(module: str) -> set[str]:
+    """Names of the functions in `module` that call `searchsorted`."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and "searchsorted" in (getattr(n.func, "attr", None),
+                                   getattr(n.func, "id", None))}
+
+
 def test_read_cover_rule_stated_once():
     """No function in `assemble` but `_uncovered` calls `searchsorted`, so
     the coverage and bridging checks share one rule for when reads cover a
     range of positions, and cannot disagree at a tie."""
-    tree = ast.parse((PACKAGE_DIR / "assemble.py").read_text())
-    found = {fn.name for fn in ast.walk(tree)
-             if isinstance(fn, ast.FunctionDef) and fn.name != "_uncovered"
-             for n in ast.walk(fn) if isinstance(n, ast.Call)
-             and "searchsorted" in (getattr(n.func, "attr", None),
-                                    getattr(n.func, "id", None))}
+    found = _searchsorted_callers("assemble") - {"_uncovered"}
     assert not found, f"searchsorted called outside _uncovered: {sorted(found)}"
+
+
+def test_segment_ranges_come_from_one_table():
+    """No function in `denoise` calls `searchsorted`: `run_noisy_trial`'s
+    segment table alone maps each segment to its SNP and read ranges, and
+    `extract_block` only gathers the block they name."""
+    found = _searchsorted_callers("denoise")
+    assert not found, f"searchsorted called in denoise: {sorted(found)}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -126,6 +127,35 @@ def test_exponent_closed_matches_adjacent_pair_all_kappa():
                 t, a = canonical_adjacent_pair(M, kappa)
                 assert abs(exponent_numeric(t, a, eps)
                            - exponent_closed(M, eps)) < 1e-9
+
+
+@pytest.mark.parametrize("M", [1, 4, 5, 6])
+def test_exponent_closed_one_flip_orbit_is_table_minimum(M):
+    """Away from the closed forms, scoring {0} u S against {1} u S over the
+    companion sets S gives the all-pairs table's distance-1 minimum at
+    kappa = max(2, ceil(log2(M + 1))), including inf for one individual at
+    eps = 0."""
+    kappa = max(2, math.ceil(math.log2(M + 1)))
+    for eps in (0.0, 0.05, 0.1, 0.3, 0.5):
+        assert exponent_closed(M, eps) == pytest.approx(
+            exponent_table(M, kappa, eps)[0], rel=1e-12)
+
+
+def test_exponent_closed_past_the_table_cap():
+    """M = 8 has no all-pairs table (C(16, 8) sets) but a one-flip orbit of
+    C(14, 7) companion sets; M = 16's orbit of C(30, 15) sets is refused
+    before any array is built."""
+    with pytest.raises(CapacityError):
+        exponent_table(8, 4, 0.1)
+    assert 0.0 < exponent_closed(8, 0.1) < exponent_closed(7, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            exponent_closed(16, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_exponent_closed_strictly_decreasing():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,7 +100,8 @@ def test_extract_block_and_ml_decode_from_simulated_reads():
         rs = generate_reads(pop, cfg, st.child("reads"))
         noisy = apply_noise(rs, cfg.eps, st.child("noise"))
         window = (5000.0, 7500.0)
-        block = extract_block(noisy, window, cfg.eps)
+        snps, reads = reference_ranges(noisy, window)
+        block = extract_block(noisy, snps, reads, cfg.eps)
         inside = (rs.starts <= window[0]) & (rs.starts + cfg.L >= window[1])
         assert block.n == int(inside.sum())
         lo = int(np.searchsorted(pop.snp_positions, window[0]))
@@ -119,7 +121,8 @@ def test_extract_block_rows_match_per_read_slices():
     """Each block row is the covering read's source slice over the window's
     SNPs, taken read by read, for a noiseless set, its eps = 0 copy and a
     noisy set, over random windows, including windows longer than a read,
-    whose block is empty. A window holding no SNP is refused."""
+    whose read range is empty and so is their block. A window holding no
+    SNP is refused."""
     cfg = ModelConfig(G=4000, M=3, p=0.01, L=600.0, lam=0.01,
                       law=FixedBiallelic(0.3))
     rng = np.random.default_rng(71)
@@ -136,10 +139,12 @@ def test_extract_block_rows_match_per_read_slices():
             hi = lo + float(rng.uniform(0.0, 1.5 * cfg.L))
             snp_lo, snp_hi = np.searchsorted(pop.snp_positions, [lo, hi])
             kappa = int(snp_hi - snp_lo)
+            snps, reads = reference_ranges(rs, (lo, hi))
+            assert snps == (snp_lo, snp_hi)
             if kappa == 0:
                 for x, eps in sets:
                     with pytest.raises(ValidationError):
-                        extract_block(x, (lo, hi), eps)
+                        extract_block(x, snps, reads, eps)
                 snp_free += 1
                 continue
             covering = np.flatnonzero((rs.starts <= lo)
@@ -151,7 +156,7 @@ def test_extract_block_rows_match_per_read_slices():
                 for r in covering:
                     a = x.base[r] + snp_lo
                     want = np.vstack([want, x.source[a:a + kappa]])
-                block = extract_block(x, (lo, hi), eps)
+                block = extract_block(x, snps, reads, eps)
                 assert block.kappa == kappa
                 np.testing.assert_array_equal(block.observations, want)
                 blocks.append(block.observations)
@@ -163,7 +168,23 @@ def test_extract_block_rows_match_per_read_slices():
 
 
 # The three-pass noisy trial that the one-pass `run_noisy_trial` replaced,
-# kept verbatim (but for the names) as the reference for its flags.
+# kept verbatim (but for the names) as the reference for its flags, with
+# the window-to-range lines `extract_block` held before `run_noisy_trial`
+# computed its segment table.
+def reference_ranges(rs, window: tuple[float, float]
+                     ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The SNP range inside a window and the range of reads with
+    start <= window start and start + L >= window end."""
+    lo_pos, hi_pos = window
+    pop = rs.population
+    L = rs.config.L
+    snp_lo = int(np.searchsorted(pop.snp_positions, lo_pos, side="left"))
+    snp_hi = int(np.searchsorted(pop.snp_positions, hi_pos, side="left"))
+    r_hi = int(np.searchsorted(rs.starts, lo_pos, side="right"))
+    r_lo = int(np.searchsorted(rs.starts, hi_pos - L, side="left"))
+    return (snp_lo, snp_hi), (r_lo, r_hi)
+
+
 def reference_match_rows(prev_rows: np.ndarray, rows: np.ndarray,
                          overlap_prev: slice, overlap_cur: slice) -> list[int] | None:
     """Match segment rows to the previous segment's rows on their shared
@@ -213,7 +234,8 @@ def reference_noisy_trial(config: ModelConfig, plan: SegmentationPlan,
         if c_hi == c_lo:
             seg_out.append(np.empty((config.M, 0), dtype=np.int8))
             continue
-        block = extract_block(noisy, (lo, hi), config.eps)
+        block = extract_block(noisy, *reference_ranges(noisy, (lo, hi)),
+                              config.eps)
         decoded = None
         if denoiser == "ml":
             try:
@@ -317,6 +339,33 @@ def test_one_pass_noisy_trial_matches_reference():
             for flag, value in zip(_FLAGS, flags):
                 seen[flag].add(value)
     assert all(values == {False, True} for values in seen.values()), seen
+
+
+def test_segment_table_gives_window_ranges(monkeypatch):
+    """Every segment holding a SNP is extracted over the SNP and read ranges
+    that `reference_ranges` derives from its window on its own, on the
+    edge inputs: the clipped last segment, segments longer than a read, no
+    SNPs and no reads."""
+    ranges = []
+    original = pipeline.extract_block
+
+    def recording(rs, snps, reads, eps):
+        ranges.append((tuple(map(int, snps)), tuple(map(int, reads))))
+        return original(rs, snps, reads, eps)
+
+    monkeypatch.setattr(pipeline, "extract_block", recording)
+    for c, (cfg, plan, denoiser) in enumerate(_EDGE_CASES):
+        stream = RandomStream(7).child(c, 0)
+        ranges.clear()
+        run_noisy_trial(cfg, plan, stream, denoiser)
+        pop = generate_population(cfg, stream.child("pop"))
+        rs = generate_reads(pop, cfg, stream.child("reads"))
+        windows = [(k * plan.d, min(k * plan.d + plan.D, float(cfg.G)))
+                   for k in range(math.ceil(cfg.G / plan.d) + 1)
+                   if k * plan.d < cfg.G]
+        want = [(snps, reads) for snps, reads in
+                (reference_ranges(rs, w) for w in windows) if snps[1] > snps[0]]
+        assert ranges == want, c
 
 
 def test_spectral_trial_flags_pinned():
